@@ -20,6 +20,10 @@ ONE_THIRD = Fraction(1, 3)
 TWO_THIRDS = Fraction(2, 3)
 
 
+class FormatError(ValueError):
+    """Malformed input data, as opposed to a violated domain precondition."""
+
+
 @dataclass(frozen=True)
 class FaceRef:
     """A possibly degenerate cube: base cube plus a degeneracy word.

@@ -1,38 +1,68 @@
-"""Homology of finitely presented cubical sets by exact elimination.
+"""Homology of finitely presented cubical sets by sparse exact elimination.
 
 Chains are taken in the normalized sense: degenerate faces contribute
-nothing to the boundary.  Coefficients live in the rationals or in a prime
-field, selected by a :class:`FieldSpec`; all arithmetic is exact, there is
-no floating point anywhere in the ranks.
+nothing to the boundary.  Boundaries are stored as sparse integer columns,
+one ``{row index: nonzero coefficient}`` dict per cube, because an n-cube
+has at most 2n nondegenerate faces.  Coefficients live in the rationals or
+in a prime field, selected by a :class:`FieldSpec`.  Ranks come from column
+elimination on plain Python ints: modulo p over a prime field, and without
+leaving the integers over the rationals, where a pivot that divides the
+entry to clear is subtracted directly and any other update
+``a*col - b*pivot`` is followed by division by the gcd of the column.
+All arithmetic is exact; there is no floating point anywhere in the ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
-from .cubical import CubicalSet
+from .cubical import CubicalSet, FormatError
+
+# Miller-Rabin with the first thirteen primes as bases is deterministic for
+# every n below MAX_CHARACTERISTIC (Sorenson and Webster, 2015).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_CHARACTERISTIC = 3317044064679887385961981
 
 
 def _is_prime(p: int) -> bool:
+    """Deterministic primality test for ``p < MAX_CHARACTERISTIC``."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _WITNESSES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Coefficient field: characteristic 0 for the rationals, else a prime."""
+    """Coefficient field: characteristic 0 for the rationals, else a prime.
+
+    Primes are accepted up to ``MAX_CHARACTERISTIC`` (about 3.3e24), the
+    range in which primality is decided exactly.
+    """
 
     characteristic: int = 0
 
     def __post_init__(self) -> None:
         p = self.characteristic
+        if p >= MAX_CHARACTERISTIC:
+            raise ValueError(f"characteristic {p} exceeds the supported bound {MAX_CHARACTERISTIC}")
         if p != 0 and not _is_prime(p):
             raise ValueError(f"characteristic must be 0 or a prime, got {p}")
 
@@ -53,71 +83,101 @@ class FieldSpec:
     def __str__(self) -> str:
         return "q" if self.characteristic == 0 else f"zp:{self.characteristic}"
 
-    def from_int(self, n: int):
-        return Fraction(n) if self.characteristic == 0 else n % self.characteristic
-
-    def add(self, a, b):
-        return a + b if self.characteristic == 0 else (a + b) % self.characteristic
-
-    def sub(self, a, b):
-        return a - b if self.characteristic == 0 else (a - b) % self.characteristic
-
-    def mul(self, a, b):
-        return a * b if self.characteristic == 0 else (a * b) % self.characteristic
-
-    def inv(self, a):
-        if self.characteristic == 0:
-            if a == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return 1 / Fraction(a)
-        return pow(a, self.characteristic - 2, self.characteristic)
-
-    def is_zero(self, a) -> bool:
-        return a == 0 if self.characteristic == 0 else a % self.characteristic == 0
-
 
 RATIONALS = FieldSpec(0)
 
 
-def rank(matrix: list[list[int]], field: FieldSpec = RATIONALS) -> int:
-    """Rank of an integer matrix over the given field, by row reduction."""
-    rows = [[field.from_int(x) for x in row] for row in matrix]
-    if not rows or not rows[0]:
-        return 0
-    r = 0
-    for c in range(len(rows[0])):
-        piv = next((i for i in range(r, len(rows)) if not field.is_zero(rows[i][c])), None)
+def _content(col: dict[int, int]) -> dict[int, int]:
+    """The column divided by the gcd of its entries."""
+    g = gcd(*col.values())
+    return col if g == 1 else {r: v // g for r, v in col.items()}
+
+
+def _reduce_q(col: dict[int, int], pivots: dict[int, dict[int, int]]) -> None:
+    """Reduction over the rationals of one integer column, in integers only."""
+    while col:
+        low = max(col)
+        piv = pivots.get(low)
         if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        scale = field.inv(rows[r][c])
-        rows[r] = [field.mul(scale, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not field.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+            pivots[low] = _content(col)
+            return
+        a, b = col[low], piv[low]
+        if a % b:
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            col = {r: b * v for r, v in col.items()}
+        else:
+            a //= b
+        for r, v in piv.items():
+            w = col.get(r, 0) - a * v
+            if w:
+                col[r] = w
+            else:
+                del col[r]
+        if col:
+            col = _content(col)
+
+
+def _reduce_mod(col: dict[int, int], pivots: dict[int, dict[int, int]], p: int) -> None:
+    """Reduction of one column mod ``p``; stored pivots have leading entry 1."""
+    while col:
+        low = max(col)
+        piv = pivots.get(low)
+        if piv is None:
+            inv = pow(col[low], -1, p)
+            pivots[low] = {r: v * inv % p for r, v in col.items()}
+            return
+        a = col[low]
+        for r, v in piv.items():
+            w = (col.get(r, 0) - a * v) % p
+            if w:
+                col[r] = w
+            else:
+                del col[r]
+
+
+def rank(columns: list[dict[int, int]], field: FieldSpec = RATIONALS) -> int:
+    """Rank over ``field`` of an integer matrix given as sparse columns.
+
+    Each column maps row indices to coefficients.  Columns are reduced left
+    to right by their largest nonzero row; the rank is the number of
+    distinct pivot rows left.
+    """
+    p = field.characteristic
+    pivots: dict[int, dict[int, int]] = {}
+    for col in columns:
+        if p:
+            _reduce_mod({r: v % p for r, v in col.items() if v % p}, pivots, p)
+        else:
+            _reduce_q({r: v for r, v in col.items() if v}, pivots)
+    return len(pivots)
 
 
 @dataclass(frozen=True)
 class ChainComplex:
-    """Ordered cube bases per dimension and integer boundary matrices.
+    """Ordered cube bases per dimension and sparse integer boundaries.
 
-    ``boundary[n]`` has one row per (n-1)-cube and one column per n-cube,
-    in the order given by ``basis``.
+    ``boundary[n]`` is a list with one column per n-cube, in the order of
+    ``basis[n]``.  A column is a dict from row index (the position of an
+    (n-1)-cube in ``basis[n - 1]``) to its nonzero integer coefficient.
     """
 
     basis: dict[int, list[str]]
-    boundary: dict[int, list[list[int]]]
+    boundary: dict[int, list[dict[int, int]]]
 
-    def matrix(self, n: int) -> list[list[int]]:
-        if n in self.boundary:
-            return self.boundary[n]
-        rows = len(self.basis.get(n - 1, []))
-        return [[] for _ in range(rows)]
+
+def _face_row(K: CubicalSet, c: str, i: int, eps: int, rows: dict[str, int]) -> int | None:
+    """Row of the face ``d{eps}_{i}`` of cube ``c`` in ``rows``; None if it is degenerate."""
+    ref = K.faces.get((c, i, eps))
+    if ref is None:
+        raise FormatError(f"cube {c!r} is missing face d{eps}_{i}")
+    base_dim = K.cubes.get(ref.base)
+    if base_dim is None:
+        raise FormatError(f"face d{eps}_{i} of {c!r} references unknown cube {ref.base!r}")
+    found, expected = base_dim + len(ref.degens), K.cubes[c] - 1
+    if found != expected:
+        raise FormatError(f"face d{eps}_{i} of cube {c!r} has dimension {found}, expected {expected}")
+    return None if ref.degens else rows[ref.base]
 
 
 def chain_complex(K: CubicalSet) -> ChainComplex:
@@ -125,29 +185,41 @@ def chain_complex(K: CubicalSet) -> ChainComplex:
 
     The boundary of an n-cube alternates over coordinate directions, taking
     the start face minus the end face; faces carrying a degeneracy word are
-    dropped.  The squared boundary is checked to vanish before returning.
+    dropped.  A face of the wrong dimension raises :class:`FormatError`.
+    The squared boundary is checked to vanish, column by column, before
+    returning.
     """
     basis = {n: K.cubes_of_dim(n) for n in range(K.top_dim + 1)}
-    index = {n: {c: i for i, c in enumerate(cs)} for n, cs in basis.items()}
-    boundary: dict[int, list[list[int]]] = {}
+    boundary: dict[int, list[dict[int, int]]] = {}
     for n in range(1, K.top_dim + 1):
-        rows = [[0] * len(basis[n]) for _ in basis[n - 1]]
-        for col, c in enumerate(basis[n]):
+        rows = {c: i for i, c in enumerate(basis[n - 1])}
+        columns = []
+        for c in basis[n]:
+            col: dict[int, int] = {}
             for i in range(1, n + 1):
                 sign = -1 if i % 2 else 1
                 for eps, s in ((0, sign), (1, -sign)):
-                    ref = K.faces[(c, i, eps)]
-                    if ref.is_degenerate:
+                    r = _face_row(K, c, i, eps, rows)
+                    if r is None:
                         continue
-                    rows[index[n - 1][ref.base]][col] += s
-        boundary[n] = rows
+                    v = col.get(r, 0) + s
+                    if v:
+                        col[r] = v
+                    else:
+                        del col[r]
+            columns.append(col)
+        boundary[n] = columns
     for n in range(2, K.top_dim + 1):
-        a, b = boundary[n - 1], boundary[n]
-        for i in range(len(a)):
-            for j in range(len(b[0]) if b else 0):
-                acc = sum(a[i][k] * b[k][j] for k in range(len(b)))
-                if acc != 0:
-                    raise ValueError(f"boundary does not square to zero at dimension {n}")
+        lower = boundary[n - 1]
+        for j, col in enumerate(boundary[n]):
+            acc: dict[int, int] = {}
+            for k, a in col.items():
+                for r, b in lower[k].items():
+                    acc[r] = acc.get(r, 0) + a * b
+            if any(acc.values()):
+                raise ValueError(
+                    f"boundary does not square to zero at dimension {n} (cube {basis[n][j]!r})"
+                )
     return ChainComplex(basis, boundary)
 
 

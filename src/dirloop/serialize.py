@@ -10,14 +10,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .cubical import CubicalSet, FaceRef, RealizationPoint, normalize_point
+from .cubical import CubicalSet, FaceRef, FormatError, RealizationPoint, normalize_point
 from .paths import MoorePath, StarSeg, Suspension, TrackSeg
 
 _FACE_KEY = re.compile(r"^d([01])_([1-9][0-9]*)$")
-
-
-class FormatError(ValueError):
-    """Malformed input data, as opposed to a violated domain precondition."""
 
 
 def parse_rational(value) -> Fraction:

@@ -228,3 +228,24 @@ def test_exit_codes_for_bad_input(capsys, tmp_path, circle_file, loop_file):
 
     code, _, _ = invoke(capsys, "path", "eval", loop_file, "--complex", circle_file, "--t", "x/y")
     assert code == 2
+
+
+def test_homology_rejects_face_of_wrong_dimension(capsys, tmp_path):
+    torus = dump_complex(torus_complex())
+    square = next(c for c in torus["cubes"] if c["dim"] == 2)
+    square["faces"]["d0_1"] = {"base": "(v|v)", "degens": []}
+    target = tmp_path / "wrong_dim.json"
+    target.write_text(json.dumps(torus))
+    code, out, err = invoke(capsys, "homology", str(target))
+    assert code == 2 and out == ""
+    assert "d0_1" in err and "'(e|e)'" in err and "dimension 0, expected 1" in err
+    assert "Traceback" not in err
+
+
+def test_field_primes_parse_fast_and_reject_composites(capsys, circle_file):
+    code, out, _ = invoke(capsys, "homology", circle_file, "--field", "zp:1000000000000000003")
+    assert code == 0
+    assert json.loads(out) == {"dims": {"0": 1, "1": 1}}
+    for composite in ("zp:561", "zp:1000000000000000001"):
+        code, _, err = invoke(capsys, "homology", circle_file, "--field", composite)
+        assert code == 2 and "Traceback" not in err
