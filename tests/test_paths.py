@@ -8,11 +8,13 @@ import random
 from dirloop.corpus import (
     circle_complex,
     interval_complex,
+    random_interior_point,
     random_loop,
     random_reparam,
     torus_complex,
+    wedge_of_circles,
 )
-from dirloop.cubical import RealizationPoint
+from dirloop.cubical import RealizationPoint, suspension_model, tensor_product
 from dirloop.paths import (
     Interior,
     MoorePath,
@@ -431,3 +433,186 @@ def test_truncations_preserve_duration(seed):
     loop = random_loop(s, rng)
     assert s.truncate_near_basepoint(loop).duration == loop.duration
     assert s.truncate_near_basepoint(loop, F(1, 8)).duration == loop.duration
+
+
+# ----------------------------------------------------------------------
+# pointwise oracles: each transform against its documented map, evaluated
+
+
+def _breaks(path):
+    out, acc = [F(0)], F(0)
+    for seg in path.segments:
+        acc += seg.duration
+        out.append(acc)
+    return out
+
+
+def _probe_times(times):
+    # both sides are affine between consecutive breakpoints of either path,
+    # so agreeing at every breakpoint and midpoint means agreeing everywhere
+    ts = sorted(set(times))
+    return ts + [(a + b) / 2 for a, b in zip(ts, ts[1:])]
+
+
+def _clamped(h, p):
+    return STAR if h <= -1 or h >= 1 else Interior(h, p)
+
+
+def _check_pointwise(s, src, out, old_time, image, extra_times=()):
+    """``out`` at new time t must be ``image`` of ``src`` at ``old_time(t)``."""
+    checked = 0
+    for t in _probe_times(_breaks(out) + list(extra_times)):
+        s_t = old_time(t)
+        want = image(s.evaluate(src, s_t), s_t)
+        if want is None:
+            continue
+        assert s.evaluate(out, t) == want, (t, s_t)
+        checked += 1
+    return checked
+
+
+def _height_image(f):
+    def image(p, t):
+        return STAR if p is STAR else _clamped(f(p.height, t), p.point)
+
+    return image
+
+
+def _wandering_loop(s, rng):
+    """Loop whose excursions climb while drifting across one cube."""
+    segs = [StarSeg(F(rng.randint(0, 2), 2))]
+    for _ in range(rng.randint(1, 3)):
+        a = random_interior_point(s.base, rng)
+        b = tuple(F(rng.randint(1, 7), 8) for _ in a.coords)
+        levels = [F(-1)] + sorted(rng.sample([F(k, 4) for k in (-3, -2, -1, 1, 2, 3)], 2)) + [F(1)]
+        for h0, h1 in zip(levels, levels[1:]):
+            u0, u1 = (h0 + 1) / 2, (h1 + 1) / 2
+            segs.append(
+                TrackSeg(
+                    F(rng.randint(1, 4), 2),
+                    h0,
+                    h1,
+                    a.cube,
+                    tuple(p + (q - p) * u0 for p, q in zip(a.coords, b)),
+                    tuple(p + (q - p) * u1 for p, q in zip(a.coords, b)),
+                )
+            )
+        segs.append(StarSeg(F(rng.randint(0, 2), 2)))
+    return s.path(segs)
+
+
+POINTWISE_BASES = [circle_complex, lambda: wedge_of_circles(2), torus_complex]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_transforms_match_pointwise_maps(seed):
+    rng = random.Random(seed)
+    checked = 0
+    for make_base in POINTWISE_BASES:
+        s = Suspension(make_base())
+        for k in range(16):
+            loop = random_loop(s, rng) if k % 2 else _wandering_loop(s, rng)
+            T = loop.duration
+            same = _breaks(loop)
+
+            a = 1 + F(rng.randint(0, 8), 4)
+            b = (a - 1) * F(rng.randint(-4, 4), 4)
+            out = s.height_affine(loop, a, b)
+            checked += _check_pointwise(
+                s, loop, out, lambda t: t, _height_image(lambda h, t: a * h + b), same
+            )
+
+            u = F(rng.randint(0, 4), 4)
+            side = rng.choice(["lower", "upper"])
+            off = -u if side == "lower" else u
+            out = s.shrink_cone(loop, side, u)
+            checked += _check_pointwise(
+                s, loop, out, lambda t: t, _height_image(lambda h, t: (1 + u) * h + off), same
+            )
+
+            e = F(rng.randint(1, 7), 8)
+            out = s.make_increasing(loop, e)
+            checked += _check_pointwise(
+                s,
+                loop,
+                out,
+                lambda t: t,
+                _height_image(lambda h, t: (h + e * t / T) / (1 - e)),
+                same,
+            )
+
+            f = F(rng.randint(1, 12), 4)
+            out = s.scale_time(loop, f)
+            checked += _check_pointwise(
+                s, loop, out, lambda t: t / f, lambda p, t: p, [x * f for x in same]
+            )
+
+            table = random_reparam(T, rng)
+
+            def old_time(n, table=table):
+                for (n0, o0), (n1, o1) in zip(table, table[1:]):
+                    if n <= n1:
+                        return o0 + (o1 - o0) * (n - n0) / (n1 - n0)
+                raise AssertionError(n)
+
+            moved = [
+                n0 + (x - o0) * (n1 - n0) / (o1 - o0)
+                for (n0, o0), (n1, o1) in zip(table, table[1:])
+                for x in same
+                if o0 <= x <= o1
+            ]
+            out = s.reparam(loop, table)
+            checked += _check_pointwise(
+                s, loop, out, old_time, lambda p, t: p, moved + [n for n, _ in table]
+            )
+
+            # not a quotient map: compare only where the input is off the cone point
+            delta = F(rng.randint(-7, 7), 8)
+            for run in s.pauses_and_runs(loop)[1]:
+                exc = s.path(run)
+                out = s.shift_heights(exc, delta)
+                checked += _check_pointwise(
+                    s,
+                    exc,
+                    out,
+                    lambda t: t,
+                    lambda p, t: None if p is STAR else _clamped(p.height + delta, p.point),
+                    _breaks(exc),
+                )
+    assert checked > 1000
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["cube3", "torus", "suspended_circle"]))
+def test_canonical_track_keeps_endpoints(seed, which):
+    rng = random.Random(seed)
+    if which == "cube3":
+        interval = interval_complex()
+        K = tensor_product(tensor_product(interval, interval), interval)
+    elif which == "torus":
+        K = torus_complex()
+    else:
+        K = suspension_model(circle_complex()).complex
+    s = Suspension(K)
+    cube = rng.choice(sorted(c for c, d in K.cubes.items() if d > 0))
+    ends = ([], [])
+    for _ in range(K.cubes[cube]):
+        kind = rng.random()
+        if kind < 0.4:
+            held = F(rng.randint(0, 1))
+            ends[0].append(held)
+            ends[1].append(held)
+        else:
+            for side in ends:
+                side.append(F(rng.randint(0, 8), 8))
+    h0 = F(rng.randint(-4, 4), 4)
+    h1 = F(rng.randint(-4, 4), 4)
+    raw = TrackSeg(F(1), h0, h1, cube, tuple(ends[0]), tuple(ends[1]))
+    (seg,) = s.path([raw]).segments
+    raw_start, raw_end = s.point(h0, cube, raw.c0), s.point(h1, cube, raw.c1)
+    if isinstance(seg, StarSeg):
+        assert raw_start is STAR and raw_end is STAR
+    else:
+        assert s.point(seg.h0, seg.cube, seg.c0) == raw_start
+        assert s.point(seg.h1, seg.cube, seg.c1) == raw_end
+        assert len(seg.c0) == K.cubes[seg.cube]
