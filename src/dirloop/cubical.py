@@ -7,6 +7,10 @@ equality of iterated faces decidable, so the cubical interchange relations
 can be checked mechanically and realization points can be pushed into a
 canonical carrier cube by stripping boundary coordinates.
 
+:func:`strip_boundary` is the one place that strips: it carries points
+(:func:`normalize_point`) and the two ends of a path segment alike, and is
+the only code that deletes slots named by a degeneracy word.
+
 All coordinates are ``fractions.Fraction``; no floats enter the kernel.
 """
 
@@ -34,10 +38,6 @@ class FaceRef:
 
     base: str
     degens: tuple[int, ...] = ()
-
-    @property
-    def is_degenerate(self) -> bool:
-        return bool(self.degens)
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,6 @@ class CubicalSet:
                 raise ValueError("cube names must be nonempty strings")
             if d < 0:
                 raise ValueError(f"cube {name!r} has negative dimension")
-
-    def dim(self, name: str) -> int:
-        return self.cubes[name]
 
     def cubes_of_dim(self, n: int) -> list[str]:
         return sorted(c for c, d in self.cubes.items() if d == n)
@@ -359,32 +356,48 @@ class RealizationPoint:
     coords: tuple[Fraction, ...]
 
 
-def normalize_point(K: CubicalSet, cube: str, coords) -> RealizationPoint:
-    """Push a coordinate tuple into its canonical carrier.
+def strip_boundary(K: CubicalSet, cube: str, tuples) -> tuple[str, tuple]:
+    """Push coordinate tuples into the smallest carrier they share.
 
-    Boundary coordinates are stripped through the stored faces; degeneracy
-    words met on the way delete the matching slots.  For a well formed
-    complex the outcome does not depend on the stripping order.
+    A slot where every tuple holds the same 0 or 1 is stripped through the
+    stored face; degeneracy words met on the way delete the matching slots.
+    Returns the carrier and the stripped tuples.  For a well formed complex
+    the outcome does not depend on the stripping order.
     """
     if cube not in K.cubes:
         raise ValueError(f"unknown cube {cube!r}")
-    cs = tuple(Fraction(c) for c in coords)
-    if len(cs) != K.cubes[cube]:
-        raise ValueError(
-            f"cube {cube!r} has dimension {K.cubes[cube]}, got {len(cs)} coordinates"
-        )
-    if any(c < 0 or c > 1 for c in cs):
-        raise ValueError("coordinates must lie in [0,1]")
+    n = K.cubes[cube]
+    ts = [tuple(Fraction(c) for c in cs) for cs in tuples]
+    for cs in ts:
+        if len(cs) != n:
+            raise ValueError(f"cube {cube!r} has dimension {n}, got {len(cs)} coordinates")
+        if any(c < 0 or c > 1 for c in cs):
+            raise ValueError("coordinates must lie in [0,1]")
+    first = ts[0]
     while True:
-        hit = next((idx for idx, c in enumerate(cs) if c == 0 or c == 1), None)
+        hit = next(
+            (
+                i
+                for i, c in enumerate(first)
+                if (c == 0 or c == 1) and all(cs[i] == c for cs in ts)
+            ),
+            None,
+        )
         if hit is None:
-            return RealizationPoint(cube, cs)
-        eps = 0 if cs[hit] == 0 else 1
-        ref = K.faces[(cube, hit + 1, eps)]
-        rest = cs[:hit] + cs[hit + 1:]
-        for j in ref.degens:
-            rest = rest[: j - 1] + rest[j:]
-        cube, cs = ref.base, rest
+            return cube, tuple(ts)
+        ref = K.faces[(cube, hit + 1, int(first[hit]))]
+        for k, cs in enumerate(ts):
+            rest = cs[:hit] + cs[hit + 1:]
+            for j in ref.degens:
+                rest = rest[: j - 1] + rest[j:]
+            ts[k] = rest
+        cube, first = ref.base, ts[0]
+
+
+def normalize_point(K: CubicalSet, cube: str, coords) -> RealizationPoint:
+    """Push a coordinate tuple into its canonical carrier."""
+    carrier, (cs,) = strip_boundary(K, cube, (coords,))
+    return RealizationPoint(carrier, cs)
 
 
 def snap_coordinate(s: Fraction) -> Fraction:

@@ -6,10 +6,18 @@ the whole column over the base's own basepoint all land on ``STAR``.
 
 Paths are finite strings of affine segments with rational data.  Every
 constructor funnels through :meth:`Suspension.path`, which canonicalizes
-(drops empty segments, strips constant boundary coordinates, converts
-segments stuck at the cone point into pauses, merges collinear neighbours)
-and rejects discontinuous junctions.  Two paths are therefore equal as
-maps exactly when they are equal as values.
+(drops empty segments, strips constant boundary coordinates through
+:func:`~dirloop.cubical.strip_boundary`, converts segments stuck at the
+cone point into pauses, merges collinear neighbours) and rejects
+discontinuous junctions, naming the offending input segment.  Two paths
+are therefore equal as maps exactly when they are equal as values.
+
+Each transform has one mechanism underneath: every height deformation
+(``height_affine``, ``shift_heights``, ``make_increasing`` and through them
+``shrink_cone``) is one clamped map h -> a*h + b + c*t, every change of
+clock (``scale_time``, ``reparam``) rescales durations in one place, and
+level crossings inside a track (pole clamping, the collar truncation) are
+cut at one set of exact parameters.
 """
 
 from __future__ import annotations
@@ -24,9 +32,13 @@ from .cubical import (
     boundary_snap,
     normalize_point,
     snap_coordinate,
+    strip_boundary,
 )
 
 _THIRD = Fraction(1, 3)
+_POLES = (Fraction(-1), Fraction(1))
+_COLLAR_HEIGHTS = (-2 * _THIRD, -_THIRD, _THIRD, 2 * _THIRD)
+_COLLAR_COORDS = (_THIRD, 2 * _THIRD)
 
 
 class _StarType:
@@ -122,14 +134,9 @@ def _lerp_coords(c0, c1, s):
     return tuple(_lerp(a, b, s) for a, b in zip(c0, c1))
 
 
-def _drop_slots(coords, hit, degens):
-    rest = coords[:hit] + coords[hit + 1:]
-    for j in degens:
-        rest = rest[: j - 1] + rest[j:]
-    return rest
-
-
 def _sub_segment(seg, sa: Fraction, sb: Fraction):
+    if sa == 0 and sb == 1:
+        return seg
     d = seg.duration * (sb - sa)
     if isinstance(seg, StarSeg):
         return StarSeg(d)
@@ -143,38 +150,42 @@ def _sub_segment(seg, sa: Fraction, sb: Fraction):
     )
 
 
-def _clamped_track(seg: TrackSeg, g0: Fraction, g1: Fraction) -> list:
-    """Pieces of a track whose new heights g0..g1 may overshoot the poles.
+def _scaled(segments, f: Fraction) -> list:
+    """The segments with every duration multiplied by ``f``."""
+    return [
+        StarSeg(s.duration * f)
+        if isinstance(s, StarSeg)
+        else TrackSeg(s.duration * f, s.h0, s.h1, s.cube, s.c0, s.c1)
+        for s in segments
+    ]
+
+
+def _cuts(seg: TrackSeg, height_levels, coord_levels) -> list:
+    """Sorted parameters in [0, 1]: both ends and every level crossing inside."""
+    cuts = {Fraction(0), Fraction(1)}
+    moves = [(seg.h0, seg.h1, height_levels)]
+    moves += [(a0, a1, coord_levels) for a0, a1 in zip(seg.c0, seg.c1)]
+    for a0, a1, levels in moves:
+        if a0 != a1:
+            for level in levels:
+                s = (level - a0) / (a1 - a0)
+                if 0 < s < 1:
+                    cuts.add(s)
+    return sorted(cuts)
+
+
+def _clamped_track(seg: TrackSeg) -> list:
+    """Pieces of a track whose heights may overshoot the poles.
 
     The overshoot is clamped: stretches at or beyond a pole become pauses
     at the cone point, with exact cuts at the crossing times.
     """
-    if g0 == g1:
-        if g0 <= -1 or g0 >= 1:
-            return [StarSeg(seg.duration)]
-        return [TrackSeg(seg.duration, g0, g1, seg.cube, seg.c0, seg.c1)]
-    cuts = {Fraction(0), Fraction(1)}
-    for level in (Fraction(-1), Fraction(1)):
-        s = (level - g0) / (g1 - g0)
-        if 0 < s < 1:
-            cuts.add(s)
-    ordered = sorted(cuts)
     out = []
-    for sa, sb in zip(ordered, ordered[1:]):
-        mid = _lerp(g0, g1, (sa + sb) / 2)
-        if mid <= -1 or mid >= 1:
-            out.append(StarSeg(seg.duration * (sb - sa)))
-        else:
-            out.append(
-                TrackSeg(
-                    seg.duration * (sb - sa),
-                    _lerp(g0, g1, sa),
-                    _lerp(g0, g1, sb),
-                    seg.cube,
-                    _lerp_coords(seg.c0, seg.c1, sa),
-                    _lerp_coords(seg.c0, seg.c1, sb),
-                )
-            )
+    cuts = _cuts(seg, _POLES, ())
+    for sa, sb in zip(cuts, cuts[1:]):
+        piece = _sub_segment(seg, sa, sb)
+        mid = (piece.h0 + piece.h1) / 2
+        out.append(StarSeg(piece.duration) if mid <= -1 or mid >= 1 else piece)
     return out
 
 
@@ -223,49 +234,32 @@ class Suspension:
     # ------------------------------------------------------------------
     # construction
 
-    def _canonical_track(self, seg: TrackSeg):
-        K = self.base
+    def _canonical(self, seg):
+        # the canonical piece of one input segment, or None when it is empty
         d = Fraction(seg.duration)
+        if d < 0:
+            raise ValueError(f"duration {d} is negative")
+        if d == 0:
+            return None
+        if isinstance(seg, StarSeg):
+            return StarSeg(d)
         h0, h1 = Fraction(seg.h0), Fraction(seg.h1)
         if not (-1 <= h0 <= 1 and -1 <= h1 <= 1):
             raise ValueError("track heights must lie in [-1, 1]")
-        if seg.cube not in K.cubes:
-            raise ValueError(f"unknown cube {seg.cube!r}")
-        c0 = tuple(Fraction(c) for c in seg.c0)
-        c1 = tuple(Fraction(c) for c in seg.c1)
-        n = K.cubes[seg.cube]
-        if len(c0) != n or len(c1) != n:
-            raise ValueError(f"cube {seg.cube!r} needs {n} coordinates")
-        if any(c < 0 or c > 1 for c in c0 + c1):
-            raise ValueError("coordinates must lie in [0, 1]")
-        cube = seg.cube
-        while True:
-            hit = next(
-                (
-                    i
-                    for i in range(len(c0))
-                    if c0[i] == c1[i] and (c0[i] == 0 or c0[i] == 1)
-                ),
-                None,
-            )
-            if hit is None:
-                break
-            ref = K.faces[(cube, hit + 1, 0 if c0[hit] == 0 else 1)]
-            c0 = _drop_slots(c0, hit, ref.degens)
-            c1 = _drop_slots(c1, hit, ref.degens)
-            cube = ref.base
-        if cube == K.basepoint or (h0 == h1 and (h0 == -1 or h0 == 1)):
+        cube, (c0, c1) = strip_boundary(self.base, seg.cube, (seg.c0, seg.c1))
+        if cube == self.base.basepoint or (h0 == h1 and (h0 == -1 or h0 == 1)):
             return StarSeg(d)
         return TrackSeg(d, h0, h1, cube, c0, c1)
 
-    def _push(self, out: list, seg) -> None:
+    def _push(self, out: list, seg) -> bool:
+        # append or merge; False when seg does not start where out ends
         if not out:
             out.append(seg)
-            return
+            return True
         prev = out[-1]
         if isinstance(prev, StarSeg) and isinstance(seg, StarSeg):
             out[-1] = StarSeg(prev.duration + seg.duration)
-            return
+            return True
         if (
             isinstance(prev, TrackSeg)
             and isinstance(seg, TrackSeg)
@@ -281,32 +275,33 @@ class Suspension:
             out[-1] = TrackSeg(
                 prev.duration + seg.duration, prev.h0, seg.h1, prev.cube, prev.c0, seg.c1
             )
-            return
+            return True
         if self._seg_end(prev) != self._seg_start(seg):
-            raise ValueError("discontinuous junction between path segments")
+            return False
         out.append(seg)
+        return True
 
     def path(self, segments: Iterable, empty_at=STAR) -> MoorePath:
         """Build the canonical path through the given segments.
 
         Zero length segments are dropped, segments pinned to the cone point
         become pauses, collinear neighbours merge, and any discontinuous
-        junction raises ``ValueError``.
+        junction raises ``ValueError``.  Errors name the input segment index.
         """
         canon: list = []
-        for seg in segments:
-            d = Fraction(seg.duration)
-            if d < 0:
-                raise ValueError("segment durations must be nonnegative")
-            if d == 0:
+        last = None
+        for k, seg in enumerate(segments):
+            try:
+                piece = self._canonical(seg)
+            except ValueError as err:
+                raise ValueError(f"segment {k}: {err}") from None
+            if piece is None:
                 continue
-            if isinstance(seg, StarSeg):
-                piece = StarSeg(d)
-            else:
-                piece = self._canonical_track(
-                    TrackSeg(d, seg.h0, seg.h1, seg.cube, seg.c0, seg.c1)
+            if not self._push(canon, piece):
+                raise ValueError(
+                    f"discontinuous junction between segment {last} and segment {k}"
                 )
-            self._push(canon, piece)
+            last = k
         if not canon:
             if not (empty_at is STAR or isinstance(empty_at, Interior)):
                 raise ValueError("empty_at must be a suspension point")
@@ -392,23 +387,11 @@ class Suspension:
             acc += d
         return self.path(segs, empty_at=self.evaluate(path, a))
 
-    def truncate_path(self, path: MoorePath, fraction) -> MoorePath:
-        f = Fraction(fraction)
-        if not 0 <= f <= 1:
-            raise ValueError("fraction must lie in [0, 1]")
-        return self.slice_path(path, 0, f * path.duration)
-
     def scale_time(self, path: MoorePath, factor) -> MoorePath:
         f = Fraction(factor)
         if f <= 0:
             raise ValueError("time scale must be positive")
-        segs = [
-            StarSeg(s.duration * f)
-            if isinstance(s, StarSeg)
-            else TrackSeg(s.duration * f, s.h0, s.h1, s.cube, s.c0, s.c1)
-            for s in path.segments
-        ]
-        return self.path(segs, empty_at=path.empty_at)
+        return self.path(_scaled(path.segments, f), empty_at=path.empty_at)
 
     def reparam(self, path: MoorePath, table: Sequence) -> MoorePath:
         """Run the path on a new clock given (new_time, old_time) breakpoints.
@@ -445,17 +428,30 @@ class Suspension:
                     )
             else:
                 piece = self.slice_path(path, o0, o1)
-                f = (n1 - n0) / (o1 - o0)
-                segs.extend(
-                    StarSeg(s.duration * f)
-                    if isinstance(s, StarSeg)
-                    else TrackSeg(s.duration * f, s.h0, s.h1, s.cube, s.c0, s.c1)
-                    for s in piece.segments
-                )
+                segs.extend(_scaled(piece.segments, (n1 - n0) / (o1 - o0)))
         return self.path(segs, empty_at=self.start_point(path))
 
     # ------------------------------------------------------------------
     # height deformations
+
+    def _map_heights(self, path: MoorePath, a, b, c) -> MoorePath:
+        # height h at time t goes to a*h + b + c*t, clamped at the poles
+        segs = []
+        acc = Fraction(0)
+        for seg in path.segments:
+            if isinstance(seg, StarSeg):
+                segs.append(seg)
+            else:
+                g0 = a * seg.h0 + b + c * acc
+                g1 = a * seg.h1 + b + c * (acc + seg.duration)
+                mapped = TrackSeg(seg.duration, g0, g1, seg.cube, seg.c0, seg.c1)
+                segs.extend(_clamped_track(mapped))
+            acc += seg.duration
+        empty = path.empty_at
+        if not path.segments and isinstance(empty, Interior):
+            g = a * empty.height + b
+            empty = STAR if (g <= -1 or g >= 1) else Interior(g, empty.point)
+        return self.path(segs, empty_at=empty)
 
     def height_affine(self, path: MoorePath, scale, offset) -> MoorePath:
         """Compose all heights with an affine map, clamping at the poles.
@@ -468,17 +464,7 @@ class Suspension:
             raise ValueError("height scale must be positive")
         if -a + b > -1 or a + b < 1:
             raise ValueError("affine height map must cover [-1, 1]")
-        segs = []
-        for seg in path.segments:
-            if isinstance(seg, StarSeg):
-                segs.append(seg)
-            else:
-                segs.extend(_clamped_track(seg, a * seg.h0 + b, a * seg.h1 + b))
-        empty = path.empty_at
-        if not path.segments and isinstance(empty, Interior):
-            g = a * empty.height + b
-            empty = STAR if (g <= -1 or g >= 1) else Interior(g, empty.point)
-        return self.path(segs, empty_at=empty)
+        return self._map_heights(path, a, b, 0)
 
     def shift_heights(self, path: MoorePath, delta) -> MoorePath:
         """Clamped vertical translation.
@@ -487,18 +473,7 @@ class Suspension:
         being pushed away can come apart, in which case the junction check
         raises.  Meant for single excursions during straightening.
         """
-        dd = Fraction(delta)
-        segs = []
-        for seg in path.segments:
-            if isinstance(seg, StarSeg):
-                segs.append(seg)
-            else:
-                segs.extend(_clamped_track(seg, seg.h0 + dd, seg.h1 + dd))
-        empty = path.empty_at
-        if not path.segments and isinstance(empty, Interior):
-            g = empty.height + dd
-            empty = STAR if (g <= -1 or g >= 1) else Interior(g, empty.point)
-        return self.path(segs, empty_at=empty)
+        return self._map_heights(path, 1, Fraction(delta), 0)
 
     def shrink_cone(self, path: MoorePath, side: str, t) -> MoorePath:
         """Push one half cone into its pole; at t=1 that half is fully absorbed."""
@@ -524,17 +499,7 @@ class Suspension:
         T = path.duration
         if T == 0:
             return path
-        segs = []
-        acc = Fraction(0)
-        for seg in path.segments:
-            if isinstance(seg, StarSeg):
-                segs.append(seg)
-            else:
-                g0 = (seg.h0 + e * acc / T) / (1 - e)
-                g1 = (seg.h1 + e * (acc + seg.duration) / T) / (1 - e)
-                segs.extend(_clamped_track(seg, g0, g1))
-            acc += seg.duration
-        return self.path(segs, empty_at=path.empty_at)
+        return self._map_heights(path, 1 / (1 - e), 0, e / (T * (1 - e)))
 
     # ------------------------------------------------------------------
     # ramps and the letter maps
@@ -578,20 +543,21 @@ class Suspension:
             tuple(loop.segments) + tuple(self._ramp_segments(x, Fraction(-1), Fraction(0)))
         )
 
+    def _final_letter(self, path: MoorePath) -> RealizationPoint:
+        end = self.end_point(path)
+        if end is STAR:
+            return self.origin
+        if classify_point(end) == "middle":
+            return end.point
+        raise ValueError("path must end on the middle slice or at the cone point")
+
     def detach_letter(self, path: MoorePath):
         """Split off the final letter: the middle slice point and a loop.
 
         Inverse direction to :meth:`attach_letter` up to homotopy; the path
         must end on the middle slice or at the cone point.
         """
-        end = self.end_point(path)
-        if end is STAR:
-            x = self.origin
-        elif classify_point(end) == "middle":
-            x = end.point
-        else:
-            raise ValueError("path must end on the middle slice or at the cone point")
-        return x, self.shrink_cone(path, "lower", 1)
+        return self._final_letter(path), self.shrink_cone(path, "lower", 1)
 
     def attach_then_detach(self, x: RealizationPoint, loop: MoorePath, t) -> MoorePath:
         """Loop part of the attach/detach round trip at stage ``t`` in [0, 1].
@@ -619,13 +585,7 @@ class Suspension:
         tt = Fraction(t)
         if not 0 <= tt <= 1:
             raise ValueError("stage must lie in [0, 1]")
-        end = self.end_point(path)
-        if end is STAR:
-            x = self.origin
-        elif classify_point(end) == "middle":
-            x = end.point
-        else:
-            raise ValueError("path must end on the middle slice or at the cone point")
+        x = self._final_letter(path)
         shrunk = self.shrink_cone(path, "lower", tt)
         tail = self._ramp_segments(x, -tt, Fraction(0))
         return self.path(
@@ -734,35 +694,23 @@ class Suspension:
             if isinstance(seg, StarSeg):
                 segs.append(seg)
                 continue
-            cuts = {Fraction(0), Fraction(1)}
-            if seg.h0 != seg.h1:
-                for level in (-2 * _THIRD, -_THIRD, _THIRD, 2 * _THIRD):
-                    s = (level - seg.h0) / (seg.h1 - seg.h0)
-                    if 0 < s < 1:
-                        cuts.add(s)
-            for a0, a1 in zip(seg.c0, seg.c1):
-                if a0 != a1:
-                    for level in (_THIRD, 2 * _THIRD):
-                        s = (level - a0) / (a1 - a0)
-                        if 0 < s < 1:
-                            cuts.add(s)
-            ordered = sorted(cuts)
-            for sa, sb in zip(ordered, ordered[1:]):
-                sm = (sa + sb) / 2
-                hm = _lerp(seg.h0, seg.h1, sm)
-                cm = _lerp_coords(seg.c0, seg.c1, sm)
+            cuts = _cuts(seg, _COLLAR_HEIGHTS, _COLLAR_COORDS)
+            for sa, sb in zip(cuts, cuts[1:]):
+                piece = _sub_segment(seg, sa, sb)
+                hm = (piece.h0 + piece.h1) / 2
+                cm = _lerp_coords(piece.c0, piece.c1, Fraction(1, 2))
                 snapped_mid = boundary_snap(self.base, RealizationPoint(seg.cube, cm))
                 if hm <= -2 * _THIRD or hm >= 2 * _THIRD or snapped_mid == self.origin:
-                    segs.append(StarSeg(seg.duration * (sb - sa)))
+                    segs.append(StarSeg(piece.duration))
                 else:
                     segs.append(
                         TrackSeg(
-                            seg.duration * (sb - sa),
-                            _snap_height(_lerp(seg.h0, seg.h1, sa)),
-                            _snap_height(_lerp(seg.h0, seg.h1, sb)),
+                            piece.duration,
+                            _snap_height(piece.h0),
+                            _snap_height(piece.h1),
                             seg.cube,
-                            tuple(snap_coordinate(c) for c in _lerp_coords(seg.c0, seg.c1, sa)),
-                            tuple(snap_coordinate(c) for c in _lerp_coords(seg.c0, seg.c1, sb)),
+                            tuple(snap_coordinate(c) for c in piece.c0),
+                            tuple(snap_coordinate(c) for c in piece.c1),
                         )
                     )
         return self.path(segs, empty_at=self._snap_suspension_point(path.empty_at))

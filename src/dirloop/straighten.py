@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .cubical import CubicalSet, RealizationPoint, normalize_point
 from .homology import betti
-from .paths import MoorePath, STAR, StarSeg, Suspension, TrackSeg
+from .paths import MoorePath, STAR, StarSeg, Suspension, TrackSeg, _scaled
 
 DEFAULT_SAMPLES = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
 
@@ -58,23 +58,23 @@ def _unique_crossing(sus: Suspension, run: MoorePath):
     return crossings[0]
 
 
-def _lower_step(sus: Suspension, pre: MoorePath, xb: RealizationPoint, t: Fraction) -> MoorePath:
-    # heights before the crossing never exceed 0, so pushing down by t and
-    # refilling with a climb from -t keeps both ends fixed
-    a = pre.duration
+def _legs(sus: Suspension, run: MoorePath):
+    # the crossing (time b, point xb) and the stretches before and after it
+    b, xb = _unique_crossing(sus, run)
+    return b, xb, sus.slice_path(run, 0, b), sus.slice_path(run, b, run.duration)
+
+
+def _early_frame(
+    sus: Suspension, xb: RealizationPoint, pre: MoorePath, post: MoorePath, t: Fraction
+) -> MoorePath:
+    # heights before the crossing never exceed 0 and after it never drop
+    # below 0, so pushing each side away from the middle slice by t and
+    # refilling with climbs over the crossing point keeps both ends fixed
     segs = list(sus.shift_heights(pre, -t).segments)
-    if t > 0:
-        segs.append(TrackSeg(t * a, -t, Fraction(0), xb.cube, xb.coords, xb.coords))
-    return sus.scale_time(sus.path(segs), Fraction(1) / (1 + t))
-
-
-def _upper_step(sus: Suspension, post: MoorePath, xb: RealizationPoint, t: Fraction) -> MoorePath:
-    a = post.duration
-    segs: list = []
-    if t > 0:
-        segs.append(TrackSeg(t * a, Fraction(0), t, xb.cube, xb.coords, xb.coords))
+    segs.append(TrackSeg(t * pre.duration, -t, Fraction(0), xb.cube, xb.coords, xb.coords))
+    segs.append(TrackSeg(t * post.duration, Fraction(0), t, xb.cube, xb.coords, xb.coords))
     segs.extend(sus.shift_heights(post, t).segments)
-    return sus.scale_time(sus.path(segs), Fraction(1) / (1 + t))
+    return sus.path(_scaled(segs, 1 / (1 + t)))
 
 
 def straighten_step(sus: Suspension, run: MoorePath, t) -> MoorePath:
@@ -85,21 +85,18 @@ def straighten_step(sus: Suspension, run: MoorePath, t) -> MoorePath:
     tt = Fraction(t)
     if not 0 <= tt <= 1:
         raise ValueError("stage must lie in [0, 1]")
-    b, xb = _unique_crossing(sus, run)
-    pre = sus.slice_path(run, 0, b)
-    post = sus.slice_path(run, b, run.duration)
-    return sus.concat(_lower_step(sus, pre, xb, tt), _upper_step(sus, post, xb, tt))
+    _, xb, pre, post = _legs(sus, run)
+    return _early_frame(sus, xb, pre, post, tt)
 
 
-def _late_frame(sus: Suspension, run: MoorePath, u) -> MoorePath:
+def _late_frame(
+    sus: Suspension, b: Fraction, xb: RealizationPoint, a: Fraction, u: Fraction
+) -> MoorePath:
     # from the half straightened shape to the single full climb: the four
     # phase breakpoints move affinely while the profile stays -1, 0, 1
-    uu = Fraction(u)
-    b, xb = _unique_crossing(sus, run)
-    a = run.duration
-    p = (1 - uu) * b / 2
-    q = (1 - uu) * b + uu * a / 2
-    r = (1 - uu) * (a + b) / 2 + uu * a
+    p = (1 - u) * b / 2
+    q = (1 - u) * b + u * a / 2
+    r = (1 - u) * (a + b) / 2 + u * a
     return sus.path(
         [
             StarSeg(p),
@@ -126,18 +123,16 @@ def full_straighten(sus: Suspension, loop: MoorePath, samples=DEFAULT_SAMPLES):
     stages = [Fraction(s) for s in samples]
     if any(not 0 <= s <= 1 for s in stages):
         raise ValueError("samples must lie in [0, 1]")
-    pauses, runs = sus.pauses_and_runs(loop)
-    run_paths = [sus.path(r) for r in runs]
-    for rp in run_paths:
-        _unique_crossing(sus, rp)
+    chain = chain_split(sus, loop)
+    legs = [_legs(sus, exc) for exc in chain.excursions]
 
     def frame(t: Fraction) -> MoorePath:
-        segs: list = [StarSeg(pauses[0] * (1 - t))]
-        for rp, pause in zip(run_paths, pauses[1:]):
+        segs: list = [StarSeg(chain.pauses[0] * (1 - t))]
+        for (b, xb, pre, post), pause in zip(legs, chain.pauses[1:]):
             if t <= Fraction(1, 2):
-                sub = straighten_step(sus, rp, 2 * t)
+                sub = _early_frame(sus, xb, pre, post, 2 * t)
             else:
-                sub = _late_frame(sus, rp, 2 * t - 1)
+                sub = _late_frame(sus, b, xb, pre.duration + post.duration, 2 * t - 1)
             segs.extend(sub.segments)
             segs.append(StarSeg(pause * (1 - t)))
         return sus.path(segs)

@@ -230,6 +230,16 @@ def test_exit_codes_for_bad_input(capsys, tmp_path, circle_file, loop_file):
     assert code == 2
 
 
+def test_bad_path_segment_is_named(capsys, tmp_path, circle_file):
+    track = {"kind": "track", "dur": "1", "h": ["-1", "0"], "cube": "e", "c0": ["1/4"], "c1": ["1/4"]}
+    high = dict(track, h=["0", "3/2"])
+    target = tmp_path / "high.json"
+    target.write_text(json.dumps({"segments": [{"kind": "star", "dur": "1"}, track, high]}))
+    code, out, err = invoke(capsys, "path", "eval", str(target), "--complex", circle_file, "--t", "0")
+    assert code == 1 and out == ""
+    assert "segment 2" in err and "Traceback" not in err
+
+
 def test_homology_rejects_face_of_wrong_dimension(capsys, tmp_path):
     torus = dump_complex(torus_complex())
     square = next(c for c in torus["cubes"] if c["dim"] == 2)

@@ -121,6 +121,21 @@ def test_path_input_validation(sus):
         sus.path([TrackSeg(F(1), F(0), F(1), "ghost", (F(1, 2),), (F(1, 2),))])
 
 
+def test_path_errors_name_the_segment(sus):
+    good = const_track(1, -1, 0)
+    cases = [
+        (StarSeg(F(-1)), "segment 2: duration -1 is negative"),
+        (const_track(1, 0, 2), "segment 2: track heights"),
+        (TrackSeg(F(1), F(0), F(1), "ghost", (), ()), "segment 2: unknown cube 'ghost'"),
+        (TrackSeg(F(1), F(0), F(1), "e", (), ()), "segment 2: cube 'e' has dimension 1"),
+        (const_track(1, 0, 1, F(3, 2)), "segment 2: coordinates"),
+        (const_track(1, 0, 1, F(1, 4)), "between segment 0 and segment 2"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ValueError, match=message):
+            sus.path([good, StarSeg(F(0)), bad])
+
+
 def test_evaluate_basic_loop(sus, x):
     loop = sus.basic_loop(x)
     assert loop.duration == 2
@@ -144,7 +159,7 @@ def test_concat_and_is_loop(sus, x):
 
 def test_slice_and_truncate_path(sus, x):
     loop = sus.basic_loop(x)
-    assert sus.truncate_path(loop, F(1, 2)) == sus.ramp(x, -1, 0)
+    assert sus.slice_path(loop, 0, 1) == sus.ramp(x, -1, 0)
     mid = sus.slice_path(loop, F(1, 2), F(3, 2))
     assert mid.segments == (const_track(1, F(-1, 2), F(1, 2)),)
     empty = sus.slice_path(loop, 1, 1)
