@@ -53,6 +53,7 @@ from .straighten import (
     ChainDecomposition,
     assemble,
     chain_split,
+    contract_straightened,
     contract_to_constant,
     full_straighten,
     straighten_step,
@@ -109,6 +110,7 @@ __all__ = [
     "ChainDecomposition",
     "assemble",
     "chain_split",
+    "contract_straightened",
     "contract_to_constant",
     "full_straighten",
     "straighten_step",

@@ -30,7 +30,7 @@ from .serialize import (
     parse_rational,
     rational_str,
 )
-from .straighten import DEFAULT_SAMPLES, contract_to_constant, full_straighten
+from .straighten import DEFAULT_SAMPLES, contract_straightened, contract_to_constant, full_straighten
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ def cmd_straighten(args):
         "sec": dump_word(crossing_word(sus, result).letters),
     }
     if args.contract:
-        payload["trail"] = [dump_path(f) for f in contract_to_constant(sus, loop, config.samples)]
+        payload["trail"] = [dump_path(f) for f in contract_straightened(sus, result, frames)]
     return payload, 0
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .cubical import CubicalSet, RealizationPoint, normalize_point
-from .paths import MoorePath, STAR, StarSeg, Suspension
+from .paths import MoorePath, StarSeg, Suspension, _ramp_segments
 
 
 @dataclass(frozen=True)
@@ -67,19 +67,18 @@ def _interval_value(letter: IntervalLetter) -> Fraction:
 def word_loop(sus: Suspension, letters: Iterable) -> MoorePath:
     """String the letters into a loop: one thread per point letter, a pause
     of twice the value per interval letter."""
-    parts = []
+    segs = []
     for letter in letters:
+        if isinstance(letter, PointLetter):
+            letter = letter.point
         if isinstance(letter, RealizationPoint):
-            parts.append(sus.basic_loop(letter))
-        elif isinstance(letter, PointLetter):
-            parts.append(sus.basic_loop(letter.point))
+            x = normalize_point(sus.base, letter.cube, letter.coords)
+            segs.extend(_ramp_segments(x, Fraction(-1), Fraction(1)))
         elif isinstance(letter, IntervalLetter):
-            parts.append(sus.path([StarSeg(2 * _interval_value(letter))]))
+            segs.append(StarSeg(2 * _interval_value(letter)))
         else:
             raise TypeError(f"not a letter: {letter!r}")
-    if not parts:
-        return MoorePath((), STAR)
-    return sus.concat(*parts)
+    return sus.path(segs)
 
 
 def retract_word(K: CubicalSet, letters: Iterable) -> JamesWord:

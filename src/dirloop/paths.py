@@ -12,6 +12,13 @@ cone point into pauses, merges collinear neighbours) and rejects
 discontinuous junctions, naming the offending input segment.  Two paths
 are therefore equal as maps exactly when they are equal as values.
 
+Raw segments inside, one :meth:`Suspension.path` per public result: the
+module level builders (``_slice``, ``_scaled``, ``_map_heights``,
+``_ramp_segments``) return plain segment lists, and each public transform
+canonicalizes its output once.  Canonicalizing in stages gives the same
+path as canonicalizing once, so no intermediate result is wrapped in a
+``MoorePath`` only to be canonicalized again.
+
 Each transform has one mechanism underneath: every height deformation
 (``height_affine``, ``shift_heights``, ``make_increasing`` and through them
 ``shrink_cone``) is one clamped map h -> a*h + b + c*t, every change of
@@ -150,6 +157,19 @@ def _sub_segment(seg, sa: Fraction, sb: Fraction):
     )
 
 
+def _slice(segments, a: Fraction, b: Fraction) -> list:
+    """The pieces of the segments between times ``a`` and ``b``."""
+    segs = []
+    acc = Fraction(0)
+    for seg in segments:
+        d = seg.duration
+        lo, hi = max(acc, a), min(acc + d, b)
+        if lo < hi:
+            segs.append(_sub_segment(seg, (lo - acc) / d, (hi - acc) / d))
+        acc += d
+    return segs
+
+
 def _scaled(segments, f: Fraction) -> list:
     """The segments with every duration multiplied by ``f``."""
     return [
@@ -187,6 +207,47 @@ def _clamped_track(seg: TrackSeg) -> list:
         mid = (piece.h0 + piece.h1) / 2
         out.append(StarSeg(piece.duration) if mid <= -1 or mid >= 1 else piece)
     return out
+
+
+def _map_heights(segments, a, b, c) -> list:
+    """The segments with height h at time t sent to a*h + b + c*t, clamped at the poles."""
+    segs = []
+    acc = Fraction(0)
+    for seg in segments:
+        if isinstance(seg, StarSeg):
+            segs.append(seg)
+        else:
+            g0 = a * seg.h0 + b + c * acc
+            g1 = a * seg.h1 + b + c * (acc + seg.duration)
+            segs.extend(_clamped_track(TrackSeg(seg.duration, g0, g1, seg.cube, seg.c0, seg.c1)))
+        acc += seg.duration
+    return segs
+
+
+def _map_point(p, a, b):
+    # where the height map a*h + b puts a point; the poles land on STAR
+    if not isinstance(p, Interior):
+        return p
+    g = a * p.height + b
+    return STAR if (g <= -1 or g >= 1) else Interior(g, p.point)
+
+
+def _ramp_segments(x: RealizationPoint, a: Fraction, b: Fraction) -> list:
+    """Constant base location ``x``, height climbing at unit speed from ``a`` to ``b``.
+
+    The parts beyond the poles ride at the cone point.
+    """
+    if a == b:
+        return []
+    segs = []
+    lo, hi = max(a, Fraction(-1)), min(b, Fraction(1))
+    if a < -1:
+        segs.append(StarSeg(min(b, Fraction(-1)) - a))
+    if lo < hi:
+        segs.append(TrackSeg(hi - lo, lo, hi, x.cube, x.coords, x.coords))
+    if b > 1:
+        segs.append(StarSeg(b - max(a, Fraction(1))))
+    return segs
 
 
 def _snap_height(h: Fraction) -> Fraction:
@@ -376,16 +437,11 @@ class Suspension:
     def slice_path(self, path: MoorePath, t0, t1) -> MoorePath:
         a, b = Fraction(t0), Fraction(t1)
         if not 0 <= a <= b <= path.duration:
-            raise ValueError("slice bounds out of order or out of range")
-        segs = []
-        acc = Fraction(0)
-        for seg in path.segments:
-            d = seg.duration
-            lo, hi = max(acc, a), min(acc + d, b)
-            if lo < hi:
-                segs.append(_sub_segment(seg, (lo - acc) / d, (hi - acc) / d))
-            acc += d
-        return self.path(segs, empty_at=self.evaluate(path, a))
+            raise ValueError(
+                f"slice bounds {a} and {b} out of order or out of range "
+                f"for duration {path.duration}"
+            )
+        return self.path(_slice(path.segments, a, b), empty_at=self.evaluate(path, a))
 
     def scale_time(self, path: MoorePath, factor) -> MoorePath:
         f = Fraction(factor)
@@ -401,16 +457,20 @@ class Suspension:
         current point still.
         """
         pts = [(Fraction(n), Fraction(o)) for n, o in table]
-        if len(pts) < 2 or pts[0] != (Fraction(0), Fraction(0)):
-            raise ValueError("table must start at (0, 0)")
+        if len(pts) < 2:
+            raise ValueError("table needs at least two rows")
+        if pts[0] != (0, 0):
+            raise ValueError("table row 0: table must start at (0, 0)")
         if pts[-1][1] != path.duration:
-            raise ValueError("table must end at the old duration")
+            raise ValueError(
+                f"table row {len(pts) - 1}: table must end at the old duration {path.duration}"
+            )
         segs = []
-        for (n0, o0), (n1, o1) in zip(pts, pts[1:]):
+        for k, ((n0, o0), (n1, o1)) in enumerate(zip(pts, pts[1:]), 1):
             if n1 <= n0:
-                raise ValueError("new times must strictly increase")
+                raise ValueError(f"table row {k}: new times must strictly increase")
             if o1 < o0:
-                raise ValueError("old times must not decrease")
+                raise ValueError(f"table row {k}: old times must not decrease")
             if o0 == o1:
                 at = self.evaluate(path, o0)
                 if at is STAR:
@@ -427,31 +487,11 @@ class Suspension:
                         )
                     )
             else:
-                piece = self.slice_path(path, o0, o1)
-                segs.extend(_scaled(piece.segments, (n1 - n0) / (o1 - o0)))
+                segs.extend(_scaled(_slice(path.segments, o0, o1), (n1 - n0) / (o1 - o0)))
         return self.path(segs, empty_at=self.start_point(path))
 
     # ------------------------------------------------------------------
     # height deformations
-
-    def _map_heights(self, path: MoorePath, a, b, c) -> MoorePath:
-        # height h at time t goes to a*h + b + c*t, clamped at the poles
-        segs = []
-        acc = Fraction(0)
-        for seg in path.segments:
-            if isinstance(seg, StarSeg):
-                segs.append(seg)
-            else:
-                g0 = a * seg.h0 + b + c * acc
-                g1 = a * seg.h1 + b + c * (acc + seg.duration)
-                mapped = TrackSeg(seg.duration, g0, g1, seg.cube, seg.c0, seg.c1)
-                segs.extend(_clamped_track(mapped))
-            acc += seg.duration
-        empty = path.empty_at
-        if not path.segments and isinstance(empty, Interior):
-            g = a * empty.height + b
-            empty = STAR if (g <= -1 or g >= 1) else Interior(g, empty.point)
-        return self.path(segs, empty_at=empty)
 
     def height_affine(self, path: MoorePath, scale, offset) -> MoorePath:
         """Compose all heights with an affine map, clamping at the poles.
@@ -464,7 +504,8 @@ class Suspension:
             raise ValueError("height scale must be positive")
         if -a + b > -1 or a + b < 1:
             raise ValueError("affine height map must cover [-1, 1]")
-        return self._map_heights(path, a, b, 0)
+        segs = _map_heights(path.segments, a, b, 0)
+        return self.path(segs, empty_at=_map_point(path.empty_at, a, b))
 
     def shift_heights(self, path: MoorePath, delta) -> MoorePath:
         """Clamped vertical translation.
@@ -473,7 +514,9 @@ class Suspension:
         being pushed away can come apart, in which case the junction check
         raises.  Meant for single excursions during straightening.
         """
-        return self._map_heights(path, 1, Fraction(delta), 0)
+        d = Fraction(delta)
+        segs = _map_heights(path.segments, 1, d, 0)
+        return self.path(segs, empty_at=_map_point(path.empty_at, 1, d))
 
     def shrink_cone(self, path: MoorePath, side: str, t) -> MoorePath:
         """Push one half cone into its pole; at t=1 that half is fully absorbed."""
@@ -499,24 +542,10 @@ class Suspension:
         T = path.duration
         if T == 0:
             return path
-        return self._map_heights(path, 1 / (1 - e), 0, e / (T * (1 - e)))
+        return self.path(_map_heights(path.segments, 1 / (1 - e), 0, e / (T * (1 - e))))
 
     # ------------------------------------------------------------------
     # ramps and the letter maps
-
-    def _ramp_segments(self, x: RealizationPoint, a: Fraction, b: Fraction) -> list:
-        # unit speed in height; the parts beyond the poles ride at the cone point
-        if a == b:
-            return []
-        segs = []
-        lo, hi = max(a, Fraction(-1)), min(b, Fraction(1))
-        if a < -1:
-            segs.append(StarSeg(min(b, Fraction(-1)) - a))
-        if lo < hi:
-            segs.append(TrackSeg(hi - lo, lo, hi, x.cube, x.coords, x.coords))
-        if b > 1:
-            segs.append(StarSeg(b - max(a, Fraction(1))))
-        return segs
 
     def ramp(self, x: RealizationPoint, a, b) -> MoorePath:
         """Constant base location, height climbing from ``a`` to ``b``.
@@ -528,7 +557,7 @@ class Suspension:
         if aa >= bb:
             raise ValueError("ramp needs a strictly increasing height interval")
         x = normalize_point(self.base, x.cube, x.coords)
-        return self.path(self._ramp_segments(x, aa, bb))
+        return self.path(_ramp_segments(x, aa, bb))
 
     def basic_loop(self, x: RealizationPoint) -> MoorePath:
         """The loop threading the suspension once over the base point ``x``."""
@@ -539,9 +568,7 @@ class Suspension:
         if not self.is_loop(loop):
             raise ValueError("attach_letter needs a loop at the cone point")
         x = normalize_point(self.base, x.cube, x.coords)
-        return self.path(
-            tuple(loop.segments) + tuple(self._ramp_segments(x, Fraction(-1), Fraction(0)))
-        )
+        return self.path(list(loop.segments) + _ramp_segments(x, Fraction(-1), Fraction(0)))
 
     def _final_letter(self, path: MoorePath) -> RealizationPoint:
         end = self.end_point(path)
@@ -570,12 +597,8 @@ class Suspension:
         if not self.is_loop(loop):
             raise ValueError("attach_then_detach needs a loop at the cone point")
         x = normalize_point(self.base, x.cube, x.coords)
-        c = (tt - 1) / (1 + tt)
-        grown = self.path(
-            tuple(loop.segments) + tuple(self._ramp_segments(x, Fraction(-1), c)),
-            empty_at=self.start_point(loop),
-        )
-        return self.shrink_cone(grown, "lower", tt)
+        grown = list(loop.segments) + _ramp_segments(x, Fraction(-1), (tt - 1) / (1 + tt))
+        return self.path(_map_heights(grown, 1 + tt, -tt, 0))
 
     def detach_then_attach(self, path: MoorePath, t) -> MoorePath:
         """Detach/attach round trip at stage ``t`` on a path into the middle slice.
@@ -586,11 +609,8 @@ class Suspension:
         if not 0 <= tt <= 1:
             raise ValueError("stage must lie in [0, 1]")
         x = self._final_letter(path)
-        shrunk = self.shrink_cone(path, "lower", tt)
-        tail = self._ramp_segments(x, -tt, Fraction(0))
-        return self.path(
-            tuple(shrunk.segments) + tuple(tail), empty_at=self.end_point(shrunk)
-        )
+        segs = _map_heights(path.segments, 1 + tt, -tt, 0) + _ramp_segments(x, -tt, Fraction(0))
+        return self.path(segs, empty_at=path.empty_at)
 
     # ------------------------------------------------------------------
     # pauses, excursions, crossings

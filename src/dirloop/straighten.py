@@ -7,6 +7,10 @@ point; pauses shrink away.  The result of the full deformation is the word
 loop of the crossing word, reached through exact sampled frames.  On a
 connected base the word can then be walked letter by letter into the
 basepoint along the one skeleton, ending at the constant loop.
+
+The helpers build raw segment lists with the :mod:`dirloop.paths`
+builders; each public result, every frame included, goes through one
+:meth:`~dirloop.paths.Suspension.path` call.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from fractions import Fraction
 
 from .cubical import CubicalSet, RealizationPoint, normalize_point
 from .homology import betti
-from .paths import MoorePath, STAR, StarSeg, Suspension, TrackSeg, _scaled
+from .paths import MoorePath, STAR, StarSeg, Suspension, TrackSeg, _map_heights, _scaled, _slice
 
 DEFAULT_SAMPLES = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
 
@@ -34,7 +38,8 @@ def chain_split(sus: Suspension, loop: MoorePath) -> ChainDecomposition:
     if not sus.is_loop(loop):
         raise ValueError("chain split needs a loop at the cone point")
     pauses, runs = sus.pauses_and_runs(loop)
-    return ChainDecomposition(tuple(pauses), tuple(sus.path(r) for r in runs))
+    # a contiguous run of a canonical path is already canonical
+    return ChainDecomposition(tuple(pauses), tuple(MoorePath(run) for run in runs))
 
 
 def assemble(sus: Suspension, chain: ChainDecomposition) -> MoorePath:
@@ -59,22 +64,22 @@ def _unique_crossing(sus: Suspension, run: MoorePath):
 
 
 def _legs(sus: Suspension, run: MoorePath):
-    # the crossing (time b, point xb) and the stretches before and after it
+    # the crossing (time b, point xb), the duration a, and the raw
+    # stretches before and after the crossing
     b, xb = _unique_crossing(sus, run)
-    return b, xb, sus.slice_path(run, 0, b), sus.slice_path(run, b, run.duration)
+    a = run.duration
+    return b, xb, a, _slice(run.segments, 0, b), _slice(run.segments, b, a)
 
 
-def _early_frame(
-    sus: Suspension, xb: RealizationPoint, pre: MoorePath, post: MoorePath, t: Fraction
-) -> MoorePath:
+def _early_frame(b: Fraction, xb: RealizationPoint, a: Fraction, pre, post, t: Fraction) -> list:
     # heights before the crossing never exceed 0 and after it never drop
     # below 0, so pushing each side away from the middle slice by t and
     # refilling with climbs over the crossing point keeps both ends fixed
-    segs = list(sus.shift_heights(pre, -t).segments)
-    segs.append(TrackSeg(t * pre.duration, -t, Fraction(0), xb.cube, xb.coords, xb.coords))
-    segs.append(TrackSeg(t * post.duration, Fraction(0), t, xb.cube, xb.coords, xb.coords))
-    segs.extend(sus.shift_heights(post, t).segments)
-    return sus.path(_scaled(segs, 1 / (1 + t)))
+    segs = _map_heights(pre, 1, -t, 0)
+    segs.append(TrackSeg(t * b, -t, Fraction(0), xb.cube, xb.coords, xb.coords))
+    segs.append(TrackSeg(t * (a - b), Fraction(0), t, xb.cube, xb.coords, xb.coords))
+    segs.extend(_map_heights(post, 1, t, 0))
+    return _scaled(segs, 1 / (1 + t))
 
 
 def straighten_step(sus: Suspension, run: MoorePath, t) -> MoorePath:
@@ -85,26 +90,21 @@ def straighten_step(sus: Suspension, run: MoorePath, t) -> MoorePath:
     tt = Fraction(t)
     if not 0 <= tt <= 1:
         raise ValueError("stage must lie in [0, 1]")
-    _, xb, pre, post = _legs(sus, run)
-    return _early_frame(sus, xb, pre, post, tt)
+    return sus.path(_early_frame(*_legs(sus, run), tt))
 
 
-def _late_frame(
-    sus: Suspension, b: Fraction, xb: RealizationPoint, a: Fraction, u: Fraction
-) -> MoorePath:
+def _late_frame(b: Fraction, xb: RealizationPoint, a: Fraction, u: Fraction) -> list:
     # from the half straightened shape to the single full climb: the four
     # phase breakpoints move affinely while the profile stays -1, 0, 1
     p = (1 - u) * b / 2
     q = (1 - u) * b + u * a / 2
     r = (1 - u) * (a + b) / 2 + u * a
-    return sus.path(
-        [
-            StarSeg(p),
-            TrackSeg(q - p, Fraction(-1), Fraction(0), xb.cube, xb.coords, xb.coords),
-            TrackSeg(r - q, Fraction(0), Fraction(1), xb.cube, xb.coords, xb.coords),
-            StarSeg(a - r),
-        ]
-    )
+    return [
+        StarSeg(p),
+        TrackSeg(q - p, Fraction(-1), Fraction(0), xb.cube, xb.coords, xb.coords),
+        TrackSeg(r - q, Fraction(0), Fraction(1), xb.cube, xb.coords, xb.coords),
+        StarSeg(a - r),
+    ]
 
 
 def full_straighten(sus: Suspension, loop: MoorePath, samples=DEFAULT_SAMPLES):
@@ -128,12 +128,11 @@ def full_straighten(sus: Suspension, loop: MoorePath, samples=DEFAULT_SAMPLES):
 
     def frame(t: Fraction) -> MoorePath:
         segs: list = [StarSeg(chain.pauses[0] * (1 - t))]
-        for (b, xb, pre, post), pause in zip(legs, chain.pauses[1:]):
+        for (b, xb, a, pre, post), pause in zip(legs, chain.pauses[1:]):
             if t <= Fraction(1, 2):
-                sub = _early_frame(sus, xb, pre, post, 2 * t)
+                segs.extend(_early_frame(b, xb, a, pre, post, 2 * t))
             else:
-                sub = _late_frame(sus, b, xb, pre.duration + post.duration, 2 * t - 1)
-            segs.extend(sub.segments)
+                segs.extend(_late_frame(b, xb, a, 2 * t - 1))
             segs.append(StarSeg(pause * (1 - t)))
         return sus.path(segs)
 
@@ -175,13 +174,22 @@ def _edge_path_to_basepoint(K: CubicalSet, start: str) -> list:
 def contract_to_constant(sus: Suspension, loop: MoorePath, samples=DEFAULT_SAMPLES) -> list:
     """Deformation trail from a directed loop all the way to the constant loop.
 
-    Straightens first, then walks each letter of the word into the
-    basepoint along the one skeleton, and finally drops the leftover
-    pauses.  The base must be connected or there is nowhere to walk.
+    Straightens first (:func:`full_straighten`), then walks the word home
+    (:func:`contract_straightened`).
+    """
+    return contract_straightened(sus, *full_straighten(sus, loop, samples))
+
+
+def contract_straightened(sus: Suspension, result: MoorePath, frames) -> list:
+    """Carry on from ``full_straighten``'s ``(result, frames)`` to the constant loop.
+
+    The trail starts with the frames, then walks each letter of the word
+    loop ``result`` into the basepoint along the one skeleton, and finally
+    drops the leftover pauses.  The base must be connected or there is
+    nowhere to walk.
     """
     if betti(sus.base).get(0) != 1:
         raise ValueError("base complex is not connected; contraction needs a connected base")
-    result, frames = full_straighten(sus, loop, samples)
     trail = list(frames)
     _, runs = sus.pauses_and_runs(result)
     state: list = []

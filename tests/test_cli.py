@@ -1,12 +1,13 @@
 """End to end checks of the command line front end."""
 
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from dirloop.cli import main
-from dirloop.corpus import circle_complex, torus_complex, two_component_complex
+from dirloop.corpus import circle_complex, random_loop, torus_complex, two_component_complex
 from dirloop.cubical import RealizationPoint
 from dirloop.james import PointLetter, word_loop
 from dirloop.paths import Suspension
@@ -194,6 +195,25 @@ def test_straighten_and_contract_commands(capsys, circle_file, loop_file):
     trail = json.loads(out)["trail"]
     assert trail[0] == json.loads(open(loop_file).read())
     assert trail[-1] == {"segments": []}
+
+
+def test_straighten_contract_trail_equals_contract(capsys, tmp_path):
+    sus = Suspension(torus_complex())
+    loop = sus.make_increasing(random_loop(sus, random.Random(7), max_runs=3), F(1, 4))
+    complex_file, path_file = tmp_path / "torus.json", tmp_path / "loop.json"
+    complex_file.write_text(json.dumps(dump_complex(sus.base)))
+    path_file.write_text(json.dumps(dump_path(loop)))
+    for samples in ([], ["--samples", "3"]):
+        argv = [str(path_file), "--complex", str(complex_file), *samples]
+        code, out, _ = invoke(capsys, "straighten", *argv, "--contract")
+        assert code == 0
+        straightened = json.loads(out)
+        code, out, _ = invoke(capsys, "contract", *argv)
+        assert code == 0
+        trail = json.loads(out)["trail"]
+        assert straightened["trail"] == trail
+        assert trail[: len(straightened["frames"])] == straightened["frames"]
+        assert len(trail) > len(straightened["frames"]) + 1
 
 
 def test_selftest_table(capsys):

@@ -15,6 +15,7 @@ from dirloop.corpus import (
     wedge_of_circles,
 )
 from dirloop.cubical import RealizationPoint, suspension_model, tensor_product
+from dirloop.james import IntervalLetter, PointLetter, word_loop
 from dirloop.paths import (
     Interior,
     MoorePath,
@@ -26,6 +27,7 @@ from dirloop.paths import (
     is_strictly_increasing,
     star_measure,
 )
+from dirloop.straighten import chain_split, full_straighten, straighten_step
 
 F = Fraction
 
@@ -194,6 +196,24 @@ def test_reparam_identity_and_flats(sus, x):
         sus.reparam(loop, [(0, 0), (1, F(3, 2)), (2, 1), (3, 2)])
     with pytest.raises(ValueError):
         sus.reparam(loop, [(0, 0), (0, 1), (3, 2)])
+
+
+def test_reparam_errors_name_the_row(sus, x):
+    loop = sus.basic_loop(x)
+    with pytest.raises(ValueError, match="table row 2: new times must strictly increase"):
+        sus.reparam(loop, [(0, 0), (1, 1), (1, 2)])
+    with pytest.raises(ValueError, match="table row 2: old times must not decrease"):
+        sus.reparam(loop, [(0, 0), (1, F(3, 2)), (2, 1), (3, 2)])
+    with pytest.raises(ValueError, match="table row 1: table must end at the old duration 2"):
+        sus.reparam(loop, [(0, 0), (1, 1)])
+
+
+def test_slice_errors_name_the_bounds(sus, x):
+    loop = sus.basic_loop(x)
+    with pytest.raises(ValueError, match="slice bounds 3/2 and 1 out of order .* for duration 2"):
+        sus.slice_path(loop, F(3, 2), 1)
+    with pytest.raises(ValueError, match="slice bounds 0 and 3 out of order .* for duration 2"):
+        sus.slice_path(loop, 0, 3)
 
 
 def test_verify_directed(sus):
@@ -631,3 +651,77 @@ def test_canonical_track_keeps_endpoints(seed, which):
         assert s.point(seg.h0, seg.cube, seg.c0) == raw_start
         assert s.point(seg.h1, seg.cube, seg.c1) == raw_end
         assert len(seg.c0) == K.cubes[seg.cube]
+
+
+# ----------------------------------------------------------------------
+# canonicalization happens once per public result
+
+
+@pytest.mark.parametrize("make_base", POINTWISE_BASES)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_staged_canonicalization_agrees(make_base, seed):
+    # internal builders pass raw segment lists and canonicalize once at the
+    # end; that is sound because canonicalizing in stages changes nothing
+    rng = random.Random(seed)
+    s = Suspension(make_base())
+    loop = random_loop(s, rng) if rng.random() < 0.5 else _wandering_loop(s, rng)
+    T = loop.duration
+    sheared = s.make_increasing(loop, F(rng.randint(1, 7), 8))
+    for canonical in (loop, sheared):
+        cuts = sorted({F(0), T} | {T * F(rng.randint(0, 16), 16) for _ in range(6)})
+        raw = []
+        for t0, t1 in zip(cuts, cuts[1:]):
+            raw.extend(s.slice_path(canonical, t0, t1).segments)
+            raw.insert(rng.randint(0, len(raw)), StarSeg(F(0)))
+        assert s.path(raw) == canonical
+        k = rng.randint(0, len(raw))
+        A, B = raw[:k], raw[k:]
+        assert s.path(A + B) == s.path(s.path(A).segments + s.path(B).segments)
+        for run in s.pauses_and_runs(canonical)[1]:
+            assert s.path(run) == MoorePath(run)
+
+
+def test_one_canonicalization_per_result(monkeypatch):
+    s = Suspension(wedge_of_circles(2))
+    rng = random.Random(5)
+    loop = s.make_increasing(random_loop(s, rng, max_runs=4), F(1, 4))
+    while len(s.pauses_and_runs(loop)[1]) < 2:
+        loop = s.make_increasing(random_loop(s, rng, max_runs=4), F(1, 4))
+    run = MoorePath(s.pauses_and_runs(loop)[1][0])
+    x = random_interior_point(s.base, rng)
+    climb = TrackSeg(F(1), F(-1), F(0), x.cube, x.coords, x.coords)
+    into_middle = s.path(list(loop.segments) + [climb])
+    table = random_reparam(loop.duration, rng)
+    assert len(table) > 2
+    samples = [F(0), F(1, 3), F(1, 2), F(5, 6), F(1)]
+    letters = [x, IntervalLetter(F(1, 2)), PointLetter(random_interior_point(s.base, rng))]
+
+    calls = []
+    real_path = Suspension.path
+
+    def counted(self, segments, empty_at=STAR):
+        calls.append(None)
+        return real_path(self, segments, empty_at)
+
+    monkeypatch.setattr(Suspension, "path", counted)
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    assert count(full_straighten, s, loop, samples) == len(samples) + 1
+    assert count(chain_split, s, loop) == 0
+    for fn, *args in [
+        (straighten_step, s, run, F(1, 3)),
+        (s.slice_path, loop, F(1, 3), loop.duration - F(1, 3)),
+        (s.reparam, loop, table),
+        (s.height_affine, loop, F(3, 2), F(1, 4)),
+        (s.shift_heights, run, F(-1, 4)),
+        (s.make_increasing, loop, F(1, 8)),
+        (s.attach_then_detach, x, loop, F(1, 2)),
+        (s.detach_then_attach, into_middle, F(1, 2)),
+        (word_loop, s, letters),
+    ]:
+        assert count(fn, *args) == 1, fn.__name__
