@@ -9,6 +9,7 @@ plain text.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -82,7 +83,9 @@ def _read_json(filename: str):
     try:
         with open(filename, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
+        # bad JSON, bad UTF-8, an integer past the digit limit, or nesting
+        # deeper than the decoder's recursion
         raise FormatError(f"{filename}: {err}") from None
 
 
@@ -218,7 +221,9 @@ def _add_path_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--complex", required=True, help="complex JSON file the path lives over")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="dirloop",
         description="Exact computations with directed loops on suspended cubical complexes.",

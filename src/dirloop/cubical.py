@@ -12,6 +12,10 @@ canonical carrier cube by stripping boundary coordinates.
 the only code that deletes slots named by a degeneracy word.
 
 All coordinates are ``fractions.Fraction``; no floats enter the kernel.
+Values that already are ``Fraction`` are used as they are (``as_fraction``),
+and the [0, 1] and 0/1 tests of :func:`strip_boundary` read a value's
+numerator and denominator, which a ``Fraction`` keeps in lowest terms with
+a positive denominator.
 """
 
 from __future__ import annotations
@@ -356,6 +360,11 @@ class RealizationPoint:
     coords: tuple[Fraction, ...]
 
 
+def as_fraction(x) -> Fraction:
+    """``x`` itself when it already is a ``Fraction``, else ``Fraction(x)``."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def strip_boundary(K: CubicalSet, cube: str, tuples) -> tuple[str, tuple]:
     """Push coordinate tuples into the smallest carrier they share.
 
@@ -367,25 +376,23 @@ def strip_boundary(K: CubicalSet, cube: str, tuples) -> tuple[str, tuple]:
     if cube not in K.cubes:
         raise ValueError(f"unknown cube {cube!r}")
     n = K.cubes[cube]
-    ts = [tuple(Fraction(c) for c in cs) for cs in tuples]
+    ts = [tuple(map(as_fraction, cs)) for cs in tuples]
     for cs in ts:
         if len(cs) != n:
             raise ValueError(f"cube {cube!r} has dimension {n}, got {len(cs)} coordinates")
-        if any(c < 0 or c > 1 for c in cs):
-            raise ValueError("coordinates must lie in [0,1]")
+        for c in cs:
+            # 0 <= c <= 1 on the integers: a denominator is always positive
+            if c.numerator < 0 or c.numerator > c.denominator:
+                raise ValueError("coordinates must lie in [0,1]")
     first = ts[0]
     while True:
-        hit = next(
-            (
-                i
-                for i, c in enumerate(first)
-                if (c == 0 or c == 1) and all(cs[i] == c for cs in ts)
-            ),
-            None,
-        )
-        if hit is None:
+        # in [0, 1] a coordinate is 0 or 1 exactly when its denominator is 1
+        for hit, c in enumerate(first):
+            if c.denominator == 1 and all(cs[hit] == c for cs in ts):
+                break
+        else:
             return cube, tuple(ts)
-        ref = K.faces[(cube, hit + 1, int(first[hit]))]
+        ref = K.faces[(cube, hit + 1, c.numerator)]
         for k, cs in enumerate(ts):
             rest = cs[:hit] + cs[hit + 1:]
             for j in ref.degens:

@@ -25,17 +25,30 @@ Each transform has one mechanism underneath: every height deformation
 clock (``scale_time``, ``reparam``) rescales durations in one place, and
 level crossings inside a track (pole clamping, the collar truncation) are
 cut at one set of exact parameters.
+
+The kernel stays exact and cheap per segment.  Range and pole tests on
+durations and heights read the integers of a ``Fraction`` rather than
+comparing ``Fraction`` objects, and values that already are ``Fraction``
+are not rebuilt.  Two tracks that meet with the same data in the same
+carrier are continuous without normalizing their end points, and a track
+that stays within the poles is clamped without computing cuts.  A path
+keeps its breakpoint times (``MoorePath.times``, computed once), so
+``evaluate``, ``slice_path`` and ``reparam`` find segments by bisection.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .cubical import (
     CubicalSet,
     RealizationPoint,
+    as_fraction,
     boundary_snap,
     normalize_point,
     snap_coordinate,
@@ -109,14 +122,24 @@ class TrackSeg:
 
 @dataclass(frozen=True)
 class MoorePath:
-    """A canonical segment string; ``empty_at`` locates a zero length path."""
+    """A canonical segment string; ``empty_at`` locates a zero length path.
+
+    ``times`` and ``duration`` are computed once per path and cached; they
+    are not fields, so equality and hashing see only the segments and
+    ``empty_at``.
+    """
 
     segments: tuple = ()
     empty_at: object = STAR
 
-    @property
+    @cached_property
+    def times(self) -> tuple:
+        """Breakpoints: 0, then the end time of each segment in turn."""
+        return tuple(accumulate((s.duration for s in self.segments), initial=Fraction(0)))
+
+    @cached_property
     def duration(self) -> Fraction:
-        return sum((s.duration for s in self.segments), Fraction(0))
+        return self.times[-1]
 
 
 def is_strictly_increasing(path: MoorePath) -> bool:
@@ -134,7 +157,8 @@ def star_measure(path: MoorePath) -> Fraction:
 
 
 def _lerp(a: Fraction, b: Fraction, s: Fraction) -> Fraction:
-    return a + (b - a) * s
+    # a coordinate held constant along a track is the common case
+    return a if a == b else a + (b - a) * s
 
 
 def _lerp_coords(c0, c1, s):
@@ -157,16 +181,19 @@ def _sub_segment(seg, sa: Fraction, sb: Fraction):
     )
 
 
-def _slice(segments, a: Fraction, b: Fraction) -> list:
-    """The pieces of the segments between times ``a`` and ``b``."""
+def _slice(path: MoorePath, a: Fraction, b: Fraction) -> list:
+    """The pieces of the path's segments between times ``a`` and ``b``."""
     segs = []
-    acc = Fraction(0)
-    for seg in segments:
+    times = path.times
+    # the first segment that ends after a, found by bisection
+    k = bisect_right(times, a, 1) - 1
+    while k < len(path.segments) and times[k] < b:
+        seg, acc = path.segments[k], times[k]
         d = seg.duration
-        lo, hi = max(acc, a), min(acc + d, b)
+        lo, hi = max(acc, a), min(times[k + 1], b)
         if lo < hi:
             segs.append(_sub_segment(seg, (lo - acc) / d, (hi - acc) / d))
-        acc += d
+        k += 1
     return segs
 
 
@@ -194,12 +221,26 @@ def _cuts(seg: TrackSeg, height_levels, coord_levels) -> list:
     return sorted(cuts)
 
 
+def _within_poles(h) -> bool:
+    # -1 <= h <= 1 on the integers of h: a denominator is always positive
+    return -h.denominator <= h.numerator <= h.denominator
+
+
+def _at_pole(h) -> bool:
+    return h.denominator == 1 and (h.numerator == 1 or h.numerator == -1)
+
+
 def _clamped_track(seg: TrackSeg) -> list:
     """Pieces of a track whose heights may overshoot the poles.
 
     The overshoot is clamped: stretches at or beyond a pole become pauses
     at the cone point, with exact cuts at the crossing times.
     """
+    if _within_poles(seg.h0) and _within_poles(seg.h1):
+        # no pole is crossed inside, so there is nothing to cut
+        if _at_pole(seg.h0) and seg.h0 == seg.h1:
+            return [StarSeg(seg.duration)]
+        return [seg]
     out = []
     cuts = _cuts(seg, _POLES, ())
     for sa, sb in zip(cuts, cuts[1:]):
@@ -274,21 +315,23 @@ class Suspension:
 
     def point(self, height, cube: str, coords=()):
         """Suspension point for a height and base location, as Star or Interior."""
-        h = Fraction(height)
-        if h < -1 or h > 1:
+        h = as_fraction(height)
+        if not _within_poles(h):
             raise ValueError(f"height {h} outside [-1, 1]")
         p = normalize_point(self.base, cube, coords)
-        if h == -1 or h == 1 or p == self.origin:
+        if _at_pole(h) or p == self.origin:
             return STAR
         return Interior(h, p)
 
     def _seg_start(self, seg):
-        if isinstance(seg, StarSeg):
+        # seg is canonical: its coordinates already passed the checks of
+        # ``point``, so an end at a pole is the cone point as it stands
+        if isinstance(seg, StarSeg) or _at_pole(seg.h0):
             return STAR
         return self.point(seg.h0, seg.cube, seg.c0)
 
     def _seg_end(self, seg):
-        if isinstance(seg, StarSeg):
+        if isinstance(seg, StarSeg) or _at_pole(seg.h1):
             return STAR
         return self.point(seg.h1, seg.cube, seg.c1)
 
@@ -297,18 +340,18 @@ class Suspension:
 
     def _canonical(self, seg):
         # the canonical piece of one input segment, or None when it is empty
-        d = Fraction(seg.duration)
-        if d < 0:
+        d = as_fraction(seg.duration)
+        if d.numerator < 0:
             raise ValueError(f"duration {d} is negative")
-        if d == 0:
+        if d.numerator == 0:
             return None
         if isinstance(seg, StarSeg):
-            return StarSeg(d)
-        h0, h1 = Fraction(seg.h0), Fraction(seg.h1)
-        if not (-1 <= h0 <= 1 and -1 <= h1 <= 1):
+            return seg if d is seg.duration else StarSeg(d)
+        h0, h1 = as_fraction(seg.h0), as_fraction(seg.h1)
+        if not (_within_poles(h0) and _within_poles(h1)):
             raise ValueError("track heights must lie in [-1, 1]")
         cube, (c0, c1) = strip_boundary(self.base, seg.cube, (seg.c0, seg.c1))
-        if cube == self.base.basepoint or (h0 == h1 and (h0 == -1 or h0 == 1)):
+        if cube == self.base.basepoint or (_at_pole(h0) and h0 == h1):
             return StarSeg(d)
         return TrackSeg(d, h0, h1, cube, c0, c1)
 
@@ -327,15 +370,18 @@ class Suspension:
             and prev.cube == seg.cube
             and prev.h1 == seg.h0
             and prev.c1 == seg.c0
-            and (prev.h1 - prev.h0) * seg.duration == (seg.h1 - seg.h0) * prev.duration
-            and all(
+        ):
+            # the same data in the same carrier meet: continuous, no need
+            # to normalize the end points
+            if (prev.h1 - prev.h0) * seg.duration == (seg.h1 - seg.h0) * prev.duration and all(
                 (p1 - p0) * seg.duration == (q1 - q0) * prev.duration
                 for p0, p1, q0, q1 in zip(prev.c0, prev.c1, seg.c0, seg.c1)
-            )
-        ):
-            out[-1] = TrackSeg(
-                prev.duration + seg.duration, prev.h0, seg.h1, prev.cube, prev.c0, seg.c1
-            )
+            ):
+                out[-1] = TrackSeg(
+                    prev.duration + seg.duration, prev.h0, seg.h1, prev.cube, prev.c0, seg.c1
+                )
+            else:
+                out.append(seg)
             return True
         if self._seg_end(prev) != self._seg_start(seg):
             return False
@@ -382,22 +428,18 @@ class Suspension:
     # inspection
 
     def evaluate(self, path: MoorePath, t):
-        tt = Fraction(t)
+        tt = as_fraction(t)
         if tt < 0 or tt > path.duration:
             raise ValueError(f"time {tt} outside [0, {path.duration}]")
         if not path.segments:
             return path.empty_at
-        acc = Fraction(0)
-        for seg in path.segments:
-            if tt <= acc + seg.duration:
-                if isinstance(seg, StarSeg):
-                    return STAR
-                s = (tt - acc) / seg.duration
-                return self.point(
-                    _lerp(seg.h0, seg.h1, s), seg.cube, _lerp_coords(seg.c0, seg.c1, s)
-                )
-            acc += seg.duration
-        return self._seg_end(path.segments[-1])
+        # the first segment that ends at or after tt, found by bisection
+        k = bisect_left(path.times, tt, 1) - 1
+        seg = path.segments[k]
+        if isinstance(seg, StarSeg):
+            return STAR
+        s = (tt - path.times[k]) / seg.duration
+        return self.point(_lerp(seg.h0, seg.h1, s), seg.cube, _lerp_coords(seg.c0, seg.c1, s))
 
     def start_point(self, path: MoorePath):
         return self._seg_start(path.segments[0]) if path.segments else path.empty_at
@@ -441,7 +483,9 @@ class Suspension:
                 f"slice bounds {a} and {b} out of order or out of range "
                 f"for duration {path.duration}"
             )
-        return self.path(_slice(path.segments, a, b), empty_at=self.evaluate(path, a))
+        segs = _slice(path, a, b)
+        # only an empty slice needs to know where it sits
+        return self.path(segs, empty_at=STAR if segs else self.evaluate(path, a))
 
     def scale_time(self, path: MoorePath, factor) -> MoorePath:
         f = Fraction(factor)
@@ -487,7 +531,7 @@ class Suspension:
                         )
                     )
             else:
-                segs.extend(_scaled(_slice(path.segments, o0, o1), (n1 - n0) / (o1 - o0)))
+                segs.extend(_scaled(_slice(path, o0, o1), (n1 - n0) / (o1 - o0)))
         return self.path(segs, empty_at=self.start_point(path))
 
     # ------------------------------------------------------------------

@@ -2,7 +2,11 @@
 
 Rationals travel as strings ("1/3", "-2") so nothing ever rounds.  Dumps
 are canonical: loading what was dumped gives back an equal value, and
-equal values dump to identical text.
+equal values dump to identical text.  A string in the form dumps write
+(ASCII ``-?digits(/digits)?``) is read with ``int``; any other string goes
+to ``Fraction``, so the accepted grammar and its errors are those of
+``Fraction(str)``.  Cube ids must be strings; anything else is a
+``FormatError`` naming the segment or letter.
 """
 
 from __future__ import annotations
@@ -10,19 +14,32 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .cubical import CubicalSet, FaceRef, FormatError, RealizationPoint, normalize_point
+from .cubical import (
+    CubicalSet,
+    FaceRef,
+    FormatError,
+    RealizationPoint,
+    as_fraction,
+    normalize_point,
+)
 from .paths import MoorePath, StarSeg, Suspension, TrackSeg
 
 _FACE_KEY = re.compile(r"^d([01])_([1-9][0-9]*)$")
+# the form every dump writes; [0-9] matches ASCII digits only
+_PLAIN_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(value) -> Fraction:
+    """A rational from an integer or a string in any form ``Fraction`` accepts."""
     if isinstance(value, bool):
         raise FormatError(f"expected a rational, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         try:
+            if _PLAIN_RATIONAL.fullmatch(value):
+                num, _, den = value.partition("/")
+                return Fraction(int(num), int(den) if den else 1)
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise FormatError(f"malformed rational {value!r}") from None
@@ -30,7 +47,7 @@ def parse_rational(value) -> Fraction:
 
 
 def rational_str(value) -> str:
-    return str(Fraction(value))
+    return str(as_fraction(value))
 
 
 def _require(obj, key: str, where: str):
@@ -135,6 +152,8 @@ def load_path(sus: Suspension, obj) -> MoorePath:
             segs.append(StarSeg(dur))
         elif kind == "track":
             cube = _require(entry, "cube", f"segment {k}")
+            if not isinstance(cube, str):
+                raise FormatError(f"segment {k} cube id must be a string, got {cube!r}")
             if cube not in sus.base.cubes:
                 raise FormatError(f"segment {k} references unknown cube {cube!r}")
             h = _require(entry, "h", f"segment {k}")
@@ -176,6 +195,8 @@ def load_word(K: CubicalSet, obj) -> tuple[RealizationPoint, ...]:
     for k, entry in enumerate(obj):
         cube = _require(entry, "cube", f"letter {k}")
         coords = _require(entry, "coords", f"letter {k}")
+        if not isinstance(cube, str):
+            raise FormatError(f"letter {k} cube id must be a string, got {cube!r}")
         if cube not in K.cubes:
             raise FormatError(f"letter {k} references unknown cube {cube!r}")
         if not isinstance(coords, list) or len(coords) != K.cubes[cube]:

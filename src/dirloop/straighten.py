@@ -68,7 +68,7 @@ def _legs(sus: Suspension, run: MoorePath):
     # stretches before and after the crossing
     b, xb = _unique_crossing(sus, run)
     a = run.duration
-    return b, xb, a, _slice(run.segments, 0, b), _slice(run.segments, b, a)
+    return b, xb, a, _slice(run, 0, b), _slice(run, b, a)
 
 
 def _early_frame(b: Fraction, xb: RealizationPoint, a: Fraction, pre, post, t: Fraction) -> list:

@@ -1,10 +1,14 @@
 """End to end checks of the command line front end."""
 
+import io
 import json
 import random
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dirloop.cli import main
 from dirloop.corpus import circle_complex, random_loop, torus_complex, two_component_complex
@@ -279,3 +283,142 @@ def test_field_primes_parse_fast_and_reject_composites(capsys, circle_file):
     for composite in ("zp:561", "zp:1000000000000000001"):
         code, _, err = invoke(capsys, "homology", circle_file, "--field", composite)
         assert code == 2 and "Traceback" not in err
+
+
+def test_repeated_main_calls_do_not_leak_options(capsys, circle_file, loop_file):
+    # the parser is built once per process; a flag given to one call must not
+    # carry over to the next
+    reduced = {"dims": {"0": 0, "1": 1}}
+    plain = {"dims": {"0": 1, "1": 1}}
+    for argv, want in [
+        (["homology", circle_file, "--reduced"], reduced),
+        (["homology", circle_file], plain),
+        (["homology", circle_file, "--field", "zp:3", "--reduced"], reduced),
+        (["homology", circle_file], plain),
+    ]:
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0 and json.loads(out) == want, argv
+
+    path_args = [loop_file, "--complex", circle_file]
+    code, out, _ = invoke(capsys, "straighten", *path_args, "--contract", "--samples", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert "trail" in payload and len(payload["frames"]) == 3
+    code, out, _ = invoke(capsys, "straighten", *path_args)
+    assert code == 0
+    payload = json.loads(out)
+    assert "trail" not in payload and len(payload["frames"]) == 5
+
+
+@pytest.mark.parametrize("cube", [["e"], {"id": "e"}, 7, None])
+def test_non_string_cube_id_is_a_format_error(capsys, tmp_path, circle_file, cube):
+    track = {"kind": "track", "dur": "1", "h": ["-1", "1"], "cube": cube, "c0": ["1/4"], "c1": ["1/4"]}
+    target = tmp_path / "odd_cube.json"
+    target.write_text(json.dumps({"segments": [{"kind": "star", "dur": "1"}, track]}))
+    code, out, err = invoke(capsys, "sec", str(target), "--complex", circle_file)
+    assert code == 2 and out == ""
+    assert "segment 1" in err and "Traceback" not in err
+
+
+# ----------------------------------------------------------------------
+# mangled path files: every run ends with 0, 1 or 2 and no traceback
+
+_FUZZ_LOOP = dump_path(
+    word_loop(
+        CIRCLE,
+        [PointLetter(RealizationPoint("e", (F(1, 3),))), PointLetter(RealizationPoint("e", (F(1, 2),)))],
+    )
+)
+_FUZZ_COMMANDS = [
+    ["sec"],
+    ["straighten", "--samples", "2"],
+    ["contract", "--samples", "2"],
+    ["path", "eval", "--t", "1"],
+    ["path", "verify"],
+    ["path", "increase", "--eps", "1/3"],
+    ["path", "phi", "--side", "lower", "--t", "1/2"],
+    ["path", "truncate"],
+]
+_junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(allow_nan=False, allow_infinity=False, width=16),
+    st.sampled_from(["", "e", "v", "ghost", "1/2", "-1", "2", "1/0", "x", "nan", "1e9", "star", "track"]),
+    st.lists(st.sampled_from(["1/2", "0", "1", 0, None]), max_size=3),
+    st.dictionaries(st.sampled_from(["kind", "dur", "cube"]), st.sampled_from(["star", "1", "e"]), max_size=2),
+)
+_mutation = st.tuples(
+    st.sampled_from(["set", "drop", "rename", "shorten", "lengthen", "replace"]),
+    st.integers(0, 10),
+    st.sampled_from(["kind", "dur", "h", "cube", "c0", "c1", "segments"]),
+    _junk,
+)
+
+
+def _mangle(obj, mutations):
+    for op, index, key, junk in mutations:
+        segs = obj.get("segments") if isinstance(obj, dict) else None
+        if op == "replace" or not isinstance(segs, list) or not segs:
+            obj = {"segments": junk} if key == "segments" else junk
+            continue
+        seg = segs[index % len(segs)]
+        if op == "shorten":
+            del segs[index % len(segs):]
+        elif op == "lengthen":
+            segs.append(json.loads(json.dumps(seg)))
+        elif not isinstance(seg, dict):
+            segs[index % len(segs)] = junk
+        elif op == "set":
+            seg[key] = junk
+        elif op == "drop":
+            seg.pop(key, None)
+        elif op == "rename" and key in seg:
+            seg[key + "_"] = seg.pop(key)
+    return obj
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mutations=st.lists(_mutation, min_size=1, max_size=4),
+    command=st.sampled_from(_FUZZ_COMMANDS),
+)
+def test_mangled_path_files_never_crash(tmp_path_factory, mutations, command):
+    work = tmp_path_factory.mktemp("fuzz")
+    complex_file, path_file = work / "circle.json", work / "loop.json"
+    complex_file.write_text(json.dumps(dump_complex(circle_complex())))
+    path_file.write_text(json.dumps(_mangle(json.loads(json.dumps(_FUZZ_LOOP)), mutations)))
+    head, *rest = command
+    if head == "path":
+        argv = [head, rest[0], str(path_file), "--complex", str(complex_file), *rest[1:]]
+    else:
+        argv = [head, str(path_file), "--complex", str(complex_file), *rest]
+    err = io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert time.perf_counter() - start < 5
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        "[" * 100000 + "]" * 100000,
+        '{"segments": [{"kind": "star", "dur": ' + "7" * 5000 + "}]}",
+        b"\xff\xfe{}",
+    ],
+)
+def test_unreadable_json_is_a_format_error(capsys, tmp_path, circle_file, blob):
+    target = tmp_path / "odd.json"
+    if isinstance(blob, bytes):
+        target.write_bytes(blob)
+    else:
+        target.write_text(blob)
+    code, out, err = invoke(capsys, "sec", str(target), "--complex", circle_file)
+    assert code == 2 and out == ""
+    assert "odd.json" in err and "Traceback" not in err

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dirloop.corpus import (
     circle_complex,
@@ -22,6 +22,7 @@ from dirloop.cubical import (
     normalize_point,
     quotient_collapse,
     snap_coordinate,
+    strip_boundary,
     suspension_model,
     tensor_product,
     validate,
@@ -223,3 +224,68 @@ def test_boundary_snap_and_collar():
 
 def test_two_component_complex_is_well_formed():
     assert validate(two_component_complex()) == []
+
+
+# ----------------------------------------------------------------------
+# strip_boundary against its definition, on every input representation
+
+
+def _strip_by_definition(K, cube, tuples):
+    # strip the first slot where all tuples hold the same 0 or 1, comparing
+    # Fractions as numbers, until no such slot is left
+    ts = [tuple(Fraction(c) for c in cs) for cs in tuples]
+    if any(len(cs) != K.cubes[cube] or not all(0 <= c <= 1 for c in cs) for cs in ts):
+        return "rejected"
+    while True:
+        slots = [
+            i for i, c in enumerate(ts[0]) if c in (0, 1) and all(cs[i] == c for cs in ts)
+        ]
+        if not slots:
+            return cube, tuple(ts)
+        i = slots[0]
+        ref = K.faces[(cube, i + 1, int(ts[0][i]))]
+        stripped = []
+        for cs in ts:
+            rest = list(cs[:i] + cs[i + 1:])
+            for j in ref.degens:
+                del rest[j - 1]
+            stripped.append(tuple(rest))
+        ts, cube = stripped, ref.base
+
+
+def _represent(kind, x):
+    if kind == "int" and x.denominator == 1:
+        return int(x)
+    return str(x) if kind == "str" else x
+
+
+_STRIP_BASES = {
+    "cube3": lambda: tensor_product(tensor_product(interval_complex(), interval_complex()), interval_complex()),
+    "torus": torus_complex,
+    "suspended_circle": lambda: suspension_model(circle_complex()).complex,
+}
+_strip_value = st.sampled_from([F(0), F(1), F(0), F(1), F(1, 4), F(1, 2), F(2, 3), F(-1, 2), F(3, 2)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_STRIP_BASES)), st.data())
+def test_strip_boundary_matches_definition_on_any_representation(which, data):
+    K = _STRIP_BASES[which]()
+    cube = data.draw(st.sampled_from(sorted(c for c, d in K.cubes.items() if d > 0)))
+    n = K.cubes[cube]
+    first = data.draw(st.lists(_strip_value, min_size=n, max_size=n))
+    # the second tuple often repeats a slot of the first, as path ends do
+    second = [
+        c if data.draw(st.booleans()) else data.draw(_strip_value) for c in first
+    ]
+    for tuples in ([first], [first, second]):
+        want = _strip_by_definition(K, cube, tuples)
+        for kind in ("fraction", "int", "str"):
+            given_tuples = [tuple(_represent(kind, c) for c in cs) for cs in tuples]
+            try:
+                got = strip_boundary(K, cube, given_tuples)
+            except ValueError:
+                got = "rejected"
+            assert got == want, kind
+            if got != "rejected":
+                assert all(type(c) is Fraction for cs in got[1] for c in cs)

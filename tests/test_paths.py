@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dataclasses
 import random
 
 from dirloop.corpus import (
@@ -23,6 +24,7 @@ from dirloop.paths import (
     StarSeg,
     Suspension,
     TrackSeg,
+    _clamped_track,
     classify_point,
     is_strictly_increasing,
     star_measure,
@@ -725,3 +727,170 @@ def test_one_canonicalization_per_result(monkeypatch):
         (word_loop, s, letters),
     ]:
         assert count(fn, *args) == 1, fn.__name__
+
+
+# ----------------------------------------------------------------------
+# the integer fast paths and the time index against plain references
+
+
+def _scan_evaluate(s, path, t):
+    # the first segment that ends at or after t, found by walking the string
+    acc = F(0)
+    for seg in path.segments:
+        if t <= acc + seg.duration:
+            if isinstance(seg, StarSeg):
+                return STAR
+            u = (t - acc) / seg.duration
+            return s.point(
+                seg.h0 + (seg.h1 - seg.h0) * u,
+                seg.cube,
+                tuple(a + (b - a) * u for a, b in zip(seg.c0, seg.c1)),
+            )
+        acc += seg.duration
+    return path.empty_at
+
+
+@pytest.mark.parametrize("make_base", POINTWISE_BASES)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_evaluate_and_slice_match_a_linear_scan(make_base, seed):
+    rng = random.Random(seed)
+    s = Suspension(make_base())
+    for k in range(8):
+        loop = random_loop(s, rng) if k % 2 else _wandering_loop(s, rng)
+        path = s.make_increasing(loop, F(1, 4)) if k % 4 == 3 else loop
+        assert list(path.times) == _breaks(path)
+        assert path.duration == path.times[-1]
+        probes = _probe_times(_breaks(path))
+        for t in probes:
+            assert s.evaluate(path, t) == _scan_evaluate(s, path, t), t
+        for _ in range(4):
+            a, b = sorted(rng.choice(probes) for _ in range(2))
+            piece = s.slice_path(path, a, b)
+            assert piece.duration == b - a
+            for t in _probe_times(_breaks(piece) + [x - a for x in probes if a <= x <= b]):
+                assert s.evaluate(piece, t) == _scan_evaluate(s, path, t + a), (a, b, t)
+
+
+def test_cached_times_leave_equality_and_hash_alone(sus, x):
+    loop = sus.basic_loop(x)
+    twin = MoorePath(loop.segments, loop.empty_at)
+    assert loop.times == (F(0), F(2)) and loop.duration == 2
+    assert loop == twin and hash(loop) == hash(twin)
+    assert [f.name for f in dataclasses.fields(MoorePath)] == ["segments", "empty_at"]
+    assert "times" not in repr(loop)
+    assert MoorePath().duration == 0 and MoorePath().times == (0,)
+
+
+def test_slice_evaluates_its_start_only_when_empty(monkeypatch, sus, x):
+    loop = sus.basic_loop(x)
+    calls = []
+    real = Suspension.evaluate
+
+    def counted(self, path, t):
+        calls.append(t)
+        return real(self, path, t)
+
+    monkeypatch.setattr(Suspension, "evaluate", counted)
+    assert sus.slice_path(loop, F(1, 2), F(3, 2)).duration == 1
+    assert calls == []
+    empty = sus.slice_path(loop, F(1, 2), F(1, 2))
+    assert calls == [F(1, 2)]
+    assert empty == MoorePath((), Interior(F(-1, 2), x))
+
+
+def _represent(kind, value):
+    value = F(value)
+    if kind == "int" and value.denominator == 1:
+        return int(value)
+    return str(value) if kind == "str" else value
+
+
+def _represented(kind, seg):
+    if isinstance(seg, StarSeg):
+        return StarSeg(_represent(kind, seg.duration))
+    return TrackSeg(
+        _represent(kind, seg.duration),
+        _represent(kind, seg.h0),
+        _represent(kind, seg.h1),
+        seg.cube,
+        tuple(_represent(kind, c) for c in seg.c0),
+        tuple(_represent(kind, c) for c in seg.c1),
+    )
+
+
+@pytest.mark.parametrize("make_base", POINTWISE_BASES)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_path_is_the_same_on_fraction_int_and_str_data(make_base, seed):
+    rng = random.Random(seed)
+    s = Suspension(make_base())
+    loop = random_loop(s, rng) if rng.random() < 0.5 else _wandering_loop(s, rng)
+    T = loop.duration
+    # raw pieces: cut at whole and fractional times, with empty pauses and a
+    # track held at a pole mixed in
+    cuts = sorted({F(0), T} | {T * F(rng.randint(0, 4), 4) for _ in range(4)})
+    raw = []
+    for t0, t1 in zip(cuts, cuts[1:]):
+        raw.extend(s.slice_path(loop, t0, t1).segments)
+        raw.insert(rng.randint(0, len(raw)), StarSeg(F(0)))
+    x = random_interior_point(s.base, rng)
+    raw.insert(0, TrackSeg(F(1), F(-1), F(-1), x.cube, x.coords, x.coords))
+    want = s.path(raw)
+    assert want == s.path([StarSeg(F(1)), *loop.segments])
+    for kind in ("int", "str"):
+        got = s.path([_represented(kind, seg) for seg in raw])
+        assert got == want, kind
+        for seg in got.segments:
+            values = [seg.duration]
+            if isinstance(seg, TrackSeg):
+                values += [seg.h0, seg.h1, *seg.c0, *seg.c1]
+            assert all(type(v) is F for v in values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(-8, 8),
+    st.integers(-8, 8),
+    st.sampled_from([F(1, 4), F(1, 2), F(3, 4)]),
+    st.sampled_from([F(1, 4), F(1, 2), F(3, 4)]),
+)
+def test_clamped_track_pieces_follow_the_clamped_line(dur, h0, h1, c0, c1):
+    # heights in quarters from -2 to 2: both the no-cut branch (heights in
+    # [-1, 1], pinned at a pole or not) and the cutting branch are reached
+    seg = TrackSeg(F(dur), F(h0, 4), F(h1, 4), "e", (c0,), (c1,))
+    pieces = _clamped_track(seg)
+    assert sum(p.duration for p in pieces) == seg.duration
+    acc = F(0)
+    for piece in pieces:
+        for u in (F(0), F(1, 2), F(1)):
+            t = acc + piece.duration * u
+            h = seg.h0 + (seg.h1 - seg.h0) * t / seg.duration
+            if isinstance(piece, StarSeg):
+                assert h <= -1 or h >= 1 or u != F(1, 2)
+            else:
+                assert piece.h0 + (piece.h1 - piece.h0) * u == h
+                assert -1 <= h <= 1
+        acc += piece.duration
+    if -1 <= seg.h0 <= 1 and -1 <= seg.h1 <= 1:
+        pinned = seg.h0 == seg.h1 and abs(seg.h0) == 1
+        assert pieces == ([StarSeg(seg.duration)] if pinned else [seg])
+
+
+@pytest.mark.parametrize("make_base", POINTWISE_BASES)
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    scale=st.sampled_from([F(1), F(5, 4), F(3, 2), F(2), F(4)]),
+    tilt=st.integers(-4, 4),
+)
+def test_height_affine_matches_pointwise_map(make_base, seed, scale, tilt):
+    # scale 1 keeps every track within the poles (no cut); larger scales
+    # push some tracks over a pole and others, plateaus included, onto it
+    rng = random.Random(seed)
+    s = Suspension(make_base())
+    loop = random_loop(s, rng) if rng.random() < 0.5 else _wandering_loop(s, rng)
+    offset = (scale - 1) * F(tilt, 4)
+    out = s.height_affine(loop, scale, offset)
+    image = _height_image(lambda h, t: scale * h + offset)
+    assert _check_pointwise(s, loop, out, lambda t: t, image, _breaks(loop)) > 0

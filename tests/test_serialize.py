@@ -39,6 +39,64 @@ def test_parse_rational_rejects_junk(bad):
         parse_rational(bad)
 
 
+def _fraction_or_rejected(text):
+    # the accepted grammar is whatever Fraction(str) accepts
+    try:
+        return F(text)
+    except (ValueError, ZeroDivisionError):
+        return "rejected"
+
+
+def _parsed_or_rejected(text):
+    try:
+        value = parse_rational(text)
+    except FormatError:
+        return "rejected"
+    assert type(value) is F
+    return value
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        " 1/2 ",
+        "+3",
+        "1.5",
+        "1e3",
+        "1_000",
+        "\u0663",
+        "-0",
+        "0/5",
+        "1/0",
+        "--1",
+        "7" * 5000,
+        "1/" + "3" * 5000,
+        "-12/18",
+        "007/010",
+        "1/2\n",
+        "1 /2",
+        "1/-2",
+        "-",
+        "/2",
+        "",
+    ],
+)
+def test_parse_rational_agrees_with_fraction(text):
+    assert _parsed_or_rejected(text) == _fraction_or_rejected(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789/-+ ._e\u0663", max_size=8))
+def test_parse_rational_agrees_with_fraction_on_any_string(text):
+    assert _parsed_or_rejected(text) == _fraction_or_rejected(text)
+
+
+def test_rational_str_keeps_the_canonical_form():
+    for value in (F(0), F(-1), F(7, 3), F(-22, 8), 5, -4):
+        assert rational_str(value) == str(F(value))
+    assert parse_rational(rational_str(F(-22, 8))) == F(-11, 4)
+
+
 @pytest.mark.parametrize("K", [circle_complex(), interval_complex(), torus_complex()])
 def test_complex_round_trip(K):
     blob = json.dumps(dump_complex(K))
@@ -164,6 +222,13 @@ def test_word_round_trip():
         load_word(CIRCLE.base, [{"cube": "ghost", "coords": []}])
     with pytest.raises(FormatError, match="coordinates"):
         load_word(CIRCLE.base, [{"cube": "e", "coords": []}])
+
+
+@pytest.mark.parametrize("cube", [["e"], {"e": 1}, 3, None])
+def test_load_word_rejects_non_string_cube(cube):
+    letters = [{"cube": "e", "coords": ["1/3"]}, {"cube": cube, "coords": ["1/3"]}]
+    with pytest.raises(FormatError, match="letter 1 cube id must be a string"):
+        load_word(CIRCLE.base, letters)
 
 
 def test_load_word_normalizes_letters():
