@@ -25,6 +25,7 @@ from .serialize import (
     FormatError,
     dump_complex,
     dump_path,
+    dump_paths,
     dump_word,
     load_complex,
     load_path,
@@ -162,7 +163,7 @@ def cmd_straighten(args):
         "sec": dump_word(crossing_word(sus, result).letters),
     }
     if args.contract:
-        payload["trail"] = [dump_path(f) for f in contract_straightened(sus, result, frames)]
+        payload["trail"] = dump_paths(contract_straightened(sus, result, frames))
     return payload, 0
 
 
@@ -170,7 +171,7 @@ def cmd_contract(args):
     config = _config(args)
     sus, loop = _load_pair(args)
     trail = contract_to_constant(sus, loop, config.samples)
-    return {"trail": [dump_path(f) for f in trail]}, 0
+    return {"trail": dump_paths(trail)}, 0
 
 
 def cmd_path_eval(args):

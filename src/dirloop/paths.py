@@ -29,7 +29,10 @@ cut at one set of exact parameters.
 The kernel stays exact and cheap per segment.  Range and pole tests on
 durations and heights read the integers of a ``Fraction`` rather than
 comparing ``Fraction`` objects, and values that already are ``Fraction``
-are not rebuilt.  Two tracks that meet with the same data in the same
+are not rebuilt.  Whether two tracks merge is one integer
+cross-multiplication on numerators and denominators, and a pure vertical
+shift (a = 1, c = 0) adds b to each height with no clock, or nothing at
+all when b = 0.  Two tracks that meet with the same data in the same
 carrier are continuous without normalizing their end points, and a track
 that stays within the poles is clamped without computing cuts.  A path
 keeps its breakpoint times (``MoorePath.times``, computed once), so
@@ -221,6 +224,20 @@ def _cuts(seg: TrackSeg, height_levels, coord_levels) -> list:
     return sorted(cuts)
 
 
+def _same_rate(x0, x1, dx, y0, y1, dy) -> bool:
+    """``(x1 - x0) / dx == (y1 - y0) / dy`` on the integers of the fractions.
+
+    One cross-multiplication; every denominator is positive, so clearing
+    them keeps the equation.
+    """
+    return (
+        (x1.numerator * x0.denominator - x0.numerator * x1.denominator)
+        * y0.denominator * y1.denominator * dy.numerator * dx.denominator
+        == (y1.numerator * y0.denominator - y0.numerator * y1.denominator)
+        * x0.denominator * x1.denominator * dx.numerator * dy.denominator
+    )
+
+
 def _within_poles(h) -> bool:
     # -1 <= h <= 1 on the integers of h: a denominator is always positive
     return -h.denominator <= h.numerator <= h.denominator
@@ -252,6 +269,8 @@ def _clamped_track(seg: TrackSeg) -> list:
 
 def _map_heights(segments, a, b, c) -> list:
     """The segments with height h at time t sent to a*h + b + c*t, clamped at the poles."""
+    if a == 1 and c == 0:
+        return _shifted(segments, b)
     segs = []
     acc = Fraction(0)
     for seg in segments:
@@ -262,6 +281,19 @@ def _map_heights(segments, a, b, c) -> list:
             g1 = a * seg.h1 + b + c * (acc + seg.duration)
             segs.extend(_clamped_track(TrackSeg(seg.duration, g0, g1, seg.cube, seg.c0, seg.c1)))
         acc += seg.duration
+    return segs
+
+
+def _shifted(segments, b) -> list:
+    # the pure shift h -> h + b needs no clock, and b = 0 no arithmetic
+    segs = []
+    for seg in segments:
+        if isinstance(seg, StarSeg):
+            segs.append(seg)
+        else:
+            if b:
+                seg = TrackSeg(seg.duration, seg.h0 + b, seg.h1 + b, seg.cube, seg.c0, seg.c1)
+            segs.extend(_clamped_track(seg))
     return segs
 
 
@@ -373,8 +405,9 @@ class Suspension:
         ):
             # the same data in the same carrier meet: continuous, no need
             # to normalize the end points
-            if (prev.h1 - prev.h0) * seg.duration == (seg.h1 - seg.h0) * prev.duration and all(
-                (p1 - p0) * seg.duration == (q1 - q0) * prev.duration
+            d0, d1 = prev.duration, seg.duration
+            if _same_rate(prev.h0, prev.h1, d0, seg.h0, seg.h1, d1) and all(
+                _same_rate(p0, p1, d0, q0, q1, d1)
                 for p0, p1, q0, q1 in zip(prev.c0, prev.c1, seg.c0, seg.c1)
             ):
                 out[-1] = TrackSeg(

@@ -121,23 +121,42 @@ def load_complex(obj) -> CubicalSet:
     return CubicalSet(cubes, faces, basepoint)
 
 
+def _dump_segment(seg) -> dict:
+    if isinstance(seg, StarSeg):
+        return {"kind": "star", "dur": rational_str(seg.duration)}
+    return {
+        "kind": "track",
+        "dur": rational_str(seg.duration),
+        "h": [rational_str(seg.h0), rational_str(seg.h1)],
+        "cube": seg.cube,
+        "c0": [rational_str(c) for c in seg.c0],
+        "c1": [rational_str(c) for c in seg.c1],
+    }
+
+
 def dump_path(path: MoorePath) -> dict:
-    segments = []
-    for seg in path.segments:
-        if isinstance(seg, StarSeg):
-            segments.append({"kind": "star", "dur": rational_str(seg.duration)})
-        else:
-            segments.append(
-                {
-                    "kind": "track",
-                    "dur": rational_str(seg.duration),
-                    "h": [rational_str(seg.h0), rational_str(seg.h1)],
-                    "cube": seg.cube,
-                    "c0": [rational_str(c) for c in seg.c0],
-                    "c1": [rational_str(c) for c in seg.c1],
-                }
-            )
-    return {"segments": segments}
+    return {"segments": [_dump_segment(seg) for seg in path.segments]}
+
+
+def dump_paths(paths) -> list:
+    """``[dump_path(p) for p in paths]``, dumping each segment object once.
+
+    The frames of a contraction trail share most of their segment objects;
+    the shared ones dump to one shared dict, which ``json`` writes as often
+    as it occurs.
+    """
+    # keyed by id, holding the segment so that its id stays taken
+    dumped: dict[int, tuple] = {}
+    out = []
+    for path in paths:
+        segs = []
+        for seg in path.segments:
+            hit = dumped.get(id(seg))
+            if hit is None:
+                hit = dumped[id(seg)] = (seg, _dump_segment(seg))
+            segs.append(hit[1])
+        out.append({"segments": segs})
+    return out
 
 
 def load_path(sus: Suspension, obj) -> MoorePath:

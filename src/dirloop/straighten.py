@@ -10,13 +10,21 @@ basepoint along the one skeleton, ending at the constant loop.
 
 The helpers build raw segment lists with the :mod:`dirloop.paths`
 builders; each public result, every frame included, goes through one
-:meth:`~dirloop.paths.Suspension.path` call.
+:meth:`~dirloop.paths.Suspension.path` call, and no work is done twice.
+:func:`full_straighten` builds each distinct stage once: the result and a
+stage 1 sample are one frame, and stage 0 is the input loop itself.  A
+contraction frame differs from the word only around the letter walking
+home, so only that head goes through ``Suspension.path`` and the rest of
+the word's canonical segments is spliced on as it is.  Each start vertex's
+route home is searched once per contraction.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .cubical import CubicalSet, RealizationPoint, normalize_point
 from .homology import betti
@@ -125,8 +133,12 @@ def full_straighten(sus: Suspension, loop: MoorePath, samples=DEFAULT_SAMPLES):
         raise ValueError("samples must lie in [0, 1]")
     chain = chain_split(sus, loop)
     legs = [_legs(sus, exc) for exc in chain.excursions]
+    # one frame per distinct stage; stage 0 is the loop itself
+    built = {Fraction(0): loop}
 
     def frame(t: Fraction) -> MoorePath:
+        if t in built:
+            return built[t]
         segs: list = [StarSeg(chain.pauses[0] * (1 - t))]
         for (b, xb, a, pre, post), pause in zip(legs, chain.pauses[1:]):
             if t <= Fraction(1, 2):
@@ -134,41 +146,51 @@ def full_straighten(sus: Suspension, loop: MoorePath, samples=DEFAULT_SAMPLES):
             else:
                 segs.extend(_late_frame(b, xb, a, 2 * t - 1))
             segs.append(StarSeg(pause * (1 - t)))
-        return sus.path(segs)
+        built[t] = sus.path(segs)
+        return built[t]
 
     return frame(Fraction(1)), [frame(s) for s in stages]
 
 
-def _edge_path_to_basepoint(K: CubicalSet, start: str) -> list:
-    """Hops (edge, far vertex) from a vertex to the basepoint, by BFS."""
-    if start == K.basepoint:
-        return []
+def _routes_home(K: CubicalSet):
+    """Hops (edge, far vertex) from a vertex to the basepoint, by BFS.
+
+    Returns a function of the start vertex.  The one skeleton is read once,
+    neighbours are tried in sorted order, and each start's route is kept.
+    """
     adj: dict[str, list] = {}
     for e in sorted(c for c, d in K.cubes.items() if d == 1):
         a = K.faces[(e, 1, 0)].base
         b = K.faces[(e, 1, 1)].base
         adj.setdefault(a, []).append((b, e))
         adj.setdefault(b, []).append((a, e))
-    parent: dict[str, tuple] = {start: ()}
-    queue = [start]
-    while queue:
-        v = queue.pop(0)
-        if v == K.basepoint:
-            break
-        for w, e in sorted(adj.get(v, [])):
-            if w not in parent:
-                parent[w] = (v, e)
-                queue.append(w)
-    if K.basepoint not in parent:
-        raise ValueError(f"no edge path from {start!r} to the basepoint")
-    hops = []
-    v = K.basepoint
-    while parent[v]:
-        prev, e = parent[v]
-        hops.append((e, v))
-        v = prev
-    hops.reverse()
-    return hops
+    for nbrs in adj.values():
+        nbrs.sort()
+
+    @cache
+    def route(start: str) -> list:
+        parent: dict[str, tuple] = {start: ()}
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            if v == K.basepoint:
+                break
+            for w, e in adj.get(v, ()):
+                if w not in parent:
+                    parent[w] = (v, e)
+                    queue.append(w)
+        if K.basepoint not in parent:
+            raise ValueError(f"no edge path from {start!r} to the basepoint")
+        hops = []
+        v = K.basepoint
+        while parent[v]:
+            prev, e = parent[v]
+            hops.append((e, v))
+            v = prev
+        hops.reverse()
+        return hops
+
+    return route
 
 
 def contract_to_constant(sus: Suspension, loop: MoorePath, samples=DEFAULT_SAMPLES) -> list:
@@ -187,41 +209,38 @@ def contract_straightened(sus: Suspension, result: MoorePath, frames) -> list:
     loop ``result`` into the basepoint along the one skeleton, and finally
     drops the leftover pauses.  The base must be connected or there is
     nowhere to walk.
+
+    While letter k walks, the letters before it are one pause and the ones
+    after it are still the word's own segments.  So each frame passes only
+    its head (that pause, letter k and letter k + 1) through
+    :meth:`~dirloop.paths.Suspension.path` and appends the rest of the word
+    unchanged: a full climb ends at the cone point, where nothing merges.
     """
     if betti(sus.base).get(0) != 1:
         raise ValueError("base complex is not connected; contraction needs a connected base")
-    trail = list(frames)
     _, runs = sus.pauses_and_runs(result)
-    state: list = []
-    for run in runs:
-        (tr,) = run
-        state.append(["letter", tr.duration, RealizationPoint(tr.cube, tr.c0)])
-
-    def emit() -> None:
-        segs = []
-        for kind, d, *rest in state:
-            if kind == "pause":
-                segs.append(StarSeg(d))
-            else:
-                pos = rest[0]
-                segs.append(TrackSeg(d, Fraction(-1), Fraction(1), pos.cube, pos.coords, pos.coords))
-        trail.append(sus.path(segs))
-
+    word = tuple(run[0] for run in runs)
+    if any(len(run) != 1 for run in runs) or not all(
+        tr.h0 == -1 and tr.h1 == 1 and tr.c0 == tr.c1 for tr in word
+    ):
+        raise ValueError("contraction needs a word loop: one full climb per letter")
+    trail = list(frames)
     K = sus.base
-    for entry in state:
-        pos = entry[2]
-        entry[2] = normalize_point(K, pos.cube, tuple(c / 2 for c in pos.coords))
-        emit()
-        entry[2] = normalize_point(K, pos.cube, (Fraction(0),) * len(pos.coords))
-        emit()
-        for edge, far in _edge_path_to_basepoint(K, entry[2].cube):
-            entry[2] = normalize_point(K, edge, (Fraction(1, 2),))
-            emit()
-            entry[2] = RealizationPoint(far, ())
-            emit()
-        entry[0] = "pause"
-        del entry[2:]
-        emit()
+    route = _routes_home(K)
+    walked = Fraction(0)
+    for k, tr in enumerate(word):
+        after, tail = word[k + 1 : k + 2], word[k + 2 :]
+        stops = [normalize_point(K, tr.cube, tuple(c / 2 for c in tr.c0))]
+        stops.append(normalize_point(K, tr.cube, (Fraction(0),) * len(tr.c0)))
+        for edge, far in route(stops[-1].cube):
+            stops.append(normalize_point(K, edge, (Fraction(1, 2),)))
+            stops.append(RealizationPoint(far, ()))
+        moves = [TrackSeg(tr.duration, tr.h0, tr.h1, p.cube, p.coords, p.coords) for p in stops]
+        moves.append(StarSeg(tr.duration))
+        for moving in moves:
+            head = sus.path([StarSeg(walked), moving, *after])
+            trail.append(MoorePath(head.segments + tail))
+        walked += tr.duration
 
     empty = MoorePath((), STAR)
     trail.append(empty)

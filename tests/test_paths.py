@@ -15,7 +15,7 @@ from dirloop.corpus import (
     torus_complex,
     wedge_of_circles,
 )
-from dirloop.cubical import RealizationPoint, suspension_model, tensor_product
+from dirloop.cubical import RealizationPoint, normalize_point, suspension_model, tensor_product
 from dirloop.james import IntervalLetter, PointLetter, word_loop
 from dirloop.paths import (
     Interior,
@@ -25,11 +25,18 @@ from dirloop.paths import (
     Suspension,
     TrackSeg,
     _clamped_track,
+    _map_heights,
+    _same_rate,
     classify_point,
     is_strictly_increasing,
     star_measure,
 )
-from dirloop.straighten import chain_split, full_straighten, straighten_step
+from dirloop.straighten import (
+    chain_split,
+    contract_straightened,
+    full_straighten,
+    straighten_step,
+)
 
 F = Fraction
 
@@ -684,6 +691,111 @@ def test_staged_canonicalization_agrees(make_base, seed):
             assert s.path(run) == MoorePath(run)
 
 
+def _cube3_complex():
+    interval = interval_complex()
+    return tensor_product(tensor_product(interval, interval), interval)
+
+
+def _reference_route(K, start):
+    # breadth first over the one skeleton from scratch, neighbours sorted
+    adj = {}
+    for e in sorted(c for c, d in K.cubes.items() if d == 1):
+        a, b = K.faces[(e, 1, 0)].base, K.faces[(e, 1, 1)].base
+        adj.setdefault(a, []).append((b, e))
+        adj.setdefault(b, []).append((a, e))
+    parent = {start: ()}
+    queue = [start]
+    while queue:
+        v = queue.pop(0)
+        for w, e in sorted(adj.get(v, [])):
+            if w not in parent:
+                parent[w] = (v, e)
+                queue.append(w)
+    hops, v = [], K.basepoint
+    while parent[v]:
+        prev, e = parent[v]
+        hops.append((e, v))
+        v = prev
+    return hops[::-1]
+
+
+def _reference_walk(s, result):
+    """The walk home, each frame canonicalized whole from the letter states."""
+    K = s.base
+    runs = s.pauses_and_runs(result)[1]
+    state = [["letter", tr.duration, RealizationPoint(tr.cube, tr.c0)] for (tr,) in runs]
+    frames = []
+
+    def emit():
+        segs = []
+        for kind, d, *rest in state:
+            if kind == "pause":
+                segs.append(StarSeg(d))
+            else:
+                pos = rest[0]
+                segs.append(TrackSeg(d, F(-1), F(1), pos.cube, pos.coords, pos.coords))
+        frames.append(s.path(segs))
+
+    for entry in state:
+        pos = entry[2]
+        entry[2] = normalize_point(K, pos.cube, tuple(c / 2 for c in pos.coords))
+        emit()
+        entry[2] = normalize_point(K, pos.cube, (F(0),) * len(pos.coords))
+        emit()
+        for edge, far in _reference_route(K, entry[2].cube):
+            entry[2] = normalize_point(K, edge, (F(1, 2),))
+            emit()
+            entry[2] = RealizationPoint(far, ())
+            emit()
+        entry[0] = "pause"
+        del entry[2:]
+        emit()
+    return frames
+
+
+@pytest.mark.parametrize("make_base", POINTWISE_BASES + [_cube3_complex])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_spliced_trail_frames_agree(make_base, seed):
+    # a contraction frame canonicalizes only its head and splices the rest
+    # of the word on unchanged; that must be the whole frame canonicalized
+    rng = random.Random(seed)
+    s = Suspension(make_base())
+    loop = random_loop(s, rng, max_runs=5) if rng.random() < 0.5 else _wandering_loop(s, rng)
+    result, frames = full_straighten(s, loop)
+    trail = contract_straightened(s, result, frames)
+    want = [frames[0]]
+    for fr in [*frames[1:], *_reference_walk(s, result), MoorePath((), STAR)]:
+        if fr != want[-1]:
+            want.append(fr)
+    assert trail == want
+    for fr in trail:
+        assert s.path(fr.segments) == fr
+
+
+def test_contraction_canonicalizes_only_frame_heads(monkeypatch):
+    s = Suspension(_cube3_complex())
+    rng = random.Random(4)
+    letters = [random_interior_point(s.base, rng) for _ in range(30)]
+    result, frames = full_straighten(s, word_loop(s, letters))
+    built = len(_reference_walk(s, result))
+    sizes = []
+    real_path = Suspension.path
+
+    def counted(self, segments, empty_at=STAR):
+        segments = list(segments)
+        sizes.append(len(segments))
+        return real_path(self, segments, empty_at)
+
+    monkeypatch.setattr(Suspension, "path", counted)
+    contract_straightened(s, result, frames)
+    # one call per frame of the walk, on its head: the pause walked so
+    # far, the moving letter and the next one; not the whole word
+    assert len(sizes) == built > 3 * len(letters)
+    assert max(sizes) == 3
+    assert sum(sizes) <= 3 * built
+
+
 def test_one_canonicalization_per_result(monkeypatch):
     s = Suspension(wedge_of_circles(2))
     rng = random.Random(5)
@@ -713,7 +825,9 @@ def test_one_canonicalization_per_result(monkeypatch):
         fn(*args)
         return len(calls)
 
-    assert count(full_straighten, s, loop, samples) == len(samples) + 1
+    # one call per distinct stage other than 0 (the loop itself), the
+    # result's stage 1 included: 1/3, 1/2, 5/6, 1
+    assert count(full_straighten, s, loop, samples) == 4
     assert count(chain_split, s, loop) == 0
     for fn, *args in [
         (straighten_step, s, run, F(1, 3)),
@@ -894,3 +1008,65 @@ def test_height_affine_matches_pointwise_map(make_base, seed, scale, tilt):
     out = s.height_affine(loop, scale, offset)
     image = _height_image(lambda h, t: scale * h + offset)
     assert _check_pointwise(s, loop, out, lambda t: t, image, _breaks(loop)) > 0
+
+
+def _rational(data, lo, hi, den=10**12):
+    # a rational strictly between the integers lo and hi, denominator up to den
+    d = data.draw(st.integers(2, den))
+    return F(data.draw(st.integers(lo * d + 1, hi * d - 1)), d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_integer_merge_decision_matches_fractions(data):
+    # durations with huge numerators and denominators, heights of both signs
+    # on unequal denominators, flat stretches, and exactly collinear pairs
+    big = st.integers(1, 10**40)
+    d0, d1 = F(data.draw(big), data.draw(big)), F(data.draw(big), data.draw(big))
+
+    def ends(lo, hi):
+        a0 = _rational(data, lo, hi)
+        a1 = a0 if data.draw(st.booleans()) else _rational(data, lo, hi)
+        a2 = a1 + (a1 - a0) * d1 / d0
+        if not (data.draw(st.booleans()) and lo < a2 < hi):
+            a2 = a1 if data.draw(st.booleans()) else _rational(data, lo, hi)
+        return a0, a1, a2
+
+    h = ends(-1, 1)
+    c = ends(0, 1)
+    rates = [(h[1] - h[0]) * d1 == (h[2] - h[1]) * d0, (c[1] - c[0]) * d1 == (c[2] - c[1]) * d0]
+    assert _same_rate(h[0], h[1], d0, h[1], h[2], d1) == rates[0]
+    assert _same_rate(c[0], c[1], d0, c[1], c[2], d1) == rates[1]
+    x0, x1, y0, y1 = (_rational(data, -1, 1) for _ in range(4))
+    assert _same_rate(x0, x1, d0, y0, y1, d1) == ((x1 - x0) * d1 == (y1 - y0) * d0)
+    s = Suspension(circle_complex())
+    first = TrackSeg(d0, h[0], h[1], "e", (c[0],), (c[1],))
+    second = TrackSeg(d1, h[1], h[2], "e", (c[1],), (c[2],))
+    merged = s.path([first, second]).segments
+    assert len(merged) == (1 if all(rates) else 2)
+
+
+@pytest.mark.parametrize("make_base", POINTWISE_BASES)
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    delta=st.sampled_from([F(0), F(1, 8), F(-1, 8), F(1, 2), F(-3, 4), F(7, 5), F(-3, 2)]),
+)
+def test_pure_shift_matches_pointwise_map(make_base, seed, delta):
+    # a = 1, c = 0: the height map is h -> h + delta with no clock, and
+    # delta = 0 hands the (canonical) segments back as they are
+    rng = random.Random(seed)
+    s = Suspension(make_base())
+    loop = random_loop(s, rng) if rng.random() < 0.5 else _wandering_loop(s, rng)
+    for run in s.pauses_and_runs(loop)[1]:
+        exc = MoorePath(run)
+        shifted = _map_heights(run, 1, delta, 0)
+        if delta == 0:
+            assert all(a is b for a, b in zip(shifted, run)) and len(shifted) == len(run)
+        out = s.shift_heights(exc, delta)
+        assert out == s.path(shifted)
+        image = _height_image(lambda h, t: h + delta)
+        checked = _check_pointwise(
+            s, exc, out, lambda t: t, lambda p, t: None if p is STAR else image(p, t), _breaks(exc)
+        )
+        assert checked > 0

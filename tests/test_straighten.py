@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirloop.corpus import circle_complex, interval_complex, random_loop, two_component_complex
+from dirloop.corpus import (
+    circle_complex,
+    interval_complex,
+    random_loop,
+    torus_complex,
+    two_component_complex,
+)
 from dirloop.cubical import CubicalSet, FaceRef, RealizationPoint
 from dirloop.james import IntervalLetter, PointLetter, crossing_word, word_loop
 from dirloop.paths import MoorePath, STAR, StarSeg, Suspension, TrackSeg
@@ -15,7 +21,9 @@ from dirloop.straighten import (
     ChainDecomposition,
     assemble,
     chain_split,
+    contract_straightened,
     contract_to_constant,
+    _late_frame,
     full_straighten,
     straighten_step,
 )
@@ -177,6 +185,46 @@ def test_full_straighten_rejects_plateau_and_undirected():
         full_straighten(CIRCLE, CIRCLE.ramp(RealizationPoint("e", (F(1, 2),)), F(-1), F(0)))
 
 
+def _stage_by_stage(sus, loop, t):
+    # one frame of the full deformation: straighten_step on each excursion
+    # for the first half of the clock, _late_frame for the second
+    chain = chain_split(sus, loop)
+    segs = [StarSeg(chain.pauses[0] * (1 - t))]
+    for exc, pause in zip(chain.excursions, chain.pauses[1:]):
+        if t <= F(1, 2):
+            segs.extend(straighten_step(sus, exc, 2 * t).segments)
+        else:
+            ((b, xb),) = sus.middle_crossings(exc)
+            segs.extend(_late_frame(b, xb, exc.duration, 2 * t - 1))
+        segs.append(StarSeg(pause * (1 - t)))
+    return sus.path(segs)
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [
+        [F(1, 2), F(1, 4), F(1, 2)],
+        [F(0), F(3, 4), F(0)],
+        [F(1, 3), F(2, 3)],
+        [F(1), F(1), F(5, 8)],
+        [F(0)],
+    ],
+)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_each_stage_is_built_once_and_matches_the_stage_maps(samples, seed):
+    rng = random.Random(seed)
+    for sus in (CIRCLE, Suspension(torus_complex())):
+        loop = random_loop(sus, rng)
+        result, frames = full_straighten(sus, loop, samples)
+        assert result == _stage_by_stage(sus, loop, F(1))
+        seen = {F(1): result}
+        for t, fr in zip(samples, frames):
+            assert fr == _stage_by_stage(sus, loop, t), t
+            if t == 0:
+                assert fr is loop
+            assert seen.setdefault(t, fr) is fr
+
+
 def test_contract_trail_on_circle_basic_loop():
     x = RealizationPoint("e", (F(1, 2),))
     loop = CIRCLE.basic_loop(x)
@@ -227,6 +275,17 @@ def test_contract_requires_connected_base():
     loop = sus.basic_loop(RealizationPoint("f", (F(1, 2),)))
     with pytest.raises(ValueError, match="connected"):
         contract_to_constant(sus, loop)
+
+
+def test_contract_straightened_needs_a_word_loop():
+    # the splice takes the letters after the moving one as they stand, so
+    # each letter must already be one full climb over a fixed point
+    x = (F(1, 2),)
+    kinked = CIRCLE.path([TrackSeg(F(1), F(-1), F(0), "e", x, x), TrackSeg(F(2), F(0), F(1), "e", x, x)])
+    bent = CIRCLE.path([TrackSeg(F(2), F(-1), F(1), "e", (F(1, 4),), (F(3, 4),))])
+    for loop in (kinked, bent):
+        with pytest.raises(ValueError, match="word loop"):
+            contract_straightened(CIRCLE, loop, [])
 
 
 def test_contract_trivial_loop():
