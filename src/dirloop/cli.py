@@ -3,7 +3,9 @@
 Every command reads JSON files, writes one JSON document to stdout and
 exits 0 on success, 1 when a domain precondition fails, 2 on malformed
 input.  ``selftest`` is the exception: it prints the acceptance table as
-plain text.
+plain text.  A complex file is validated as it is loaded, so a
+presentation that ``validate`` rejects exits 2 before any computation;
+``validate`` itself only parses, lists every defect and exits 1.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .serialize import (
     dump_word,
     load_complex,
     load_path,
+    parse_complex,
     parse_rational,
     rational_str,
 )
@@ -111,7 +114,7 @@ def _point_json(pt) -> dict:
 
 
 def cmd_validate(args):
-    report = validate(_load_complex_file(args.complex))
+    report = validate(parse_complex(_read_json(args.complex)))
     payload = {
         "violations": [
             {"kind": v.kind, "cube": v.cube, "detail": v.detail, "indices": list(v.indices)}

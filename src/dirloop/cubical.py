@@ -11,6 +11,13 @@ canonical carrier cube by stripping boundary coordinates.
 (:func:`normalize_point`) and the two ends of a path segment alike, and is
 the only code that deletes slots named by a degeneracy word.
 
+:func:`validate` is the one checker of a presentation: structure (names,
+missing faces, normal form, dimensions, degeneracy bounds) and the
+interchange relations, read off each cube's face list once.  Its lazy form
+:func:`iter_violations` lets ``serialize.load_complex`` stop at the first
+violation; the work grows with the face entries present, never with a
+declared dimension.  Code past the loader takes a complex as well formed.
+
 All coordinates are ``fractions.Fraction``; no floats enter the kernel.
 Values that already are ``Fraction`` are used as they are (``as_fraction``),
 and the [0, 1] and 0/1 tests of :func:`strip_boundary` read a value's
@@ -20,9 +27,12 @@ a positive denominator.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from functools import cache
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 ONE_THIRD = Fraction(1, 3)
 TWO_THIRDS = Fraction(2, 3)
@@ -32,12 +42,12 @@ class FormatError(ValueError):
     """Malformed input data, as opposed to a violated domain precondition."""
 
 
-@dataclass(frozen=True)
-class FaceRef:
+class FaceRef(NamedTuple):
     """A possibly degenerate cube: base cube plus a degeneracy word.
 
     The word lists collapsed coordinate slots of the carrier, strictly
-    decreasing.  An empty word is a plain nondegenerate cube.
+    decreasing.  An empty word is a plain nondegenerate cube.  Being a
+    tuple, it compares and unpacks as ``(base, degens)`` at C speed.
     """
 
     base: str
@@ -119,15 +129,23 @@ def compose_degens(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int,
     return word
 
 
+def face_key(i: int, eps: int) -> str:
+    """The JSON key ``d<eps>_<i>`` of face ``i`` at end ``eps``."""
+    return f"d{eps}_{i}"
+
+
 def apply_face(K: CubicalSet, ref: FaceRef, i: int, eps: int) -> FaceRef:
     """Face ``i`` (end ``eps``) of a possibly degenerate cube, normalized.
 
     The face index is pushed through the degeneracy word; if it meets a
     matching degeneracy the two cancel, otherwise the stored face of the
-    base cube is substituted and the words are recombined.
+    base cube is substituted and the words are recombined.  A cube with no
+    degeneracies has its stored face, which is returned as it is.
     """
-    out: list[int] = []
     word = ref.degens
+    if not word:
+        return K.faces[(ref.base, i, eps)]
+    out: list[int] = []
     k = i
     for pos, j in enumerate(word):
         if k == j:
@@ -141,87 +159,122 @@ def apply_face(K: CubicalSet, ref: FaceRef, i: int, eps: int) -> FaceRef:
     return FaceRef(stored.base, compose_degens(tuple(out), stored.degens))
 
 
+def _ref_problems(cubes: Mapping[str, int], base: str, word: tuple, expect: int) -> Iterator[str]:
+    """What is wrong with one face assignment of an ``expect + 1``-cube."""
+    base_dim = cubes.get(base)
+    if base_dim is None:
+        yield f"references unknown cube {base!r}"
+        return
+    if any(a <= b for a, b in zip(word, word[1:])) or any(j < 1 for j in word):
+        yield f"degeneracy word {word} is not strictly decreasing"
+    if base_dim + len(word) != expect:
+        yield f"has dimension {base_dim + len(word)}, expected {expect}"
+    for p, j in enumerate(reversed(word)):
+        if j > base_dim + p + 1:
+            yield f"degeneracy index {j} exceeds its bound"
+            break
+
+
+_base, _word = itemgetter(0), itemgetter(1)
+
+
+def iter_violations(K: CubicalSet) -> Iterator[Violation]:
+    """The defects :func:`validate` reports, one at a time and in its order.
+
+    All structural defects come first, cube by cube in name order, then the
+    face entries of no cube, then the relations.  The work grows with the
+    face entries present, not with the declared dimensions: a cube missing
+    faces is one violation naming the first missing key and the count of
+    the others.  Each cube's faces are read once, into a tuple indexed by
+    ``2*(i-1)+eps``; relations are checked on cubes whose faces are all
+    present and well formed, and one that needs a face of a cube with
+    missing faces is skipped.
+    """
+    cubes = K.cubes
+    slots: defaultdict[str, dict[int, FaceRef]] = defaultdict(dict)
+    stray = []
+    for (name, i, eps), ref in K.faces.items():
+        n = cubes.get(name)
+        if n is None or not 1 <= i <= n or eps not in (0, 1):
+            stray.append((name, i, eps))
+        else:
+            slots[name][2 * i - 2 + eps] = ref
+
+    # name -> its faces by slot, for the cubes with no face missing
+    table: dict[str, tuple] = {}
+    clean = []
+    for name in sorted(cubes):
+        n = cubes[name]
+        own = slots.get(name, {})
+        missing = 2 * n - len(own)
+        if missing:
+            # the first gap lies within the len(own) + 1 first slots
+            s = next(s for s in range(len(own) + 1) if s not in own)
+            more = f" and {missing - 1} more" if missing > 1 else ""
+            yield Violation("structure", name, f"missing face {face_key(s // 2 + 1, s % 2)}{more}")
+        else:
+            fs = table[name] = tuple(map(own.__getitem__, range(2 * n)))
+            # the usual case, every face a plain (n-1)-cube, without a loop
+            if not any(map(_word, fs)) and list(map(cubes.get, map(_base, fs))).count(n - 1) == 2 * n:
+                clean.append(name)
+                continue
+        good = not missing
+        for s, (base, word) in sorted(own.items()):
+            for problem in _ref_problems(cubes, base, word, n - 1):
+                yield Violation("structure", name, f"face {face_key(s // 2 + 1, s % 2)} {problem}")
+                good = False
+        if good:
+            clean.append(name)
+
+    for name, i, eps in sorted(stray, key=repr):
+        where = f"exceeds dimension {cubes[name]}" if name in cubes else "belongs to no cube"
+        yield Violation("structure", name, f"face {face_key(i, eps)} {where}")
+
+    @cache
+    def degenerate_faces(ref: FaceRef, m: int) -> tuple:
+        # the faces of a degenerate face by slot, None where one is missing
+        out = []
+        for r in range(m):
+            try:
+                out.append(apply_face(K, ref, r // 2 + 1, r % 2))
+            except KeyError:
+                out.append(None)
+        return tuple(out)
+
+    for name in clean:
+        fs = table[name]
+        m = len(fs) - 2
+        if m < 2:
+            continue
+        # row s lists the faces of face s by slot.  Relation (i, j, eps, eta)
+        # is rows[s][r] == rows[r][s - 2] with s = 2*(j-1)+eta and
+        # r = 2*(i-1)+eps < s & ~1: a row of rows against a column
+        holes = (None,) * m
+        rows = [degenerate_faces(f, m) if f[1] else table.get(f[0], holes) for f in fs]
+        cols = list(zip(*rows))
+        if [rows[s][: s & ~1] for s in range(2, m + 2)] == [cols[s - 2][: s & ~1] for s in range(2, m + 2)]:
+            continue
+        for j, i, eps, eta in sorted(
+            (s // 2 + 1, r // 2 + 1, r % 2, s % 2)
+            for s in range(2, m + 2)
+            for r, (x, y) in enumerate(zip(rows[s][: s & ~1], cols[s - 2]))
+            if x != y and x is not None and y is not None
+        ):
+            one, two = face_key(i, eps), face_key(j, eta)
+            detail = f"face {one} of {two} and face {face_key(j - 1, eta)} of {one} disagree"
+            yield Violation("relation", name, detail, (i, j, eps, eta))
+
+
 def validate(K: CubicalSet) -> list[Violation]:
     """Check a presentation; empty report means the complex is well formed.
 
     Structural defects (dangling names, missing faces, words out of normal
-    form, dimension mismatches) are reported separately from failures of the
-    face interchange relations on cubes of dimension two and up.
+    form, dimension mismatches, degeneracy indices out of bound) are
+    reported separately from failures of the face interchange relations on
+    cubes of dimension two and up.  This is the one checker of a complex:
+    ``serialize.load_complex`` stops at its first violation.
     """
-    report: list[Violation] = []
-
-    def ref_ok(owner: str, ref: FaceRef, expect_dim: int) -> bool:
-        ok = True
-        if ref.base not in K.cubes:
-            report.append(Violation("structure", owner, f"face base {ref.base!r} is not a cube"))
-            return False
-        if any(a <= b for a, b in zip(ref.degens, ref.degens[1:])) or any(
-            j < 1 for j in ref.degens
-        ):
-            report.append(
-                Violation("structure", owner, f"degeneracy word {ref.degens} is not strictly decreasing")
-            )
-            ok = False
-        base_dim = K.cubes[ref.base]
-        if base_dim + len(ref.degens) != expect_dim:
-            report.append(
-                Violation(
-                    "structure",
-                    owner,
-                    f"face has dimension {base_dim + len(ref.degens)}, expected {expect_dim}",
-                )
-            )
-            ok = False
-        for p, j in enumerate(reversed(ref.degens)):
-            if j > base_dim + p + 1:
-                report.append(
-                    Violation("structure", owner, f"degeneracy index {j} exceeds its bound")
-                )
-                ok = False
-                break
-        return ok
-
-    clean = set()
-    for name, n in sorted(K.cubes.items()):
-        good = True
-        for i in range(1, n + 1):
-            for eps in (0, 1):
-                ref = K.faces.get((name, i, eps))
-                if ref is None:
-                    report.append(Violation("structure", name, f"missing face ({i},{eps})"))
-                    good = False
-                    continue
-                good = ref_ok(name, ref, n - 1) and good
-        if good:
-            clean.add(name)
-
-    for (name, i, eps) in sorted(K.faces):
-        if name not in K.cubes:
-            report.append(Violation("structure", name, f"face entry for unknown cube ({i},{eps})"))
-        elif not 1 <= i <= K.cubes[name]:
-            report.append(Violation("structure", name, f"face index {i} out of range"))
-
-    for name in sorted(clean):
-        n = K.cubes[name]
-        for j in range(2, n + 1):
-            for i in range(1, j):
-                for eps in (0, 1):
-                    for eta in (0, 1):
-                        try:
-                            lhs = apply_face(K, K.faces[(name, j, eta)], i, eps)
-                            rhs = apply_face(K, K.faces[(name, i, eps)], j - 1, eta)
-                        except KeyError:
-                            continue
-                        if lhs != rhs:
-                            report.append(
-                                Violation(
-                                    "relation",
-                                    name,
-                                    f"faces ({i},{eps}) of ({j},{eta}) and ({j - 1},{eta}) of ({i},{eps}) disagree",
-                                    (i, j, eps, eta),
-                                )
-                            )
-    return report
+    return list(iter_violations(K))
 
 
 def is_face_closed(K: CubicalSet, names: Iterable[str]) -> bool:

@@ -10,6 +10,10 @@ leaving the integers over the rationals, where a pivot that divides the
 entry to clear is subtracted directly and any other update
 ``a*col - b*pivot`` is followed by division by the gcd of the column.
 All arithmetic is exact; there is no floating point anywhere in the ranks.
+
+The complex is taken as well formed: its presentation is checked by
+:func:`dirloop.cubical.validate`, which loading a complex runs.  Only the
+vanishing of the squared boundary is checked here, as an oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .cubical import CubicalSet, FormatError
+from .cubical import CubicalSet
 
 # Miller-Rabin with the first thirteen primes as bases is deterministic for
 # every n below MAX_CHARACTERISTIC (Sorenson and Webster, 2015).
@@ -166,28 +170,15 @@ class ChainComplex:
     boundary: dict[int, list[dict[int, int]]]
 
 
-def _face_row(K: CubicalSet, c: str, i: int, eps: int, rows: dict[str, int]) -> int | None:
-    """Row of the face ``d{eps}_{i}`` of cube ``c`` in ``rows``; None if it is degenerate."""
-    ref = K.faces.get((c, i, eps))
-    if ref is None:
-        raise FormatError(f"cube {c!r} is missing face d{eps}_{i}")
-    base_dim = K.cubes.get(ref.base)
-    if base_dim is None:
-        raise FormatError(f"face d{eps}_{i} of {c!r} references unknown cube {ref.base!r}")
-    found, expected = base_dim + len(ref.degens), K.cubes[c] - 1
-    if found != expected:
-        raise FormatError(f"face d{eps}_{i} of cube {c!r} has dimension {found}, expected {expected}")
-    return None if ref.degens else rows[ref.base]
-
-
 def chain_complex(K: CubicalSet) -> ChainComplex:
     """Normalized chain complex of ``K`` with integer coefficients.
 
     The boundary of an n-cube alternates over coordinate directions, taking
     the start face minus the end face; faces carrying a degeneracy word are
-    dropped.  A face of the wrong dimension raises :class:`FormatError`.
-    The squared boundary is checked to vanish, column by column, before
-    returning.
+    dropped.  ``K`` must be a complex that :func:`~dirloop.cubical.validate`
+    accepts, as every loaded complex is.  The squared boundary is checked
+    to vanish, column by column, before returning: an oracle, and the one
+    check a complex built in code gets here.
     """
     basis = {n: K.cubes_of_dim(n) for n in range(K.top_dim + 1)}
     boundary: dict[int, list[dict[int, int]]] = {}
@@ -199,9 +190,10 @@ def chain_complex(K: CubicalSet) -> ChainComplex:
             for i in range(1, n + 1):
                 sign = -1 if i % 2 else 1
                 for eps, s in ((0, sign), (1, -sign)):
-                    r = _face_row(K, c, i, eps, rows)
-                    if r is None:
+                    ref = K.faces[(c, i, eps)]
+                    if ref.degens:
                         continue
+                    r = rows[ref.base]
                     v = col.get(r, 0) + s
                     if v:
                         col[r] = v

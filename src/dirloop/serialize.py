@@ -7,6 +7,14 @@ equal values dump to identical text.  A string in the form dumps write
 to ``Fraction``, so the accepted grammar and its errors are those of
 ``Fraction(str)``.  Cube ids must be strings; anything else is a
 ``FormatError`` naming the segment or letter.
+
+A complex is read in two steps.  :func:`parse_complex` turns the JSON into
+cubes and faces and checks only what building a ``CubicalSet`` needs:
+types, face keys (exactly ``d<eps>_<i>``, each face slot once), distinct
+ids and a vertex as basepoint.  :func:`load_complex` then runs
+:func:`~dirloop.cubical.validate` and raises its first violation as a
+``FormatError`` of the form ``cube '<id>': face d<eps>_<i> ...``.  Every
+computing command loads; the ``validate`` command only parses.
 """
 
 from __future__ import annotations
@@ -20,11 +28,13 @@ from .cubical import (
     FormatError,
     RealizationPoint,
     as_fraction,
+    face_key,
+    iter_violations,
     normalize_point,
 )
 from .paths import MoorePath, StarSeg, Suspension, TrackSeg
 
-_FACE_KEY = re.compile(r"^d([01])_([1-9][0-9]*)$")
+_FACE_KEY = re.compile(r"d([01])_([1-9][0-9]*)")
 # the form every dump writes; [0-9] matches ASCII digits only
 _PLAIN_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
@@ -64,12 +74,19 @@ def dump_complex(K: CubicalSet) -> dict:
         for i in range(1, dim + 1):
             for eps in (0, 1):
                 ref = K.faces[(name, i, eps)]
-                faces[f"d{eps}_{i}"] = {"base": ref.base, "degens": list(ref.degens)}
+                faces[face_key(i, eps)] = {"base": ref.base, "degens": list(ref.degens)}
         cubes.append({"id": name, "dim": dim, "faces": faces})
     return {"basepoint": K.basepoint, "cubes": cubes}
 
 
-def load_complex(obj) -> CubicalSet:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def parse_complex(obj) -> CubicalSet:
+    """The cubes and faces of a complex object, checked only as far as
+    building a :class:`CubicalSet` needs: types, face keys, distinct ids,
+    a vertex as basepoint.  :func:`load_complex` also validates."""
     basepoint = _require(obj, "basepoint", "complex")
     raw_cubes = _require(obj, "cubes", "complex")
     if not isinstance(basepoint, str):
@@ -78,12 +95,13 @@ def load_complex(obj) -> CubicalSet:
         raise FormatError("cubes must be a list")
     cubes: dict[str, int] = {}
     faces: dict[tuple, FaceRef] = {}
+    keys: dict[str, tuple[int, int]] = {}  # face key -> (i, eps), parsed once
     for entry in raw_cubes:
         name = _require(entry, "id", "cube entry")
-        dim = _require(entry, "dim", f"cube {name!r}")
         if not isinstance(name, str):
             raise FormatError(f"cube id must be a string, got {name!r}")
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+        dim = _require(entry, "dim", f"cube {name!r}")
+        if not _is_int(dim):
             raise FormatError(f"cube {name!r} has malformed dimension {dim!r}")
         if name in cubes:
             raise FormatError(f"duplicate cube id {name!r}")
@@ -92,33 +110,39 @@ def load_complex(obj) -> CubicalSet:
         if not isinstance(raw_faces, dict):
             raise FormatError(f"cube {name!r} faces must be an object")
         for key, ref in raw_faces.items():
-            m = _FACE_KEY.match(key)
-            if not m:
-                raise FormatError(f"cube {name!r} has malformed face key {key!r}")
-            eps, i = int(m.group(1)), int(m.group(2))
-            if i > dim:
-                raise FormatError(f"cube {name!r} face {key!r} exceeds its dimension")
-            base = _require(ref, "base", f"face {key!r} of {name!r}")
-            degens = ref.get("degens", [])
+            i_eps = keys.get(key)
+            if i_eps is None:
+                m = _FACE_KEY.fullmatch(key)
+                if not m:
+                    raise FormatError(f"cube {name!r} has malformed face key {key!r}")
+                i_eps = keys[key] = (int(m[2]), int(m[1]))
+            slot = (name, *i_eps)
+            if slot in faces:
+                raise FormatError(f"cube {name!r} face key {key!r} names a face given before")
+            if not isinstance(ref, dict) or "base" not in ref:
+                raise FormatError(f"face {key!r} of {name!r} is missing 'base'")
+            base, degens = ref["base"], ref.get("degens", [])
             if not isinstance(base, str):
                 raise FormatError(f"face {key!r} of {name!r} has malformed base")
-            if not isinstance(degens, list) or any(
-                not isinstance(j, int) or isinstance(j, bool) or j < 1 for j in degens
-            ):
+            if not isinstance(degens, list) or degens and not all(map(_is_int, degens)):
                 raise FormatError(f"face {key!r} of {name!r} has malformed degeneracies")
-            faces[(name, i, eps)] = FaceRef(base, tuple(degens))
-    for entry in raw_cubes:
-        name, dim = entry["id"], entry["dim"]
-        for i in range(1, dim + 1):
-            for eps in (0, 1):
-                if (name, i, eps) not in faces:
-                    raise FormatError(f"cube {name!r} is missing face d{eps}_{i}")
-    for (name, i, eps), ref in faces.items():
-        if ref.base not in cubes:
-            raise FormatError(f"face d{eps}_{i} of {name!r} references unknown cube {ref.base!r}")
-    if basepoint not in cubes:
-        raise FormatError(f"basepoint {basepoint!r} is not a declared cube")
-    return CubicalSet(cubes, faces, basepoint)
+            faces[slot] = FaceRef(base, tuple(degens))
+    try:
+        return CubicalSet(cubes, faces, basepoint)
+    except ValueError as err:
+        raise FormatError(str(err)) from None
+
+
+def load_complex(obj) -> CubicalSet:
+    """A complex that :func:`~dirloop.cubical.validate` accepts.
+
+    The first violation it finds is raised as a :class:`FormatError`
+    naming the cube and the face key.
+    """
+    K = parse_complex(obj)
+    for v in iter_violations(K):
+        raise FormatError(f"cube {v.cube!r}: {v.detail}")
+    return K
 
 
 def _dump_segment(seg) -> dict:

@@ -15,8 +15,10 @@ builders; each public result, every frame included, goes through one
 stage 1 sample are one frame, and stage 0 is the input loop itself.  A
 contraction frame differs from the word only around the letter walking
 home, so only that head goes through ``Suspension.path`` and the rest of
-the word's canonical segments is spliced on as it is.  Each start vertex's
-route home is searched once per contraction.
+the word's canonical segments is spliced on as it is.  Routes home come
+from one BFS tree per contraction, grown from the basepoint over the one
+skeleton; the same tree decides whether the base is connected, so no
+homology is computed.
 """
 
 from __future__ import annotations
@@ -24,10 +26,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 from .cubical import CubicalSet, RealizationPoint, normalize_point
-from .homology import betti
 from .paths import MoorePath, STAR, StarSeg, Suspension, TrackSeg, _map_heights, _scaled, _slice
 
 DEFAULT_SAMPLES = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
@@ -153,10 +153,13 @@ def full_straighten(sus: Suspension, loop: MoorePath, samples=DEFAULT_SAMPLES):
 
 
 def _routes_home(K: CubicalSet):
-    """Hops (edge, far vertex) from a vertex to the basepoint, by BFS.
+    """Hops (edge, far vertex) from a vertex to the basepoint.
 
-    Returns a function of the start vertex.  The one skeleton is read once,
-    neighbours are tried in sorted order, and each start's route is kept.
+    One BFS from the basepoint over the one skeleton labels every vertex
+    with its edge distance; a base with an unlabelled vertex is not
+    connected and raises ``ValueError``.  Returns a function of the start
+    vertex that walks down the labels, taking at each vertex the first
+    neighbour in sorted ``(vertex, edge)`` order that is one hop closer.
     """
     adj: dict[str, list] = {}
     for e in sorted(c for c, d in K.cubes.items() if d == 1):
@@ -166,28 +169,22 @@ def _routes_home(K: CubicalSet):
         adj.setdefault(b, []).append((a, e))
     for nbrs in adj.values():
         nbrs.sort()
+    dist = {K.basepoint: 0}
+    queue = deque([K.basepoint])
+    while queue:
+        v = queue.popleft()
+        for w, _ in adj.get(v, ()):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    if len(dist) != sum(1 for d in K.cubes.values() if d == 0):
+        raise ValueError("base complex is not connected; contraction needs a connected base")
 
-    @cache
     def route(start: str) -> list:
-        parent: dict[str, tuple] = {start: ()}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            if v == K.basepoint:
-                break
-            for w, e in adj.get(v, ()):
-                if w not in parent:
-                    parent[w] = (v, e)
-                    queue.append(w)
-        if K.basepoint not in parent:
-            raise ValueError(f"no edge path from {start!r} to the basepoint")
-        hops = []
-        v = K.basepoint
-        while parent[v]:
-            prev, e = parent[v]
+        hops, v = [], start
+        while dist[v]:
+            v, e = next((w, e) for w, e in adj[v] if dist[w] == dist[v] - 1)
             hops.append((e, v))
-            v = prev
-        hops.reverse()
         return hops
 
     return route
@@ -216,8 +213,7 @@ def contract_straightened(sus: Suspension, result: MoorePath, frames) -> list:
     :meth:`~dirloop.paths.Suspension.path` and appends the rest of the word
     unchanged: a full climb ends at the cone point, where nothing merges.
     """
-    if betti(sus.base).get(0) != 1:
-        raise ValueError("base complex is not connected; contraction needs a connected base")
+    route = _routes_home(sus.base)
     _, runs = sus.pauses_and_runs(result)
     word = tuple(run[0] for run in runs)
     if any(len(run) != 1 for run in runs) or not all(
@@ -226,7 +222,6 @@ def contract_straightened(sus: Suspension, result: MoorePath, frames) -> list:
         raise ValueError("contraction needs a word loop: one full climb per letter")
     trail = list(frames)
     K = sus.base
-    route = _routes_home(K)
     walked = Fraction(0)
     for k, tr in enumerate(word):
         after, tail = word[k + 1 : k + 2], word[k + 2 :]

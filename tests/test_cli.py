@@ -422,3 +422,130 @@ def test_unreadable_json_is_a_format_error(capsys, tmp_path, circle_file, blob):
     code, out, err = invoke(capsys, "sec", str(target), "--complex", circle_file)
     assert code == 2 and out == ""
     assert "odd.json" in err and "Traceback" not in err
+
+
+# ----------------------------------------------------------------------
+# the complex boundary: every command loads through validate
+
+_TORUS_LOOP = dump_path(
+    word_loop(Suspension(torus_complex()), [PointLetter(RealizationPoint("(e|v)", (F(1, 3),)))])
+)
+# the commands that compute on a complex, as argv templates
+_COMPUTING = [
+    ["homology", "{c}"],
+    ["suspension", "{c}"],
+    ["loop-homology", "{c}", "--degree", "3"],
+    ["path", "eval", "{p}", "--complex", "{c}", "--t", "1"],
+    ["contract", "{p}", "--complex", "{c}", "--samples", "2"],
+]
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), time.perf_counter() - start
+
+
+def _files(work, complex_obj):
+    complex_file, path_file = work / "complex.json", work / "loop.json"
+    complex_file.write_text(json.dumps(complex_obj))
+    path_file.write_text(json.dumps(_TORUS_LOOP))
+    return str(complex_file), str(path_file)
+
+
+def test_no_command_computes_on_a_complex_validate_rejects(tmp_path):
+    torus = dump_complex(torus_complex())
+    square = next(c for c in torus["cubes"] if c["id"] == "(e|e)")
+    square["faces"]["d0_1"] = {"base": "(v|v)", "degens": [3]}
+    c, p = _files(tmp_path, torus)
+    code, out, _, _ = _run(["validate", c])
+    assert code == 1
+    details = [(v["cube"], v["detail"]) for v in json.loads(out)["violations"]]
+    assert ("(e|e)", "face d0_1 degeneracy index 3 exceeds its bound") in details
+    for template in _COMPUTING:
+        argv = [a.format(c=c, p=p) for a in template]
+        code, out, err, _ = _run(argv)
+        assert code == 2 and out == "", argv
+        assert "'(e|e)'" in err and "d0_1" in err and "exceeds" in err, argv
+        assert "Traceback" not in err
+
+
+def test_validation_work_does_not_grow_with_the_declared_dimension(tmp_path):
+    circle = dump_complex(circle_complex())
+    circle["cubes"].append({"id": "big", "dim": 1000000000, "faces": {}})
+    c, _ = _files(tmp_path, circle)
+    code, out, _, took = _run(["validate", c])
+    assert code == 1 and took < 1
+    assert json.loads(out)["violations"] == [
+        {"kind": "structure", "cube": "big", "detail": "missing face d0_1 and 1999999999 more", "indices": []}
+    ]
+    code, _, err, took = _run(["homology", c])
+    assert code == 2 and took < 1
+    assert "'big'" in err and "missing face d0_1" in err
+
+
+_CUBE_IDS = ["(v|v)", "(e|v)", "(v|e)", "(e|e)"]
+_complex_mutation = st.one_of(
+    st.tuples(
+        st.just("dim"), st.integers(0, 3), st.sampled_from([-1, 0, 1, 2, 3, 10**9, "2", None, True, 1.5])
+    ),
+    st.tuples(
+        st.just("key"),
+        st.integers(0, 7),
+        st.sampled_from(
+            ["d0_1", "d1_1", "d0_2", "d1_3", "d2_1", "d0_0", "d0_01", "d0_1\n", "x", "d0_1000000000"]
+        ),
+    ),
+    st.tuples(st.just("drop"), st.integers(0, 7), st.none()),
+    st.tuples(st.just("base"), st.integers(0, 7), st.sampled_from(_CUBE_IDS + ["ghost", "", None, 3])),
+    st.tuples(
+        st.just("degens"),
+        st.integers(0, 7),
+        st.sampled_from(
+            [[], [1], [2], [3], [2, 1], [1, 1], [1, 2], [0], [-1], [10**9], ["1"], [True], [1.5], None, "1"]
+        ),
+    ),
+)
+
+
+def _mangle_complex(obj, mutations):
+    cubes = obj["cubes"]
+    for op, index, junk in mutations:
+        cube = cubes[index % len(cubes)]
+        if op == "dim":
+            cube["dim"] = junk
+            continue
+        faces = cube["faces"]
+        if not faces:
+            continue
+        key = sorted(faces)[index % len(faces)]
+        if op == "key":
+            faces[junk] = faces.pop(key)
+        elif op == "drop":
+            del faces[key]
+        elif op == "base":
+            faces[key]["base"] = junk
+        else:
+            faces[key]["degens"] = junk
+    return obj
+
+
+@settings(max_examples=120, deadline=None)
+@given(mutations=st.lists(_complex_mutation, min_size=1, max_size=3))
+def test_mangled_complex_files_never_crash(tmp_path_factory, mutations):
+    c, p = _files(tmp_path_factory.mktemp("fuzz"), _mangle_complex(dump_complex(torus_complex()), mutations))
+    verdict, _, err, took = _run(["validate", c])
+    assert verdict in (0, 1, 2) and took < 5
+    assert "Traceback" not in err
+    for template in _COMPUTING:
+        code, _, err, took = _run([a.format(c=c, p=p) for a in template])
+        assert code in (0, 1, 2) and took < 5
+        assert "Traceback" not in err
+        # a presentation validate rejects or cannot read is never computed on
+        if verdict != 0:
+            assert code == 2, (template, err)

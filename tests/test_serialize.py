@@ -136,6 +136,12 @@ def test_complex_format_matches_contract():
         (lambda o: o["cubes"][1].update({"dim": -1}), "dimension"),
         (lambda o: o["cubes"][1]["faces"].update({"d0_2": {"base": "v", "degens": []}}), "exceeds"),
         (lambda o: o.update({"basepoint": "e"}), "basepoint"),
+        # a trailing newline is not part of a face key, alone or next to
+        # the key it would shadow
+        (lambda o: o["cubes"][1]["faces"].update({"d0_1\n": o["cubes"][1]["faces"].pop("d0_1")}),
+         "malformed face key"),
+        (lambda o: o["cubes"][1]["faces"].update({"d0_1\n": {"base": "ghost", "degens": []}}),
+         "face key 'd0_1"),
     ],
 )
 def test_load_complex_rejects_mangled_input(mangle, message):

@@ -1,6 +1,7 @@
 """Straightening and contraction of directed loops."""
 
 import random
+from collections import deque
 from fractions import Fraction as F
 
 import pytest
@@ -10,11 +11,14 @@ from hypothesis import strategies as st
 from dirloop.corpus import (
     circle_complex,
     interval_complex,
+    point_complex,
     random_loop,
     torus_complex,
     two_component_complex,
+    wedge_of_circles,
 )
-from dirloop.cubical import CubicalSet, FaceRef, RealizationPoint
+from dirloop.cubical import CubicalSet, FaceRef, RealizationPoint, suspension_model, tensor_product
+from dirloop.homology import betti
 from dirloop.james import IntervalLetter, PointLetter, crossing_word, word_loop
 from dirloop.paths import MoorePath, STAR, StarSeg, Suspension, TrackSeg
 from dirloop.straighten import (
@@ -24,6 +28,7 @@ from dirloop.straighten import (
     contract_straightened,
     contract_to_constant,
     _late_frame,
+    _routes_home,
     full_straighten,
     straighten_step,
 )
@@ -275,6 +280,84 @@ def test_contract_requires_connected_base():
     loop = sus.basic_loop(RealizationPoint("f", (F(1, 2),)))
     with pytest.raises(ValueError, match="connected"):
         contract_to_constant(sus, loop)
+
+
+def _route_by_bfs_from_start(K, start):
+    # one BFS from the start, neighbours in sorted (vertex, edge) order,
+    # path read back from the basepoint; None when it is out of reach
+    adj = {}
+    for e in sorted(c for c, d in K.cubes.items() if d == 1):
+        a, b = K.faces[(e, 1, 0)].base, K.faces[(e, 1, 1)].base
+        adj.setdefault(a, []).append((b, e))
+        adj.setdefault(b, []).append((a, e))
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for w, e in sorted(adj.get(v, ())):
+            if w not in parent:
+                parent[w] = (v, e)
+                queue.append(w)
+    if K.basepoint not in parent:
+        return None
+    hops, v = [], K.basepoint
+    while parent[v]:
+        prev, e = parent[v]
+        hops.append((e, v))
+        v = prev
+    return hops[::-1]
+
+
+@st.composite
+def one_skeletons(draw):
+    # loops, parallel edges and vertices no edge reaches are all allowed
+    n = draw(st.integers(1, 7))
+    names = draw(st.permutations([f"v{k}" for k in range(n)]))
+    ends = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
+    cubes = {v: 0 for v in names}
+    faces = {}
+    for k, (a, b) in enumerate(ends):
+        edge = draw(st.sampled_from(["e", "f", "g"])) + str(k)
+        cubes[edge] = 1
+        faces[(edge, 1, 0)], faces[(edge, 1, 1)] = FaceRef(names[a]), FaceRef(names[b])
+    return CubicalSet(cubes, faces, names[draw(st.integers(0, n - 1))])
+
+
+def _connected(K):
+    try:
+        _routes_home(K)
+    except ValueError as err:
+        assert "not connected" in str(err)
+        return False
+    return True
+
+
+@given(one_skeletons())
+@settings(max_examples=300, deadline=None)
+def test_routes_home_match_a_bfs_from_each_start(K):
+    vertices = [v for v, d in K.cubes.items() if d == 0]
+    reference = {v: _route_by_bfs_from_start(K, v) for v in vertices}
+    assert _connected(K) == all(r is not None for r in reference.values())
+    if _connected(K):
+        route = _routes_home(K)
+        for v in vertices:
+            assert route(v) == reference[v]
+
+
+def test_connectivity_verdict_matches_betti_zero():
+    corpus = [
+        point_complex(),
+        interval_complex(),
+        circle_complex(),
+        wedge_of_circles(3),
+        torus_complex(),
+        two_component_complex(),
+    ]
+    complexes = corpus + [tensor_product(A, B) for A in corpus for B in corpus]
+    complexes += [suspension_model(K).complex for K in corpus]
+    assert any(not _connected(K) for K in complexes)
+    for K in complexes:
+        assert _connected(K) == (betti(K).get(0) == 1)
 
 
 def test_contract_straightened_needs_a_word_loop():
