@@ -66,13 +66,13 @@ def two_component_complex() -> CubicalSet:
     )
 
 
-def random_interior_point(K: CubicalSet, rng: random.Random, den: int = 8) -> RealizationPoint:
-    """Interior point of a random positive dimensional cube of ``K``."""
+def random_interior_point(K: CubicalSet, rng: random.Random) -> RealizationPoint:
+    """Interior point of a random positive dimensional cube of ``K``, in eighths."""
     positive = sorted(c for c, d in K.cubes.items() if d > 0)
     if not positive:
         raise ValueError("complex has no positive dimensional cubes")
     cube = rng.choice(positive)
-    coords = tuple(Fraction(rng.randint(1, den - 1), den) for _ in range(K.cubes[cube]))
+    coords = tuple(Fraction(rng.randint(1, 7), 8) for _ in range(K.cubes[cube]))
     return RealizationPoint(cube, coords)
 
 

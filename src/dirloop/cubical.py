@@ -139,12 +139,14 @@ def apply_face(K: CubicalSet, ref: FaceRef, i: int, eps: int) -> FaceRef:
 
     The face index is pushed through the degeneracy word; if it meets a
     matching degeneracy the two cancel, otherwise the stored face of the
-    base cube is substituted and the words are recombined.  A cube with no
-    degeneracies has its stored face, which is returned as it is.
+    base cube is substituted and the words are recombined.  Face indices
+    above a degeneracy drop by one as they pass it, so the faces of a
+    partially degenerate cube, as in a product with a suspension, reach
+    the stored faces of its base.  A plain cube gets a ``FaceRef`` equal to
+    its stored face; :func:`validate` reads those from ``K.faces`` and
+    calls this for degenerate faces only.
     """
     word = ref.degens
-    if not word:
-        return K.faces[(ref.base, i, eps)]
     out: list[int] = []
     k = i
     for pos, j in enumerate(word):
@@ -317,7 +319,7 @@ def tensor_product(A: CubicalSet, B: CubicalSet) -> CubicalSet:
     return CubicalSet(cubes, faces, pair_name(A.basepoint, B.basepoint))
 
 
-def quotient_collapse(K: CubicalSet, collapse: Iterable[str], star_name: str = "*") -> CubicalSet:
+def quotient_collapse(K: CubicalSet, collapse: Iterable[str]) -> CubicalSet:
     """Collapse a face-closed set of cubes to a single new basepoint vertex.
 
     Faces that used to land in the collapsed set become totally degenerate
@@ -332,7 +334,7 @@ def quotient_collapse(K: CubicalSet, collapse: Iterable[str], star_name: str = "
             raise ValueError(f"collapse target names unknown cube {c!r}")
     if not is_face_closed(K, sub):
         raise ValueError("collapse target is not closed under faces")
-    star = star_name
+    star = "*"
     survivors = set(K.cubes) - sub
     while star in survivors:
         star += "'"

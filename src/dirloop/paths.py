@@ -91,7 +91,7 @@ class Interior:
 
 def classify_point(p) -> str:
     """One of ``"star"``, ``"lower"``, ``"middle"``, ``"upper"``."""
-    if p is STAR or isinstance(p, _StarType):
+    if p is STAR:
         return "star"
     if p.height < 0:
         return "lower"
@@ -324,15 +324,8 @@ def _ramp_segments(x: RealizationPoint, a: Fraction, b: Fraction) -> list:
 
 
 def _snap_height(h: Fraction) -> Fraction:
-    if h <= -2 * _THIRD:
-        return Fraction(-1)
-    if h <= -_THIRD:
-        return 3 * h + 1
-    if h < _THIRD:
-        return Fraction(0)
-    if h < 2 * _THIRD:
-        return 3 * h - 1
-    return Fraction(1)
+    # the thirds retraction of each half cone, reflected through 0
+    return snap_coordinate(h) if h >= 0 else -snap_coordinate(-h)
 
 
 class Suspension:

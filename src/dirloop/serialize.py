@@ -5,21 +5,24 @@ are canonical: loading what was dumped gives back an equal value, and
 equal values dump to identical text.  A string in the form dumps write
 (ASCII ``-?digits(/digits)?``) is read with ``int``; any other string goes
 to ``Fraction``, so the accepted grammar and its errors are those of
-``Fraction(str)``.  Cube ids must be strings; anything else is a
-``FormatError`` naming the segment or letter.
+``Fraction(str)``, less an exponent larger than the interpreter's integer
+digit limit (``sys.get_int_max_str_digits()``).  Cube ids must be
+strings; anything else is a ``FormatError`` naming the segment or letter.
 
 A complex is read in two steps.  :func:`parse_complex` turns the JSON into
 cubes and faces and checks only what building a ``CubicalSet`` needs:
-types, face keys (exactly ``d<eps>_<i>``, each face slot once), distinct
-ids and a vertex as basepoint.  :func:`load_complex` then runs
-:func:`~dirloop.cubical.validate` and raises its first violation as a
-``FormatError`` of the form ``cube '<id>': face d<eps>_<i> ...``.  Every
-computing command loads; the ``validate`` command only parses.
+types, face keys (exactly ``d<eps>_<i>``, so distinct keys name distinct
+face slots), distinct ids and a vertex as basepoint.  :func:`load_complex`
+then runs :func:`~dirloop.cubical.validate` and raises its first
+violation as a ``FormatError`` of the form ``cube '<id>': face
+d<eps>_<i> ...``.  Every computing command loads; the ``validate``
+command only parses.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .cubical import (
@@ -37,6 +40,8 @@ from .paths import MoorePath, StarSeg, Suspension, TrackSeg
 _FACE_KEY = re.compile(r"d([01])_([1-9][0-9]*)")
 # the form every dump writes; [0-9] matches ASCII digits only
 _PLAIN_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+# the exponent of a string ``Fraction`` would accept, which it raises 10 to
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
 
 
 def parse_rational(value) -> Fraction:
@@ -50,9 +55,15 @@ def parse_rational(value) -> Fraction:
             if _PLAIN_RATIONAL.fullmatch(value):
                 num, _, den = value.partition("/")
                 return Fraction(int(num), int(den) if den else 1)
-            return Fraction(value)
+            exp = _EXPONENT.search(value)
+            limit = sys.get_int_max_str_digits()
+            if not (exp and limit and abs(int(exp[1])) > limit):
+                return Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise FormatError(f"malformed rational {value!r}") from None
+        # 10**exp would take as long as reading an integer of exp digits,
+        # which the interpreter refuses past its digit limit
+        raise FormatError(f"rational {value!r} has an exponent beyond {limit}")
     raise FormatError(f"rationals must be strings or integers, got {value!r}")
 
 
@@ -116,9 +127,6 @@ def parse_complex(obj) -> CubicalSet:
                 if not m:
                     raise FormatError(f"cube {name!r} has malformed face key {key!r}")
                 i_eps = keys[key] = (int(m[2]), int(m[1]))
-            slot = (name, *i_eps)
-            if slot in faces:
-                raise FormatError(f"cube {name!r} face key {key!r} names a face given before")
             if not isinstance(ref, dict) or "base" not in ref:
                 raise FormatError(f"face {key!r} of {name!r} is missing 'base'")
             base, degens = ref["base"], ref.get("degens", [])
@@ -126,7 +134,7 @@ def parse_complex(obj) -> CubicalSet:
                 raise FormatError(f"face {key!r} of {name!r} has malformed base")
             if not isinstance(degens, list) or degens and not all(map(_is_int, degens)):
                 raise FormatError(f"face {key!r} of {name!r} has malformed degeneracies")
-            faces[slot] = FaceRef(base, tuple(degens))
+            faces[(name, *i_eps)] = FaceRef(base, tuple(degens))
     try:
         return CubicalSet(cubes, faces, basepoint)
     except ValueError as err:

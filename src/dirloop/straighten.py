@@ -15,10 +15,12 @@ builders; each public result, every frame included, goes through one
 stage 1 sample are one frame, and stage 0 is the input loop itself.  A
 contraction frame differs from the word only around the letter walking
 home, so only that head goes through ``Suspension.path`` and the rest of
-the word's canonical segments is spliced on as it is.  Routes home come
-from one BFS tree per contraction, grown from the basepoint over the one
-skeleton; the same tree decides whether the base is connected, so no
-homology is computed.
+the word's canonical segments is spliced on as it is.  A letter's walk
+ends with its climb over the basepoint vertex, which canonicalizes to the
+pause the letter leaves behind, so no separate pause frame is built and
+every frame the walk builds is kept.  Routes home come from one BFS tree
+per contraction, grown from the basepoint over the one skeleton; the same
+tree decides whether the base is connected, so no homology is computed.
 """
 
 from __future__ import annotations
@@ -207,9 +209,12 @@ def contract_straightened(sus: Suspension, result: MoorePath, frames) -> list:
     drops the leftover pauses.  The base must be connected or there is
     nowhere to walk.
 
-    While letter k walks, the letters before it are one pause and the ones
-    after it are still the word's own segments.  So each frame passes only
-    its head (that pause, letter k and letter k + 1) through
+    Letter k climbs over each stop of its route in turn: half way to the
+    0-corner of its cube, that corner, then the middle of each edge and
+    the far vertex, down to the basepoint, where the climb already is a
+    pause.  While letter k walks, the letters before it are one pause and
+    the ones after it are still the word's own segments.  So each frame
+    passes only its head (that pause, letter k and letter k + 1) through
     :meth:`~dirloop.paths.Suspension.path` and appends the rest of the word
     unchanged: a full climb ends at the cone point, where nothing merges.
     """
@@ -230,9 +235,8 @@ def contract_straightened(sus: Suspension, result: MoorePath, frames) -> list:
         for edge, far in route(stops[-1].cube):
             stops.append(normalize_point(K, edge, (Fraction(1, 2),)))
             stops.append(RealizationPoint(far, ()))
-        moves = [TrackSeg(tr.duration, tr.h0, tr.h1, p.cube, p.coords, p.coords) for p in stops]
-        moves.append(StarSeg(tr.duration))
-        for moving in moves:
+        for p in stops:
+            moving = TrackSeg(tr.duration, tr.h0, tr.h1, p.cube, p.coords, p.coords)
             head = sus.path([StarSeg(walked), moving, *after])
             trail.append(MoorePath(head.segments + tail))
         walked += tr.duration

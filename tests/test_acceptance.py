@@ -2,7 +2,8 @@
 
 import pytest
 
-from dirloop.acceptance import CRITERIA, run_acceptance
+from dirloop import acceptance
+from dirloop.acceptance import CRITERIA, CriterionResult, run_acceptance
 
 
 @pytest.fixture(scope="module")
@@ -14,3 +15,14 @@ def results():
 def test_criterion(name, results):
     outcome = results[name]
     assert outcome.ok, outcome.detail
+
+
+def test_a_raising_criterion_is_a_fail_row(monkeypatch):
+    def broken(seed):
+        raise KeyError("ghost")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [("fine", lambda seed: "ok"), ("broken", broken)])
+    assert run_acceptance(seed=0) == [
+        CriterionResult("fine", True, "ok"),
+        CriterionResult("broken", False, "KeyError: 'ghost'"),
+    ]

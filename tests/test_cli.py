@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dirloop.cli import main
-from dirloop.corpus import circle_complex, random_loop, torus_complex, two_component_complex
+from dirloop.corpus import (
+    circle_complex,
+    random_loop,
+    torus_complex,
+    two_component_complex,
+    wedge_of_circles,
+)
 from dirloop.cubical import RealizationPoint
 from dirloop.james import PointLetter, word_loop
 from dirloop.paths import Suspension
@@ -252,6 +258,36 @@ def test_exit_codes_for_bad_input(capsys, tmp_path, circle_file, loop_file):
 
     code, _, _ = invoke(capsys, "path", "eval", loop_file, "--complex", circle_file, "--t", "x/y")
     assert code == 2
+
+    code, out, err = invoke(capsys, "loop-homology", circle_file, "--degree", "-1")
+    assert code == 1 and out == "" and "degree must be nonnegative" in err
+    code, out, err = invoke(capsys, "straighten", loop_file, "--complex", circle_file, "--samples", "1")
+    assert code == 1 and out == "" and "samples must be at least 2" in err
+
+
+def test_output_past_the_digit_limit_is_an_error_line(capsys, tmp_path):
+    # degree 1500 over 1000 circles is 1000**1500, 4501 digits: formatting
+    # it fails inside the guarded block, not after it
+    target = tmp_path / "wedge.json"
+    target.write_text(json.dumps(dump_complex(wedge_of_circles(1000))))
+    code, out, err = invoke(capsys, "loop-homology", str(target), "--degree", "1500")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_huge_exponents_are_format_errors(capsys, tmp_path, circle_file, loop_file):
+    # Fraction("1e100000000") would compute 10**100000000
+    target = tmp_path / "long_pause.json"
+    target.write_text(json.dumps({"segments": [{"kind": "star", "dur": "1e100000000"}]}))
+    for argv in (
+        ["path", "eval", str(target), "--complex", circle_file, "--t", "0"],
+        ["path", "eval", loop_file, "--complex", circle_file, "--t", "1e100000000"],
+    ):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 5, argv
+        assert code == 2 and out == "", argv
+        assert "1e100000000" in err and "Traceback" not in err
 
 
 def test_bad_path_segment_is_named(capsys, tmp_path, circle_file):

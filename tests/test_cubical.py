@@ -14,6 +14,7 @@ from dirloop.cubical import (
     CubicalSet,
     FaceRef,
     RealizationPoint,
+    Violation,
     apply_face,
     boundary_snap,
     compose_degens,
@@ -27,6 +28,7 @@ from dirloop.cubical import (
     tensor_product,
     validate,
 )
+from dirloop.homology import RATIONALS, FieldSpec, betti
 
 F = Fraction
 
@@ -224,6 +226,56 @@ def test_boundary_snap_and_collar():
 
 def test_two_component_complex_is_well_formed():
     assert validate(two_component_complex()) == []
+
+
+def test_repr_counts_cubes_by_dimension():
+    assert repr(torus_complex()) == "CubicalSet(1,2,1; basepoint='(v|v)')"
+    assert repr(CubicalSet({"p": 0}, {}, "p")) == "CubicalSet(1; basepoint='p')"
+
+
+# ----------------------------------------------------------------------
+# partially degenerate faces: products with the suspended circle, whose
+# collapsed slices make totally degenerate faces that a product extends
+# by a plain block
+
+
+def _suspended_circle():
+    return suspension_model(circle_complex()).complex
+
+
+def test_apply_face_past_a_smaller_degeneracy():
+    P = tensor_product(_suspended_circle(), interval_complex())
+    # face 2 of the collapsed column over e passes the degeneracy at 1 and
+    # lands on the stored face 1 of '(*|e)', which the word then degenerates
+    assert apply_face(P, FaceRef("(*|e)", (1,)), 2, 0) == FaceRef("(*|a)", (1,))
+    assert apply_face(P, FaceRef("(*|e)", (1,)), 2, 1) == FaceRef("(*|b)", (1,))
+
+
+@pytest.mark.parametrize(
+    "make_b, dims",
+    [
+        (interval_complex, (1, 0, 1, 0)),
+        (circle_complex, (1, 1, 1, 1)),
+        (_suspended_circle, (1, 0, 2, 0, 1)),
+    ],
+)
+@pytest.mark.parametrize("field", [RATIONALS, FieldSpec(2)])
+def test_products_with_the_suspended_circle(make_b, dims, field):
+    # Kunneth: the suspended circle is a 2-sphere
+    S, B = _suspended_circle(), make_b()
+    for P in (tensor_product(S, B), tensor_product(B, S)):
+        assert validate(P) == []
+        assert betti(P, field).as_tuple() == dims
+
+
+def test_missing_face_under_a_degenerate_face_is_one_defect():
+    P = tensor_product(_suspended_circle(), interval_complex())
+    faces = dict(P.faces)
+    del faces[("(*|e)", 1, 0)]
+    broken = CubicalSet(P.cubes, faces, P.basepoint)
+    # the cubes whose degenerate faces need the missing one compare a hole
+    # there, which is no relation defect of theirs
+    assert validate(broken) == [Violation("structure", "(*|e)", "missing face d0_1")]
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,13 @@ from dirloop.corpus import (
     torus_complex,
     wedge_of_circles,
 )
-from dirloop.cubical import RealizationPoint, normalize_point, suspension_model, tensor_product
+from dirloop.cubical import (
+    RealizationPoint,
+    boundary_snap,
+    normalize_point,
+    suspension_model,
+    tensor_product,
+)
 from dirloop.james import IntervalLetter, PointLetter, word_loop
 from dirloop.paths import (
     Interior,
@@ -199,6 +205,11 @@ def test_reparam_identity_and_flats(sus, x):
     assert held.duration == 3
     assert sus.evaluate(held, F(3, 2)) == Interior(F(0), x)
     assert held.segments[1] == const_track(1, 0, 0)
+    # a flat span where the loop is at the cone point is a pause
+    twice = sus.concat(loop, loop)
+    assert sus.evaluate(twice, 2) is STAR
+    held = sus.reparam(twice, [(0, 0), (2, 2), (5, 2), (7, 4)])
+    assert held.segments == (const_track(2, -1, 1), StarSeg(F(3)), const_track(2, -1, 1))
     with pytest.raises(ValueError):
         sus.reparam(loop, [(0, 0), (1, 1)])
     with pytest.raises(ValueError):
@@ -313,6 +324,13 @@ def test_make_increasing_frozen(sus, x):
     assert sus.middle_crossings(tilted) == [(F(4, 5), x)]
     with pytest.raises(ValueError):
         sus.make_increasing(sus.basic_loop(x), 1)
+
+
+def test_make_increasing_leaves_an_empty_path_alone(sus, x):
+    # a path of duration 0 has no clock to tilt by
+    for t in (0, 1):
+        empty = sus.slice_path(sus.basic_loop(x), t, t)
+        assert sus.make_increasing(empty, F(1, 2)) is empty
 
 
 def test_make_increasing_keeps_pauses_and_letters(sus):
@@ -546,6 +564,42 @@ def _wandering_loop(s, rng):
 
 
 POINTWISE_BASES = [circle_complex, lambda: wedge_of_circles(2), torus_complex]
+
+
+def _thirds(h):
+    # the collar retraction of the height axis, by its breakpoints
+    if h <= F(-2, 3):
+        return F(-1)
+    if h <= F(-1, 3):
+        return 3 * h + 1
+    if h < F(1, 3):
+        return F(0)
+    if h < F(2, 3):
+        return 3 * h - 1
+    return F(1)
+
+
+@pytest.mark.parametrize("coord", [F(1, 2), F(1, 8)])
+def test_empty_slices_at_interior_points_map_pointwise(coord):
+    # an empty path is one point; each transform must put it where its
+    # pointwise map sends that point
+    s = Suspension(circle_complex())
+    loop = s.basic_loop(RealizationPoint("e", (coord,)))
+    for t in (F(1, 8), F(1, 2), F(3, 4), F(1), F(5, 4), F(15, 8)):
+        p = s.evaluate(loop, t)
+        assert isinstance(p, Interior)
+        empty = s.slice_path(loop, t, t)
+        assert empty == MoorePath((), p)
+        for delta in (F(-1, 2), F(1, 4), F(7, 8)):
+            want = _clamped(p.height + delta, p.point)
+            assert s.shift_heights(empty, delta) == MoorePath((), want)
+        for u in (F(0), F(1, 3), F(1)):
+            for side, off in (("lower", -u), ("upper", u)):
+                want = _clamped((1 + u) * p.height + off, p.point)
+                assert s.shrink_cone(empty, side, u) == MoorePath((), want)
+        snapped = boundary_snap(s.base, p.point)
+        want = STAR if snapped == s.origin else _clamped(_thirds(p.height), snapped)
+        assert s.truncate_near_basepoint(empty) == MoorePath((), want)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -790,8 +844,10 @@ def test_contraction_canonicalizes_only_frame_heads(monkeypatch):
     monkeypatch.setattr(Suspension, "path", counted)
     contract_straightened(s, result, frames)
     # one call per frame of the walk, on its head: the pause walked so
-    # far, the moving letter and the next one; not the whole word
-    assert len(sizes) == built > 3 * len(letters)
+    # far, the moving letter and the next one; not the whole word.  A
+    # letter's last stop is the basepoint, whose climb is already the
+    # pause, so no frame is built for the pause itself
+    assert len(sizes) == built - len(letters) > 3 * len(letters)
     assert max(sizes) == 3
     assert sum(sizes) <= 3 * built
 

@@ -1,6 +1,7 @@
 """JSON round trips and malformed-input reporting."""
 
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -40,11 +41,16 @@ def test_parse_rational_rejects_junk(bad):
 
 
 def _fraction_or_rejected(text):
-    # the accepted grammar is whatever Fraction(str) accepts
+    # the accepted grammar is whatever Fraction(str) accepts, less an
+    # exponent larger than the interpreter's integer digit limit
     try:
-        return F(text)
+        value = F(text)
     except (ValueError, ZeroDivisionError):
         return "rejected"
+    _, e, exponent = text.lower().rpartition("e")
+    if e and abs(int(exponent)) > sys.get_int_max_str_digits():
+        return "rejected"
+    return value
 
 
 def _parsed_or_rejected(text):
@@ -71,6 +77,10 @@ def _parsed_or_rejected(text):
         "--1",
         "7" * 5000,
         "1/" + "3" * 5000,
+        "1e4300",
+        "1e4301",
+        "-2.5E-4301",
+        " 1e4_301 ",
         "-12/18",
         "007/010",
         "1/2\n",
@@ -142,6 +152,11 @@ def test_complex_format_matches_contract():
          "malformed face key"),
         (lambda o: o["cubes"][1]["faces"].update({"d0_1\n": {"base": "ghost", "degens": []}}),
          "face key 'd0_1"),
+        (lambda o: o.update({"basepoint": 7}), "basepoint must be a cube id string"),
+        (lambda o: o.update({"cubes": {"v": 0}}), "cubes must be a list"),
+        (lambda o: o["cubes"][0].update({"id": ["v"]}), "cube id must be a string"),
+        (lambda o: o["cubes"][1].update({"faces": [["d0_1", "v"]]}), "faces must be an object"),
+        (lambda o: o["cubes"][1]["faces"]["d0_1"].pop("base"), "is missing 'base'"),
     ],
 )
 def test_load_complex_rejects_mangled_input(mangle, message):
@@ -190,6 +205,7 @@ def test_path_round_trip_random(rng):
         (lambda o: o["segments"][0].update({"h": ["-1"]}), "height"),
         (lambda o: o["segments"][0].update({"c0": []}), "coordinates"),
         (lambda o: o["segments"][0].update({"dur": "0.5.1"}), "rational"),
+        (lambda o: o.update({"segments": {"0": o["segments"][0]}}), "segments must be a list"),
     ],
 )
 def test_load_path_rejects_mangled_input(mangle, message):
@@ -228,6 +244,8 @@ def test_word_round_trip():
         load_word(CIRCLE.base, [{"cube": "ghost", "coords": []}])
     with pytest.raises(FormatError, match="coordinates"):
         load_word(CIRCLE.base, [{"cube": "e", "coords": []}])
+    with pytest.raises(FormatError, match="word must be a list of letters"):
+        load_word(CIRCLE.base, {"cube": "e", "coords": ["1/3"]})
 
 
 @pytest.mark.parametrize("cube", [["e"], {"e": 1}, 3, None])
