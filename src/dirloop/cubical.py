@@ -30,7 +30,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -180,6 +179,21 @@ def _ref_problems(cubes: Mapping[str, int], base: str, word: tuple, expect: int)
 _base, _word = itemgetter(0), itemgetter(1)
 
 
+def _degenerate_faces(K: CubicalSet, ref: FaceRef, m: int, memo: dict) -> tuple:
+    # the faces of a degenerate face by slot, None where one is missing;
+    # each distinct (ref, m) is worked out once per memo
+    key = (ref, m)
+    if key not in memo:
+        out = []
+        for r in range(m):
+            try:
+                out.append(apply_face(K, ref, r // 2 + 1, r % 2))
+            except KeyError:
+                out.append(None)
+        memo[key] = tuple(out)
+    return memo[key]
+
+
 def iter_violations(K: CubicalSet) -> Iterator[Violation]:
     """The defects :func:`validate` reports, one at a time and in its order.
 
@@ -228,21 +242,12 @@ def iter_violations(K: CubicalSet) -> Iterator[Violation]:
         if good:
             clean.append(name)
 
-    for name, i, eps in sorted(stray, key=repr):
-        where = f"exceeds dimension {cubes[name]}" if name in cubes else "belongs to no cube"
-        yield Violation("structure", name, f"face {face_key(i, eps)} {where}")
+    if stray:
+        for name, i, eps in sorted(stray, key=repr):
+            where = f"exceeds dimension {cubes[name]}" if name in cubes else "belongs to no cube"
+            yield Violation("structure", name, f"face {face_key(i, eps)} {where}")
 
-    @cache
-    def degenerate_faces(ref: FaceRef, m: int) -> tuple:
-        # the faces of a degenerate face by slot, None where one is missing
-        out = []
-        for r in range(m):
-            try:
-                out.append(apply_face(K, ref, r // 2 + 1, r % 2))
-            except KeyError:
-                out.append(None)
-        return tuple(out)
-
+    memo: dict = {}
     for name in clean:
         fs = table[name]
         m = len(fs) - 2
@@ -252,7 +257,7 @@ def iter_violations(K: CubicalSet) -> Iterator[Violation]:
         # is rows[s][r] == rows[r][s - 2] with s = 2*(j-1)+eta and
         # r = 2*(i-1)+eps < s & ~1: a row of rows against a column
         holes = (None,) * m
-        rows = [degenerate_faces(f, m) if f[1] else table.get(f[0], holes) for f in fs]
+        rows = [_degenerate_faces(K, f, m, memo) if f[1] else table.get(f[0], holes) for f in fs]
         cols = list(zip(*rows))
         if [rows[s][: s & ~1] for s in range(2, m + 2)] == [cols[s - 2][: s & ~1] for s in range(2, m + 2)]:
             continue

@@ -67,12 +67,15 @@ def tensor_algebra_dims(generators: GradedDims, truncation: int) -> HilbertSerie
     """Graded dimensions of the free associative algebra on ``generators``.
 
     Convolution: each degree counts words, split off by their last letter.
+    Only the degrees that hold generators are visited, so the work grows
+    with the truncation times the number of generator degrees.
     """
     if generators.get(0) > 0:
         raise ValueError("generators in degree 0 are not allowed")
+    gens = [(j, n) for j, n in generators.nonzero() if j > 0]
     coeffs = [1]
     for k in range(1, truncation + 1):
-        coeffs.append(sum(generators.get(j) * coeffs[k - j] for j in range(1, k + 1)))
+        coeffs.append(sum(n * coeffs[k - j] for j, n in gens if j <= k))
     return HilbertSeries(tuple(coeffs))
 
 

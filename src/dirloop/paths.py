@@ -4,27 +4,31 @@ A point of the suspension is either the collapsed cone point ``STAR`` or a
 height in (-1, 1) paired with a point of the base; heights -1 and +1 and
 the whole column over the base's own basepoint all land on ``STAR``.
 
-Paths are finite strings of affine segments with rational data.  Every
-constructor funnels through :meth:`Suspension.path`, which canonicalizes
-(drops empty segments, strips constant boundary coordinates through
-:func:`~dirloop.cubical.strip_boundary`, converts segments stuck at the
-cone point into pauses, merges collinear neighbours) and rejects
-discontinuous junctions, naming the offending input segment.  Two paths
-are therefore equal as maps exactly when they are equal as values.
+Paths are finite strings of affine segments with rational data.  Untrusted
+segments enter through :meth:`Suspension.path`, the boundary canonicalizer:
+it checks each segment and strips its constant boundary coordinates through
+:func:`~dirloop.cubical.strip_boundary`, then joins them.  The join drops
+empty pieces, converts tracks stuck at the cone point into pauses, merges
+collinear neighbours and rejects discontinuous junctions, naming the
+offending input segment.  Two paths are therefore equal as maps exactly
+when they are equal as values.
 
-Raw segments inside, one :meth:`Suspension.path` per public result: the
+Raw segments inside, one :meth:`Suspension.path` per public transform: the
 module level builders (``_slice``, ``_scaled``, ``_map_heights``,
 ``_ramp_segments``) return plain segment lists, and each public transform
 canonicalizes its output once.  Canonicalizing in stages gives the same
 path as canonicalizing once, so no intermediate result is wrapped in a
-``MoorePath`` only to be canonicalized again.
+``MoorePath`` only to be canonicalized again.  Pieces of canonical segments
+already sit in their carriers, so builders that only cut, shift, clamp and
+rescale such pieces (the straightening frames and the contraction heads in
+:mod:`dirloop.straighten`) hand them to the join directly.
 
 Each transform has one mechanism underneath: every height deformation
 (``height_affine``, ``shift_heights``, ``make_increasing`` and through them
 ``shrink_cone``) is one clamped map h -> a*h + b + c*t, every change of
 clock (``scale_time``, ``reparam``) rescales durations in one place, and
-level crossings inside a track (pole clamping, the collar truncation) are
-cut at one set of exact parameters.
+level crossings inside a track are cut at exact parameters: one cut per
+pole crossed for the clamp, and the collar levels for the truncation.
 
 The kernel stays exact and cheap per segment.  Range and pole tests on
 durations and heights read the integers of a ``Fraction`` rather than
@@ -33,9 +37,11 @@ are not rebuilt.  Whether two tracks merge is one integer
 cross-multiplication on numerators and denominators, and a pure vertical
 shift (a = 1, c = 0) adds b to each height with no clock, or nothing at
 all when b = 0.  Two tracks that meet with the same data in the same
-carrier are continuous without normalizing their end points, and a track
-that stays within the poles is clamped without computing cuts.  A path
-keeps its breakpoint times (``MoorePath.times``, computed once), so
+carrier are continuous without normalizing their end points.  A track
+that stays within the poles is clamped without computing cuts; one that
+crosses a pole is cut there on the integers of its end heights, with the
+pole as the height at the cut and only moving coordinates interpolated.
+A path keeps its breakpoint times (``MoorePath.times``, computed once), so
 ``evaluate``, ``slice_path`` and ``reparam`` find segments by bisection.
 """
 
@@ -59,7 +65,7 @@ from .cubical import (
 )
 
 _THIRD = Fraction(1, 3)
-_POLES = (Fraction(-1), Fraction(1))
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 _COLLAR_HEIGHTS = (-2 * _THIRD, -_THIRD, _THIRD, 2 * _THIRD)
 _COLLAR_COORDS = (_THIRD, 2 * _THIRD)
 
@@ -174,14 +180,16 @@ def _sub_segment(seg, sa: Fraction, sb: Fraction):
     d = seg.duration * (sb - sa)
     if isinstance(seg, StarSeg):
         return StarSeg(d)
-    return TrackSeg(
-        d,
-        _lerp(seg.h0, seg.h1, sa),
-        _lerp(seg.h0, seg.h1, sb),
-        seg.cube,
-        _lerp_coords(seg.c0, seg.c1, sa),
-        _lerp_coords(seg.c0, seg.c1, sb),
-    )
+    # an end of the piece at an end of the segment needs no interpolation
+    if sa == 0:
+        h0, c0 = seg.h0, seg.c0
+    else:
+        h0, c0 = _lerp(seg.h0, seg.h1, sa), _lerp_coords(seg.c0, seg.c1, sa)
+    if sb == 1:
+        h1, c1 = seg.h1, seg.c1
+    else:
+        h1, c1 = _lerp(seg.h0, seg.h1, sb), _lerp_coords(seg.c0, seg.c1, sb)
+    return TrackSeg(d, h0, h1, seg.cube, c0, c1)
 
 
 def _slice(path: MoorePath, a: Fraction, b: Fraction) -> list:
@@ -191,11 +199,14 @@ def _slice(path: MoorePath, a: Fraction, b: Fraction) -> list:
     # the first segment that ends after a, found by bisection
     k = bisect_right(times, a, 1) - 1
     while k < len(path.segments) and times[k] < b:
-        seg, acc = path.segments[k], times[k]
-        d = seg.duration
-        lo, hi = max(acc, a), min(times[k + 1], b)
-        if lo < hi:
-            segs.append(_sub_segment(seg, (lo - acc) / d, (hi - acc) / d))
+        seg, acc, end = path.segments[k], times[k], times[k + 1]
+        if a <= acc and end <= b:
+            segs.append(seg)
+        else:
+            d = seg.duration
+            lo, hi = max(acc, a), min(end, b)
+            if lo < hi:
+                segs.append(_sub_segment(seg, (lo - acc) / d, (hi - acc) / d))
         k += 1
     return segs
 
@@ -210,11 +221,11 @@ def _scaled(segments, f: Fraction) -> list:
     ]
 
 
-def _cuts(seg: TrackSeg, height_levels, coord_levels) -> list:
-    """Sorted parameters in [0, 1]: both ends and every level crossing inside."""
+def _collar_cuts(seg: TrackSeg) -> list:
+    """Sorted parameters in [0, 1]: both ends and every collar level crossed inside."""
     cuts = {Fraction(0), Fraction(1)}
-    moves = [(seg.h0, seg.h1, height_levels)]
-    moves += [(a0, a1, coord_levels) for a0, a1 in zip(seg.c0, seg.c1)]
+    moves = [(seg.h0, seg.h1, _COLLAR_HEIGHTS)]
+    moves += [(a0, a1, _COLLAR_COORDS) for a0, a1 in zip(seg.c0, seg.c1)]
     for a0, a1, levels in moves:
         if a0 != a1:
             for level in levels:
@@ -247,23 +258,63 @@ def _at_pole(h) -> bool:
     return h.denominator == 1 and (h.numerator == 1 or h.numerator == -1)
 
 
+def _coords_at(c0, c1, p: int, q: int) -> tuple:
+    # the coordinates at parameter p/q (q > 0), each moving one built once
+    # from integers; a constant coordinate is kept as it is
+    return tuple(
+        a
+        if a == b
+        else Fraction(
+            a.numerator * b.denominator * q
+            + (b.numerator * a.denominator - a.numerator * b.denominator) * p,
+            a.denominator * b.denominator * q,
+        )
+        for a, b in zip(c0, c1)
+    )
+
+
 def _clamped_track(seg: TrackSeg) -> list:
     """Pieces of a track whose heights may overshoot the poles.
 
     The overshoot is clamped: stretches at or beyond a pole become pauses
-    at the cone point, with exact cuts at the crossing times.
+    at the cone point.  Each pole crossed inside the track is one exact cut,
+    found on the integers of the end heights; the height at a cut is the
+    pole itself, so only the moving coordinates are interpolated there.
     """
-    if _within_poles(seg.h0) and _within_poles(seg.h1):
+    h0, h1 = seg.h0, seg.h1
+    n0, d0, n1, d1 = h0.numerator, h0.denominator, h1.numerator, h1.denominator
+    if -d0 <= n0 <= d0 and -d1 <= n1 <= d1:
         # no pole is crossed inside, so there is nothing to cut
-        if _at_pole(seg.h0) and seg.h0 == seg.h1:
+        if _at_pole(h0) and h0 == h1:
             return [StarSeg(seg.duration)]
         return [seg]
+    # at parameter s the height is (n0*d1 + rise*s) / (d0*d1), so it meets
+    # the pole L at s = (L*d0 - n0)*d1 / rise; with q = |rise| the track is
+    # inside the poles for s strictly between pa/q and pb/q
+    rise = n1 * d0 - n0 * d1
+    if rise > 0:
+        q, pa, pb, enter, leave = rise, (-d0 - n0) * d1, (d0 - n0) * d1, _MINUS_ONE, _ONE
+    elif rise < 0:
+        q, pa, pb, enter, leave = -rise, (n0 - d0) * d1, (n0 + d0) * d1, _ONE, _MINUS_ONE
+    else:
+        return [StarSeg(seg.duration)]  # flat beyond a pole
+    pa, pb = max(pa, 0), min(pb, q)
+    if pa >= pb:
+        return [StarSeg(seg.duration)]  # wholly at or beyond a pole
+    dn, dd = seg.duration.numerator, seg.duration.denominator * q
     out = []
-    cuts = _cuts(seg, _POLES, ())
-    for sa, sb in zip(cuts, cuts[1:]):
-        piece = _sub_segment(seg, sa, sb)
-        mid = (piece.h0 + piece.h1) / 2
-        out.append(StarSeg(piece.duration) if mid <= -1 or mid >= 1 else piece)
+    if pa:
+        out.append(StarSeg(Fraction(dn * pa, dd)))
+        h0, c0 = enter, _coords_at(seg.c0, seg.c1, pa, q)
+    else:
+        c0 = seg.c0
+    if pb < q:
+        h1, c1 = leave, _coords_at(seg.c0, seg.c1, pb, q)
+    else:
+        c1 = seg.c1
+    out.append(TrackSeg(Fraction(dn * (pb - pa), dd), h0, h1, seg.cube, c0, c1))
+    if pb < q:
+        out.append(StarSeg(Fraction(dn * (q - pb), dd)))
     return out
 
 
@@ -364,21 +415,28 @@ class Suspension:
     # construction
 
     def _canonical(self, seg):
-        # the canonical piece of one input segment, or None when it is empty
+        # one untrusted segment checked and pushed into its carrier; an
+        # empty one becomes a pause of duration 0, which the join drops
         d = as_fraction(seg.duration)
         if d.numerator < 0:
             raise ValueError(f"duration {d} is negative")
         if d.numerator == 0:
-            return None
+            return StarSeg(d)
         if isinstance(seg, StarSeg):
             return seg if d is seg.duration else StarSeg(d)
         h0, h1 = as_fraction(seg.h0), as_fraction(seg.h1)
         if not (_within_poles(h0) and _within_poles(h1)):
             raise ValueError("track heights must lie in [-1, 1]")
         cube, (c0, c1) = strip_boundary(self.base, seg.cube, (seg.c0, seg.c1))
-        if cube == self.base.basepoint or (_at_pole(h0) and h0 == h1):
-            return StarSeg(d)
         return TrackSeg(d, h0, h1, cube, c0, c1)
+
+    def _canonical_pieces(self, segments):
+        for k, seg in enumerate(segments):
+            try:
+                piece = self._canonical(seg)
+            except ValueError as err:
+                raise ValueError(f"segment {k}: {err}") from None
+            yield piece
 
     def _push(self, out: list, seg) -> bool:
         # append or merge; False when seg does not start where out ends
@@ -414,32 +472,46 @@ class Suspension:
         out.append(seg)
         return True
 
-    def path(self, segments: Iterable, empty_at=STAR) -> MoorePath:
-        """Build the canonical path through the given segments.
+    def _join(self, pieces: Iterable, empty_at=STAR) -> MoorePath:
+        """The path through pieces that each already sit in their carrier.
 
-        Zero length segments are dropped, segments pinned to the cone point
-        become pauses, collinear neighbours merge, and any discontinuous
-        junction raises ``ValueError``.  Errors name the input segment index.
+        Internal builders hand their pieces of canonical segments here
+        directly.  Pieces of duration 0 are dropped, a track in the
+        basepoint column or flat at a pole becomes a pause, collinear
+        neighbours merge, and a discontinuous junction raises ``ValueError``
+        naming the two piece indices.
         """
-        canon: list = []
+        out: list = []
         last = None
-        for k, seg in enumerate(segments):
-            try:
-                piece = self._canonical(seg)
-            except ValueError as err:
-                raise ValueError(f"segment {k}: {err}") from None
-            if piece is None:
+        basepoint = self.base.basepoint
+        for k, seg in enumerate(pieces):
+            if seg.duration.numerator == 0:
                 continue
-            if not self._push(canon, piece):
+            if isinstance(seg, TrackSeg) and (
+                seg.cube == basepoint or (_at_pole(seg.h0) and seg.h0 == seg.h1)
+            ):
+                seg = StarSeg(seg.duration)
+            if not self._push(out, seg):
                 raise ValueError(
                     f"discontinuous junction between segment {last} and segment {k}"
                 )
             last = k
-        if not canon:
+        if not out:
             if not (empty_at is STAR or isinstance(empty_at, Interior)):
                 raise ValueError("empty_at must be a suspension point")
             return MoorePath((), empty_at)
-        return MoorePath(tuple(canon), STAR)
+        return MoorePath(tuple(out), STAR)
+
+    def path(self, segments: Iterable, empty_at=STAR) -> MoorePath:
+        """Build the canonical path through the given segments.
+
+        The boundary canonicalizer for untrusted segments: each one is
+        checked and pushed into its carrier, then joined.  Zero length
+        segments are dropped, segments pinned to the cone point become
+        pauses, collinear neighbours merge, and any discontinuous junction
+        raises ``ValueError``.  Errors name the input segment index.
+        """
+        return self._join(self._canonical_pieces(segments), empty_at)
 
     def concat(self, *paths: MoorePath) -> MoorePath:
         if not paths:
@@ -784,7 +856,7 @@ class Suspension:
             if isinstance(seg, StarSeg):
                 segs.append(seg)
                 continue
-            cuts = _cuts(seg, _COLLAR_HEIGHTS, _COLLAR_COORDS)
+            cuts = _collar_cuts(seg)
             for sa, sb in zip(cuts, cuts[1:]):
                 piece = _sub_segment(seg, sa, sb)
                 hm = (piece.h0 + piece.h1) / 2

@@ -9,16 +9,17 @@ connected base the word can then be walked letter by letter into the
 basepoint along the one skeleton, ending at the constant loop.
 
 The helpers build raw segment lists with the :mod:`dirloop.paths`
-builders; each public result, every frame included, goes through one
-:meth:`~dirloop.paths.Suspension.path` call, and no work is done twice.
-:func:`full_straighten` builds each distinct stage once: the result and a
-stage 1 sample are one frame, and stage 0 is the input loop itself.  A
-contraction frame differs from the word only around the letter walking
-home, so only that head goes through ``Suspension.path`` and the rest of
-the word's canonical segments is spliced on as it is.  A letter's walk
-ends with its climb over the basepoint vertex, which canonicalizes to the
-pause the letter leaves behind, so no separate pause frame is built and
-every frame the walk builds is kept.  Routes home come from one BFS tree
+builders.  A frame is made of pieces of the loop's canonical segments and
+of climbs over normalized points, so it goes through the join of
+:class:`~dirloop.paths.Suspension` once, without the boundary
+canonicalizer, and no work is done twice.  :func:`full_straighten` builds
+each distinct stage once: the result and a stage 1 sample are one frame,
+and stage 0 is the input loop itself.  A contraction frame differs from the
+word only around the letter walking home, so only that head is joined and
+the rest of the word's canonical segments is spliced on as it is.  A
+letter's walk ends with its climb over the basepoint vertex, which the join
+turns into the pause the letter leaves behind, so no separate pause frame
+is built and every frame the walk builds is kept.  Routes home come from one BFS tree
 per contraction, grown from the basepoint over the one skeleton; the same
 tree decides whether the base is connected, so no homology is computed.
 """
@@ -148,7 +149,7 @@ def full_straighten(sus: Suspension, loop: MoorePath, samples=DEFAULT_SAMPLES):
             else:
                 segs.extend(_late_frame(b, xb, a, 2 * t - 1))
             segs.append(StarSeg(pause * (1 - t)))
-        built[t] = sus.path(segs)
+        built[t] = sus._join(segs)
         return built[t]
 
     return frame(Fraction(1)), [frame(s) for s in stages]
@@ -214,9 +215,9 @@ def contract_straightened(sus: Suspension, result: MoorePath, frames) -> list:
     the far vertex, down to the basepoint, where the climb already is a
     pause.  While letter k walks, the letters before it are one pause and
     the ones after it are still the word's own segments.  So each frame
-    passes only its head (that pause, letter k and letter k + 1) through
-    :meth:`~dirloop.paths.Suspension.path` and appends the rest of the word
-    unchanged: a full climb ends at the cone point, where nothing merges.
+    joins only its head (that pause, letter k and letter k + 1) and appends
+    the rest of the word unchanged: a full climb ends at the cone point,
+    where nothing merges.
     """
     route = _routes_home(sus.base)
     _, runs = sus.pauses_and_runs(result)
@@ -237,7 +238,7 @@ def contract_straightened(sus: Suspension, result: MoorePath, frames) -> list:
             stops.append(RealizationPoint(far, ()))
         for p in stops:
             moving = TrackSeg(tr.duration, tr.h0, tr.h1, p.cube, p.coords, p.coords)
-            head = sus.path([StarSeg(walked), moving, *after])
+            head = sus._join([StarSeg(walked), moving, *after])
             trail.append(MoorePath(head.segments + tail))
         walked += tr.duration
 

@@ -6,6 +6,11 @@ digest recorded before the path kernel gained its integer fast paths.
 A speed-up of the path kernel must leave every output byte as it was; a
 deliberate change of an output format updates the digests in the same
 change and says why.
+
+The cube and the wedge of three circles were added before the internal
+join and the integer pole clamp: I^3 has boundary coordinates that the
+contraction walk and the collar truncation strip through faces, and the
+wedge loop of up to twelve excursions gives long words and trails.
 """
 
 import hashlib
@@ -13,11 +18,32 @@ import json
 import random
 
 from dirloop.cli import main
-from dirloop.corpus import circle_complex, random_loop, torus_complex, wedge_of_circles
+from dirloop.corpus import (
+    circle_complex,
+    interval_complex,
+    random_loop,
+    torus_complex,
+    wedge_of_circles,
+)
+from dirloop.cubical import tensor_product
 from dirloop.paths import Suspension
 from dirloop.serialize import dump_complex, dump_path, rational_str
 
-BASES = {"circle": circle_complex, "wedge2": lambda: wedge_of_circles(2), "torus": torus_complex}
+
+
+def _cube3():
+    interval = interval_complex()
+    return tensor_product(tensor_product(interval, interval), interval)
+
+
+# name: (base, the most excursions a loop may have)
+BASES = {
+    "circle": (circle_complex, 3),
+    "wedge2": (lambda: wedge_of_circles(2), 3),
+    "torus": (torus_complex, 3),
+    "cube3": (_cube3, 3),
+    "wedge3-long": (lambda: wedge_of_circles(3), 12),
+}
 SEEDS = (1, 2)
 
 
@@ -36,12 +62,12 @@ def _commands(duration):
 
 
 def _cases(tmp_path):
-    for name, make_base in BASES.items():
+    for name, (make_base, max_runs) in BASES.items():
         sus = Suspension(make_base())
         complex_file = tmp_path / f"{name}.json"
         complex_file.write_text(json.dumps(dump_complex(sus.base)))
         for seed in SEEDS:
-            loop = random_loop(sus, random.Random(seed), max_runs=3)
+            loop = random_loop(sus, random.Random(seed), max_runs=max_runs)
             loop_file = tmp_path / f"{name}-{seed}.json"
             loop_file.write_text(json.dumps(dump_path(loop)))
             for label, (head, *rest) in _commands(loop.duration).items():
@@ -113,6 +139,42 @@ GOLDEN = {
     "torus/2/phi": "0 028d79a013b0a4e7ba5c2c3f486faa45047d71f826e63cbd41e242a2a6a29330",
     "torus/2/truncate": "0 8a991a077dcd29d53e75673926d74c2d55a2630bd25d599a91ea9ca42fec4edb",
     "torus/2/truncate-delta": "0 d8ba68eae0ba2fa04efb87a429a3a2c7b6e2bc48e0e2e70fe6c9eba116101321",
+    "cube3/1/sec": "0 74ab5f96c0f0d51f6c7b023ccfaa9fb06ee4f79e90742a1295dcaa86361a1104",
+    "cube3/1/straighten": "0 55e544bced1edd8ddfc009926628e8ff5977bae384745610533068e9a918debf",
+    "cube3/1/straighten-contract": "0 0b913510d9b33225410b56dc14a932e8f32c88ebdd2963e1afc7717332725178",
+    "cube3/1/contract": "0 9abbd7fde09170ae82683282272fec058c05b3e7aaa599f2e0528db2d6b0088b",
+    "cube3/1/eval": "0 58f5e9a694de12eea59e1c5803cc16f62ff3f46cb72f5bba1aa6616b965ab811",
+    "cube3/1/increase": "0 15a8149bd627c40ca995d98135e2224fb95b0d755669d83a5fa2bc30d23ca0f7",
+    "cube3/1/phi": "0 4ef9365007df1b8b74323b9c445e322e45eedd6060b79b4bffc419e30c8ca4e5",
+    "cube3/1/truncate": "0 aca923bf07f9885d12b6a9d944824e68a111ff3f0edddd5ee77e42d74fc2a775",
+    "cube3/1/truncate-delta": "0 921c969ecf6e9e22212476c17d11cf34512700d418bf0e56c1eb2504007c2383",
+    "cube3/2/sec": "0 ca1534c1226a7d2c9859b984eefb60bd4c4cc4131bf040d3ea8d02497b6dc194",
+    "cube3/2/straighten": "0 ab7363eaca40bdc016e310d440ae9204a7587fa3949beb9e6e257d1a13f3e3e8",
+    "cube3/2/straighten-contract": "0 8e2313697b4264246e153894844b87822dad30576ae01ad3fa9e669e50f685db",
+    "cube3/2/contract": "0 134e3e068b88399ebfa915d2c48037785724b4c9c99274d922d3ced581611912",
+    "cube3/2/eval": "0 aaa8571b45f2d92a1a2a8866ff528cb912d9eafab9881abd6316c67c8ca95f65",
+    "cube3/2/increase": "0 af5571ed63e1113ff554b09842e888828f1a059841b41923dfd5631222acd9dd",
+    "cube3/2/phi": "0 9bff151fbb7202c2df36be96de96db3bd8241278bbcca726f9d15b0b361c1515",
+    "cube3/2/truncate": "0 dfd4af1f259dea355670e962219cad1d40c2b8104f96dca6d1265e234ada5d1c",
+    "cube3/2/truncate-delta": "0 36b9d79cf64f23654194062099175a3abc6dccc894fa9829d9b66eda08d39f64",
+    "wedge3-long/1/sec": "0 0aecabd92102fa3c636b3c7291bfbca96724b855422a2ee6abd69a93d6ddad04",
+    "wedge3-long/1/straighten": "0 59cc2837e2b7f2a43e10fa0a0a2513fe6e4fa7b55910b7826cb482f95f2914d5",
+    "wedge3-long/1/straighten-contract": "0 a69100adc755907903211b59a617b4a91a51e039ac7486f74398801b1a5578e2",
+    "wedge3-long/1/contract": "0 d9bc40c34f4a02442d857676d98c4021a51d33360bcb659d3cbe4dfa1dd8a6a8",
+    "wedge3-long/1/eval": "0 1dfdd86df874b4eb1d6ca71872d8ee27858bde03a7b8335ef9d7f9ce6ea93000",
+    "wedge3-long/1/increase": "0 f6bdb0ce9233ad01c9c49ecdeccbe2775556e55bebd25a719d96d6b267205a21",
+    "wedge3-long/1/phi": "0 fbd85f40f50ad65b96cc5ca09055ebc5cea4a336df35b8512d09ccc24b364cde",
+    "wedge3-long/1/truncate": "0 8019aafb26019fb7889b4f466879169aaad619992499a9ac8a162a2bf963d937",
+    "wedge3-long/1/truncate-delta": "0 226ceeda7ad6b8dc8af90d22cb5823e55fde811e6b5c91d59023ff58d3d01761",
+    "wedge3-long/2/sec": "0 41a475390ac465f0359a96a37b0923a595d1f9b9afcb5c1b80d9e19999d4ec3c",
+    "wedge3-long/2/straighten": "0 f7f2d0b1e5e2343498f19c9a53bacdc6c08fa636178c155ac68887ce78ec5e82",
+    "wedge3-long/2/straighten-contract": "0 536f47f5682302fbaa7c5d4df41091b32ccb98b4f5f30f0325ff6b537c7fbfc8",
+    "wedge3-long/2/contract": "0 30d33d078233298ce96c5276b630b3a04f5369dd9a00b71674aec1f0dd5320e9",
+    "wedge3-long/2/eval": "0 e47230e4503a69ee98571e82ea6f6393b547bc602dbc53da326f6f07e00a85ac",
+    "wedge3-long/2/increase": "0 45f47f48702808ab9dfc1304e0e36f49d9a7f24709b12f04ed62e957961cf90c",
+    "wedge3-long/2/phi": "0 47fb14b8268fd7d1ddd437d79449c1ba62907783818eddfc3f1d387cf2574b03",
+    "wedge3-long/2/truncate": "0 c84105cd208d05638771c2dcce407f6cbc8108988935d3cc0bf1774b23fd54c4",
+    "wedge3-long/2/truncate-delta": "0 49d0372d7ea8140f3617f093a3187930248c9d3af3bc6ccfcb9e0398c6136e4a",
 }
 
 

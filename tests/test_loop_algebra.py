@@ -37,6 +37,29 @@ def test_recurrence_matches_enumeration(degrees, total):
     assert series.get(total) == count_words_by_enumeration(degrees, total)
 
 
+def _per_degree_convolution(generators, truncation):
+    # every degree j <= k in turn, generators or not
+    coeffs = [1]
+    for k in range(1, truncation + 1):
+        coeffs.append(sum(generators.get(j) * coeffs[k - j] for j in range(1, k + 1)))
+    return tuple(coeffs)
+
+
+@given(
+    st.dictionaries(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=2), max_size=4),
+    st.integers(min_value=0, max_value=16),
+)
+def test_dims_match_the_per_degree_convolution_and_word_counts(counts, truncation):
+    # generators in several degrees, gaps between them, and degrees listed
+    # with no generator at all
+    V = GradedDims(counts, max(counts, default=0))
+    series = tensor_algebra_dims(V, truncation)
+    assert series.coefficients == _per_degree_convolution(V, truncation)
+    degrees = [d for d, n in counts.items() for _ in range(n)]
+    for k in range(min(truncation, 9) + 1):
+        assert series.get(k) == count_words_by_enumeration(degrees, k)
+
+
 def test_series_frozen_values():
     # expected numbers computed with count_words_by_enumeration
     one_loop = tensor_algebra_dims(GradedDims({1: 1}, 1), 5)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dataclasses
 import random
@@ -717,7 +717,7 @@ def test_canonical_track_keeps_endpoints(seed, which):
 
 
 # ----------------------------------------------------------------------
-# canonicalization happens once per public result
+# untrusted segments are canonicalized once, internal pieces only joined
 
 
 @pytest.mark.parametrize("make_base", POINTWISE_BASES)
@@ -827,26 +827,40 @@ def test_spliced_trail_frames_agree(make_base, seed):
         assert s.path(fr.segments) == fr
 
 
+def _count_kernel_calls(monkeypatch):
+    """Record each boundary canonicalization and each join, with its piece count."""
+    calls = []
+    real_canonical, real_join = Suspension._canonical, Suspension._join
+
+    def canonical(self, seg):
+        calls.append(("canonical", 1))
+        return real_canonical(self, seg)
+
+    def join(self, pieces, empty_at=STAR):
+        pieces = list(pieces)
+        calls.append(("join", len(pieces)))
+        return real_join(self, pieces, empty_at)
+
+    monkeypatch.setattr(Suspension, "_canonical", canonical)
+    monkeypatch.setattr(Suspension, "_join", join)
+    return calls
+
+
 def test_contraction_canonicalizes_only_frame_heads(monkeypatch):
     s = Suspension(_cube3_complex())
     rng = random.Random(4)
     letters = [random_interior_point(s.base, rng) for _ in range(30)]
     result, frames = full_straighten(s, word_loop(s, letters))
     built = len(_reference_walk(s, result))
-    sizes = []
-    real_path = Suspension.path
-
-    def counted(self, segments, empty_at=STAR):
-        segments = list(segments)
-        sizes.append(len(segments))
-        return real_path(self, segments, empty_at)
-
-    monkeypatch.setattr(Suspension, "path", counted)
+    calls = _count_kernel_calls(monkeypatch)
     contract_straightened(s, result, frames)
-    # one call per frame of the walk, on its head: the pause walked so
-    # far, the moving letter and the next one; not the whole word.  A
-    # letter's last stop is the basepoint, whose climb is already the
-    # pause, so no frame is built for the pause itself
+    # the frame heads are built from canonical pieces, so nothing passes
+    # the boundary canonicalizer; one join per frame of the walk, on its
+    # head: the pause walked so far, the moving letter and the next one,
+    # not the whole word.  A letter's last stop is the basepoint, whose
+    # climb is already the pause, so no frame is built for the pause itself
+    assert [kind for kind, _ in calls if kind != "join"] == []
+    sizes = [n for _, n in calls]
     assert len(sizes) == built - len(letters) > 3 * len(letters)
     assert max(sizes) == 3
     assert sum(sizes) <= 3 * built
@@ -866,25 +880,20 @@ def test_one_canonicalization_per_result(monkeypatch):
     assert len(table) > 2
     samples = [F(0), F(1, 3), F(1, 2), F(5, 6), F(1)]
     letters = [x, IntervalLetter(F(1, 2)), PointLetter(random_interior_point(s.base, rng))]
-
-    calls = []
-    real_path = Suspension.path
-
-    def counted(self, segments, empty_at=STAR):
-        calls.append(None)
-        return real_path(self, segments, empty_at)
-
-    monkeypatch.setattr(Suspension, "path", counted)
+    calls = _count_kernel_calls(monkeypatch)
 
     def count(fn, *args):
+        # (segments canonicalized at the boundary, joins)
         calls.clear()
         fn(*args)
-        return len(calls)
+        kinds = [kind for kind, _ in calls]
+        return kinds.count("canonical"), kinds.count("join")
 
-    # one call per distinct stage other than 0 (the loop itself), the
-    # result's stage 1 included: 1/3, 1/2, 5/6, 1
-    assert count(full_straighten, s, loop, samples) == 4
-    assert count(chain_split, s, loop) == 0
+    # no boundary canonicalization inside full_straighten, and one join per
+    # distinct stage other than 0 (the loop itself), the result's stage 1
+    # included: 1/3, 1/2, 5/6, 1
+    assert count(full_straighten, s, loop, samples) == (0, 4)
+    assert count(chain_split, s, loop) == (0, 0)
     for fn, *args in [
         (straighten_step, s, run, F(1, 3)),
         (s.slice_path, loop, F(1, 3), loop.duration - F(1, 3)),
@@ -896,7 +905,26 @@ def test_one_canonicalization_per_result(monkeypatch):
         (s.detach_then_attach, into_middle, F(1, 2)),
         (word_loop, s, letters),
     ]:
-        assert count(fn, *args) == 1, fn.__name__
+        # a public transform canonicalizes its output once: one join, and
+        # one boundary check per piece it joins
+        canonicalized, joins = count(fn, *args)
+        assert joins == 1, fn.__name__
+        assert 0 < canonicalized == calls[-1][1], fn.__name__
+
+
+@pytest.mark.parametrize("make_base", POINTWISE_BASES + [_cube3_complex])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_straightening_results_are_fixed_points_of_path(make_base, seed):
+    # full_straighten and contract_straightened join canonical pieces
+    # without the boundary canonicalizer; the canonicalizer is the reference
+    rng = random.Random(seed)
+    s = Suspension(make_base())
+    loop = random_loop(s, rng, max_runs=5) if rng.random() < 0.5 else _wandering_loop(s, rng)
+    samples = sorted({F(rng.randint(0, 12), 12) for _ in range(4)})
+    result, frames = full_straighten(s, loop, samples)
+    for fr in [result, *frames, *contract_straightened(s, result, frames)]:
+        assert s.path(fr.segments) == fr
 
 
 # ----------------------------------------------------------------------
@@ -1045,6 +1073,76 @@ def test_clamped_track_pieces_follow_the_clamped_line(dur, h0, h1, c0, c1):
     if -1 <= seg.h0 <= 1 and -1 <= seg.h1 <= 1:
         pinned = seg.h0 == seg.h1 and abs(seg.h0) == 1
         assert pieces == ([StarSeg(seg.duration)] if pinned else [seg])
+
+
+def _reference_clamp(seg):
+    """Cut at each pole crossed inside, in plain Fraction arithmetic; a
+    piece whose middle height is at or beyond a pole is a pause."""
+
+    def at(s):
+        return seg.h0 + (seg.h1 - seg.h0) * s, tuple(a + (b - a) * s for a, b in zip(seg.c0, seg.c1))
+
+    cuts = {F(0), F(1)}
+    if seg.h0 != seg.h1:
+        for pole in (-1, 1):
+            s = (pole - seg.h0) / (seg.h1 - seg.h0)
+            if 0 < s < 1:
+                cuts.add(s)
+    cuts = sorted(cuts)
+    pieces = []
+    for sa, sb in zip(cuts, cuts[1:]):
+        d = seg.duration * (sb - sa)
+        mid, _ = at((sa + sb) / 2)
+        if mid <= -1 or mid >= 1:
+            pieces.append(StarSeg(d))
+        else:
+            (ha, ca), (hb, cb) = at(sa), at(sb)
+            pieces.append(TrackSeg(d, ha, hb, seg.cube, ca, cb))
+    return pieces
+
+
+_CLAMP_HEIGHTS = st.one_of(
+    st.sampled_from([F(k, 2) for k in range(-6, 7)]),
+    st.fractions(-3, 3, max_denominator=10**12),
+)
+_CLAMP_COORDS = st.lists(
+    st.tuples(st.fractions(0, 1, max_denominator=10**9), st.fractions(0, 1, max_denominator=10**9), st.booleans()),
+    min_size=0,
+    max_size=3,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.fractions(F(1, 10**9), 10**3, max_denominator=10**9),
+    _CLAMP_HEIGHTS,
+    _CLAMP_HEIGHTS,
+    _CLAMP_COORDS,
+)
+@example(F(1), F(0), F(2), [])  # one pole crossed, going up
+@example(F(3), F(1, 2), F(-3, 2), [])  # one pole crossed, going down
+@example(F(2), F(-2), F(2), [])  # both poles, going up
+@example(F(5, 7), F(3), F(-5, 2), [])  # both poles, going down
+@example(F(1), F(-2), F(1), [])  # crosses one pole and ends exactly at the other
+@example(F(1), F(1), F(3), [])  # starts at a pole and leaves it outward
+@example(F(1), F(-1), F(-1), [])  # flat at a pole
+@example(F(1), F(2), F(3), [])  # wholly beyond a pole
+@example(F(1), F(-3, 2), F(-3, 2), [])  # flat beyond a pole
+@example(F(10**6 + 3, 999983), F(-1000003, 999999), F(7, 5), [(F(1, 3), F(5, 11), False)])
+@example(F(2, 3), F(-5, 3), F(12345679, 1234567), [(F(1, 7), F(6, 7), False), (F(1, 2), F(1, 2), True)])
+def test_clamped_track_matches_a_fraction_reference(dur, h0, h1, coords):
+    # ``_clamped_track`` cuts on the integers of the heights; the reference
+    # cuts with Fraction operators, so the pieces must be equal as values
+    c0 = tuple(a for a, _, _ in coords)
+    c1 = tuple(a if held else b for a, b, held in coords)
+    seg = TrackSeg(dur, h0, h1, "c", c0, c1)
+    pieces = _clamped_track(seg)
+    assert pieces == _reference_clamp(seg)
+    for piece in pieces:
+        values = [piece.duration]
+        if isinstance(piece, TrackSeg):
+            values += [piece.h0, piece.h1, *piece.c0, *piece.c1]
+        assert all(type(v) is F for v in values)
 
 
 @pytest.mark.parametrize("make_base", POINTWISE_BASES)
