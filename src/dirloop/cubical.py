@@ -425,18 +425,29 @@ def as_fraction(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
+def _is_fraction_tuple(cs) -> bool:
+    if type(cs) is not tuple:
+        return False
+    for c in cs:
+        if type(c) is not Fraction:
+            return False
+    return True
+
+
 def strip_boundary(K: CubicalSet, cube: str, tuples) -> tuple[str, tuple]:
     """Push coordinate tuples into the smallest carrier they share.
 
     A slot where every tuple holds the same 0 or 1 is stripped through the
     stored face; degeneracy words met on the way delete the matching slots.
     Returns the carrier and the stripped tuples.  For a well formed complex
-    the outcome does not depend on the stripping order.
+    the outcome does not depend on the stripping order.  When nothing is
+    stripped, a given tuple of ``Fraction`` values comes back as the very
+    same object, so a caller can tell an unchanged input by identity.
     """
     if cube not in K.cubes:
         raise ValueError(f"unknown cube {cube!r}")
     n = K.cubes[cube]
-    ts = [tuple(map(as_fraction, cs)) for cs in tuples]
+    ts = [cs if _is_fraction_tuple(cs) else tuple(map(as_fraction, cs)) for cs in tuples]
     for cs in ts:
         if len(cs) != n:
             raise ValueError(f"cube {cube!r} has dimension {n}, got {len(cs)} coordinates")

@@ -33,11 +33,13 @@ pole crossed for the clamp, and the collar levels for the truncation.
 The kernel stays exact and cheap per segment.  Range and pole tests on
 durations and heights read the integers of a ``Fraction`` rather than
 comparing ``Fraction`` objects, and values that already are ``Fraction``
-are not rebuilt.  Whether two tracks merge is one integer
-cross-multiplication on numerators and denominators, and a pure vertical
-shift (a = 1, c = 0) adds b to each height with no clock, or nothing at
-all when b = 0.  Two tracks that meet with the same data in the same
-carrier are continuous without normalizing their end points.  A track
+are not rebuilt: a track that is canonical as given, with every value a
+``Fraction``, comes back from the canonicalizer as the same object.
+Whether two tracks merge is one integer cross-multiplication on
+numerators and denominators, and a pure vertical shift (a = 1, c = 0)
+adds b to each height with no clock, or nothing at all when b = 0.  Two
+tracks that meet with the same data in the same carrier are continuous
+without normalizing their end points.  A track
 that stays within the poles is clamped without computing cuts; one that
 crosses a pole is cut there on the integers of its end heights, with the
 pole as the height at the cut and only moving coordinates interpolated.
@@ -428,6 +430,17 @@ class Suspension:
         if not (_within_poles(h0) and _within_poles(h1)):
             raise ValueError("track heights must lie in [-1, 1]")
         cube, (c0, c1) = strip_boundary(self.base, seg.cube, (seg.c0, seg.c1))
+        # by identity: (0,) == (Fraction(0),), so equality would keep an int
+        if (
+            c0 is seg.c0
+            and c1 is seg.c1
+            and d is seg.duration
+            and h0 is seg.h0
+            and h1 is seg.h1
+            and cube is seg.cube
+            and type(seg) is TrackSeg
+        ):
+            return seg
         return TrackSeg(d, h0, h1, cube, c0, c1)
 
     def _canonical_pieces(self, segments):

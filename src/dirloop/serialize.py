@@ -3,11 +3,19 @@
 Rationals travel as strings ("1/3", "-2") so nothing ever rounds.  Dumps
 are canonical: loading what was dumped gives back an equal value, and
 equal values dump to identical text.  A string in the form dumps write
-(ASCII ``-?digits(/digits)?``) is read with ``int``; any other string goes
-to ``Fraction``, so the accepted grammar and its errors are those of
-``Fraction(str)``, less an exponent larger than the interpreter's integer
-digit limit (``sys.get_int_max_str_digits()``).  Cube ids must be
-strings; anything else is a ``FormatError`` naming the segment or letter.
+(ASCII ``-?digits(/digits)?``) is read with ``int``, each distinct string
+once per document; any other string goes to ``Fraction``, so the accepted
+grammar and its errors are those of ``Fraction(str)``, less an exponent
+larger than the interpreter's integer digit limit
+(``sys.get_int_max_str_digits()``).  Cube ids must be strings; anything
+else is a ``FormatError`` naming the segment or letter.
+
+A path or a word is read in one pass, in document order.  Equal rational
+strings within one document load as one shared ``Fraction``; nothing is
+kept from one document to the next.  A malformed rational is reported at
+its first occurrence as ``segment <k> field <name>: ...`` (``letter <k>``
+in a word), and each track is built once: ``Suspension.path`` keeps a
+segment whose values already are canonical.
 
 A complex is read in two steps.  :func:`parse_complex` turns the JSON into
 cubes and faces and checks only what building a ``CubicalSet`` needs:
@@ -71,10 +79,36 @@ def rational_str(value) -> str:
     return str(as_fraction(value))
 
 
-def _require(obj, key: str, where: str):
+def _require(obj, key: str, where: str, *args):
+    # ``where`` is formatted with ``args`` only when the key is missing
     if not isinstance(obj, dict) or key not in obj:
-        raise FormatError(f"{where} is missing {key!r}")
+        raise FormatError(f"{where.format(*args)} is missing {key!r}")
     return obj[key]
+
+
+def _rational_reader(unit: str):
+    """``read(value, k, field)``: the rationals of one document.
+
+    Each distinct string is parsed once and later occurrences share its
+    ``Fraction``; a failed parse stores nothing and names its place as
+    ``<unit> <k> field <field>``.  Make one reader per document.
+    """
+    parsed: dict[str, Fraction] = {}
+
+    def read(value, k: int, field: str) -> Fraction:
+        if type(value) is str:
+            hit = parsed.get(value)
+            if hit is not None:
+                return hit
+        try:
+            got = parse_rational(value)
+        except FormatError as err:
+            raise FormatError(f"{unit} {k} field {field}: {err}") from None
+        if type(value) is str:
+            parsed[value] = got
+        return got
+
+    return read
 
 
 def dump_complex(K: CubicalSet) -> dict:
@@ -111,7 +145,7 @@ def parse_complex(obj) -> CubicalSet:
         name = _require(entry, "id", "cube entry")
         if not isinstance(name, str):
             raise FormatError(f"cube id must be a string, got {name!r}")
-        dim = _require(entry, "dim", f"cube {name!r}")
+        dim = _require(entry, "dim", "cube {!r}", name)
         if not _is_int(dim):
             raise FormatError(f"cube {name!r} has malformed dimension {dim!r}")
         if name in cubes:
@@ -195,24 +229,26 @@ def load_path(sus: Suspension, obj) -> MoorePath:
     raw = _require(obj, "segments", "path")
     if not isinstance(raw, list):
         raise FormatError("segments must be a list")
+    read = _rational_reader("segment")
+    cubes = sus.base.cubes
     segs = []
     for k, entry in enumerate(raw):
-        kind = _require(entry, "kind", f"segment {k}")
-        dur = parse_rational(_require(entry, "dur", f"segment {k}"))
+        kind = _require(entry, "kind", "segment {}", k)
+        dur = read(_require(entry, "dur", "segment {}", k), k, "dur")
         if kind == "star":
             segs.append(StarSeg(dur))
         elif kind == "track":
-            cube = _require(entry, "cube", f"segment {k}")
+            cube = _require(entry, "cube", "segment {}", k)
             if not isinstance(cube, str):
                 raise FormatError(f"segment {k} cube id must be a string, got {cube!r}")
-            if cube not in sus.base.cubes:
+            if cube not in cubes:
                 raise FormatError(f"segment {k} references unknown cube {cube!r}")
-            h = _require(entry, "h", f"segment {k}")
+            h = _require(entry, "h", "segment {}", k)
             if not isinstance(h, list) or len(h) != 2:
                 raise FormatError(f"segment {k} needs a two element height list")
-            c0 = _require(entry, "c0", f"segment {k}")
-            c1 = _require(entry, "c1", f"segment {k}")
-            dim = sus.base.cubes[cube]
+            c0 = _require(entry, "c0", "segment {}", k)
+            c1 = _require(entry, "c1", "segment {}", k)
+            dim = cubes[cube]
             for label, coords in (("c0", c0), ("c1", c1)):
                 if not isinstance(coords, list) or len(coords) != dim:
                     raise FormatError(
@@ -221,11 +257,11 @@ def load_path(sus: Suspension, obj) -> MoorePath:
             segs.append(
                 TrackSeg(
                     dur,
-                    parse_rational(h[0]),
-                    parse_rational(h[1]),
+                    read(h[0], k, "h"),
+                    read(h[1], k, "h"),
                     cube,
-                    tuple(parse_rational(c) for c in c0),
-                    tuple(parse_rational(c) for c in c1),
+                    tuple([read(c, k, "c0") for c in c0]),
+                    tuple([read(c, k, "c1") for c in c1]),
                 )
             )
         else:
@@ -242,15 +278,16 @@ def dump_word(word) -> list:
 def load_word(K: CubicalSet, obj) -> tuple[RealizationPoint, ...]:
     if not isinstance(obj, list):
         raise FormatError("word must be a list of letters")
+    read = _rational_reader("letter")
     letters = []
     for k, entry in enumerate(obj):
-        cube = _require(entry, "cube", f"letter {k}")
-        coords = _require(entry, "coords", f"letter {k}")
+        cube = _require(entry, "cube", "letter {}", k)
+        coords = _require(entry, "coords", "letter {}", k)
         if not isinstance(cube, str):
             raise FormatError(f"letter {k} cube id must be a string, got {cube!r}")
         if cube not in K.cubes:
             raise FormatError(f"letter {k} references unknown cube {cube!r}")
         if not isinstance(coords, list) or len(coords) != K.cubes[cube]:
             raise FormatError(f"letter {k} needs {K.cubes[cube]} coordinates")
-        letters.append(normalize_point(K, cube, tuple(parse_rational(c) for c in coords)))
+        letters.append(normalize_point(K, cube, tuple([read(c, k, "coords") for c in coords])))
     return tuple(letters)

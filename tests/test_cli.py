@@ -300,6 +300,24 @@ def test_bad_path_segment_is_named(capsys, tmp_path, circle_file):
     assert "segment 2" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "segment, message",
+    [
+        ({"kind": "star", "dur": True}, "segment 1 field dur: expected a rational, got True"),
+        (
+            {"kind": "track", "dur": "1", "h": ["-1", "1"], "cube": "e", "c0": ["1/4"], "c1": ["x"]},
+            "segment 1 field c1: malformed rational 'x'",
+        ),
+    ],
+)
+def test_bad_rational_names_segment_and_field(capsys, tmp_path, circle_file, segment, message):
+    target = tmp_path / "bad_rational.json"
+    target.write_text(json.dumps({"segments": [{"kind": "star", "dur": "1"}, segment]}))
+    code, out, err = invoke(capsys, "path", "eval", str(target), "--complex", circle_file, "--t", "0")
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+
+
 def test_homology_rejects_face_of_wrong_dimension(capsys, tmp_path):
     torus = dump_complex(torus_complex())
     square = next(c for c in torus["cubes"] if c["dim"] == 2)

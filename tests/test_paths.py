@@ -100,6 +100,31 @@ def test_path_strips_constant_boundary_coordinate():
     )
 
 
+def test_path_keeps_canonical_tracks_and_rebuilds_the_rest():
+    # a track whose values all are Fraction and sit in their carrier comes
+    # back as the same object; int values, even equal ones, do not
+    sus2 = Suspension(torus_complex())
+    kept = TrackSeg(F(1), F(0), F(1, 2), "(e|e)", (F(1, 4), F(1, 3)), (F(3, 4), F(1, 3)))
+    assert sus2.path([kept]).segments[0] is kept
+    for ints in (
+        dataclasses.replace(kept, duration=1),
+        dataclasses.replace(kept, h0=0),
+        dataclasses.replace(kept, h1=1),
+        dataclasses.replace(kept, c0=(F(1, 4), 0)),
+        dataclasses.replace(kept, c1=[F(3, 4), F(1, 3)]),
+    ):
+        (seg,) = sus2.path([ints]).segments
+        assert seg is not ints
+        values = (seg.duration, seg.h0, seg.h1, *seg.c0, *seg.c1)
+        assert all(type(v) is F for v in values)
+        assert type(seg.c0) is tuple and type(seg.c1) is tuple
+    # a track that strips gets a new carrier and new coordinate tuples
+    boundary = TrackSeg(F(1), F(0), F(1, 2), "(e|e)", (F(0), F(1, 4)), (F(0), F(3, 4)))
+    (seg,) = sus2.path([boundary]).segments
+    assert seg is not boundary and seg.cube == "(v|e)"
+    assert seg.c0 == (F(1, 4),) and seg.c1 == (F(3, 4),)
+
+
 def test_path_merges_collinear_tracks(sus, x):
     p = sus.path([const_track(1, -1, 0), const_track(1, 0, 1)])
     assert p == sus.basic_loop(x)

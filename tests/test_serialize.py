@@ -1,6 +1,8 @@
 """JSON round trips and malformed-input reporting."""
 
 import json
+import random
+import re
 import sys
 from fractions import Fraction as F
 
@@ -8,9 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirloop.corpus import circle_complex, interval_complex, random_loop, torus_complex
+from dirloop.corpus import (
+    circle_complex,
+    interval_complex,
+    random_loop,
+    torus_complex,
+    wedge_of_circles,
+)
 from dirloop.cubical import RealizationPoint
-from dirloop.paths import Suspension
+from dirloop.paths import Suspension, TrackSeg
 from dirloop.serialize import (
     FormatError,
     dump_complex,
@@ -24,6 +32,7 @@ from dirloop.serialize import (
 )
 
 CIRCLE = Suspension(circle_complex())
+BASES = [CIRCLE, Suspension(torus_complex()), Suspension(wedge_of_circles(3))]
 
 
 def test_parse_rational_accepts_strings_and_ints():
@@ -185,14 +194,84 @@ def test_path_round_trip_frozen():
     assert load_path(CIRCLE, obj) == loop
 
 
-@given(st.randoms(use_true_random=False))
+def _fraction_fields(path):
+    for seg in path.segments:
+        yield seg.duration
+        if isinstance(seg, TrackSeg):
+            yield from (seg.h0, seg.h1, *seg.c0, *seg.c1)
+
+
+@given(st.sampled_from(BASES), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
-def test_path_round_trip_random(rng):
-    loop = random_loop(CIRCLE, rng)
+def test_path_round_trip_random(sus, rng):
+    loop = random_loop(sus, rng)
     blob = json.dumps(dump_path(loop))
-    again = load_path(CIRCLE, json.loads(blob))
-    assert again == loop
-    assert json.dumps(dump_path(again)) == blob
+    obj = json.loads(blob)
+    first, second = load_path(sus, obj), load_path(sus, obj)
+    assert first == loop and second == loop
+    assert json.dumps(dump_path(first)) == blob
+    values = list(_fraction_fields(first))
+    assert all(type(v) is F for v in values)
+    # a canonical dump reloads without merging, so every value is read from
+    # the document, where equal values are equal strings: one object each
+    shared: dict = {}
+    assert all(shared.setdefault(v, v) is v for v in values)
+    # and nothing is kept from one call to the next
+    assert not {id(v) for v in values} & {id(v) for v in _fraction_fields(second)}
+
+
+def test_load_path_builds_each_track_once(monkeypatch):
+    # a canonical loop of 161 segments, the size of the largest bench loops
+    sus = Suspension(wedge_of_circles(3))
+    rng = random.Random(161)
+    loop = sus.path([])
+    while len(loop.segments) < 161:
+        more = random_loop(sus, rng)
+        if len(loop.segments) + len(more.segments) > 161:
+            more = sus.basic_loop(RealizationPoint("e1", (F(1, 3),)))
+        loop = sus.concat(loop, more)
+    assert len(loop.segments) == 161
+    obj = dump_path(loop)
+    tracks = sum(seg["kind"] == "track" for seg in obj["segments"])
+    built = []
+    init = TrackSeg.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(TrackSeg, "__init__", counting_init)
+    assert load_path(sus, obj) == loop
+    assert len(built) <= tracks
+
+
+_TRACK = {"kind": "track", "dur": "1", "h": ["-1", "1"], "cube": "e", "c0": ["1/4"], "c1": ["1/4"]}
+
+
+@pytest.mark.parametrize(
+    "segments, message",
+    [
+        ([{"kind": "star", "dur": True}], "segment 0 field dur: expected a rational, got True"),
+        ([{"kind": "star", "dur": 1.5}], "segment 0 field dur: rationals must be strings"),
+        ([_TRACK, dict(_TRACK, c0=["x"])], "segment 1 field c0: malformed rational 'x'"),
+        ([dict(_TRACK, h=["-1", "1/0"])], "segment 0 field h: malformed rational '1/0'"),
+        # of two malformed strings, the first in document order is reported
+        ([dict(_TRACK, c1=["y"]), dict(_TRACK, dur="x")], "segment 0 field c1: malformed rational 'y'"),
+        ([dict(_TRACK, dur="x", c0=["y"])], "segment 0 field dur: malformed rational 'x'"),
+        # a repeated malformed string is reported where it first occurs
+        (
+            [_TRACK, dict(_TRACK, c0=["x"]), {"kind": "star", "dur": "x"}],
+            "segment 1 field c0: malformed rational 'x'",
+        ),
+        (
+            [_TRACK, {"kind": "star", "dur": "x"}, dict(_TRACK, c0=["x"])],
+            "segment 1 field dur: malformed rational 'x'",
+        ),
+    ],
+)
+def test_load_path_names_the_segment_and_field_of_a_bad_rational(segments, message):
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}"):
+        load_path(CIRCLE, {"segments": segments})
 
 
 @pytest.mark.parametrize(
@@ -246,6 +325,14 @@ def test_word_round_trip():
         load_word(CIRCLE.base, [{"cube": "e", "coords": []}])
     with pytest.raises(FormatError, match="word must be a list of letters"):
         load_word(CIRCLE.base, {"cube": "e", "coords": ["1/3"]})
+
+
+def test_load_word_names_the_letter_of_a_bad_rational():
+    letters = [{"cube": "e", "coords": ["1/3"]}, {"cube": "e", "coords": ["x"]}]
+    with pytest.raises(FormatError, match="^letter 1 field coords: malformed rational 'x'"):
+        load_word(CIRCLE.base, letters)
+    word = load_word(CIRCLE.base, [{"cube": "e", "coords": ["1/3"]}] * 2)
+    assert word[0].coords[0] is word[1].coords[0]
 
 
 @pytest.mark.parametrize("cube", [["e"], {"e": 1}, 3, None])
