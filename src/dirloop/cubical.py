@@ -11,12 +11,16 @@ canonical carrier cube by stripping boundary coordinates.
 (:func:`normalize_point`) and the two ends of a path segment alike, and is
 the only code that deletes slots named by a degeneracy word.
 
-:func:`validate` is the one checker of a presentation: structure (names,
-missing faces, normal form, dimensions, degeneracy bounds) and the
-interchange relations, read off each cube's face list once.  Its lazy form
-:func:`iter_violations` lets ``serialize.load_complex`` stop at the first
-violation; the work grows with the face entries present, never with a
-declared dimension.  Code past the loader takes a complex as well formed.
+Each cube's faces sit in one row, in slot order ``2*(i-1)+eps``; the
+parser builds the rows as it reads a document, a complex built in code gets
+them from its ``faces`` mapping, and :func:`validate`, ``chain_complex`` and
+:func:`strip_boundary` index them.  :func:`validate` is the one checker of
+a presentation: structure (names, missing faces, normal form, dimensions,
+degeneracy bounds) and the interchange relations, read off each row once.
+Its lazy form :func:`iter_violations` lets ``serialize.load_complex`` stop
+at the first violation; the work grows with the face entries present, never
+with a declared dimension.  Code past the loader takes a complex as well
+formed.
 
 All coordinates are ``fractions.Fraction``; no floats enter the kernel.
 Values that already are ``Fraction`` are used as they are (``as_fraction``),
@@ -27,9 +31,9 @@ a positive denominator.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -71,27 +75,57 @@ class Violation:
 class CubicalSet:
     """A pointed cubical complex presented by nondegenerate cubes.
 
-    ``cubes`` maps cube name to dimension; ``faces`` maps ``(name, i, eps)``
-    with ``1 <= i <= dim`` and ``eps in (0, 1)`` to a :class:`FaceRef`.
-    Instances are treated as immutable after construction.
+    ``cubes`` maps cube name to dimension; ``rows[name]`` holds the cube's
+    faces (:class:`FaceRef`) in slot order ``2*(i-1)+eps``, the one face
+    layout: a tuple when all ``2*dim`` are present, else a dict of those
+    that are.  A complex built in code gives ``faces``, mapping
+    ``(name, i, eps)`` to the same, and gets its rows from them; ``faces`` of
+    a parsed complex (:meth:`from_rows`) is worked out from its rows when
+    first read.  Instances are treated as immutable after construction.
     """
 
     def __init__(self, cubes: Mapping[str, int], faces: Mapping, basepoint: str):
-        self.cubes = dict(cubes)
-        self.faces = dict(faces)
-        self.basepoint = basepoint
-        if basepoint not in self.cubes:
+        slots: dict = {name: {} for name in cubes}
+        stray = {}  # the entries in no slot of a cube
+        for (name, i, eps), ref in faces.items():
+            if eps in (0, 1) and name in slots and 1 <= i <= cubes[name]:
+                slots[name][2 * i - 2 + eps] = ref
+            else:
+                stray[name, i, eps] = ref
+        rows = {
+            c: tuple(map(own.__getitem__, range(len(own)))) if len(own) == 2 * cubes[c] else own
+            for c, own in slots.items()
+        }
+        self._setup(dict(cubes), rows, stray, basepoint)
+
+    @classmethod
+    def from_rows(cls, cubes: dict, rows: dict, stray: dict, basepoint: str) -> "CubicalSet":
+        """The complex with these rows; ``stray`` holds the entries in no slot."""
+        K = cls.__new__(cls)
+        K._setup(cubes, rows, stray, basepoint)
+        return K
+
+    def _setup(self, cubes: dict, rows: dict, stray: dict, basepoint: str) -> None:
+        self.cubes, self.rows, self._stray, self.basepoint = cubes, rows, stray, basepoint
+        if basepoint not in cubes:
             raise ValueError(f"basepoint {basepoint!r} is not a cube of the complex")
-        if self.cubes[basepoint] != 0:
+        if cubes[basepoint] != 0:
             raise ValueError("basepoint must be a vertex")
-        for name, d in self.cubes.items():
+        for name, d in cubes.items():
             if not isinstance(name, str) or not name:
                 raise ValueError("cube names must be nonempty strings")
             if d < 0:
                 raise ValueError(f"cube {name!r} has negative dimension")
 
-    def cubes_of_dim(self, n: int) -> list[str]:
-        return sorted(c for c, d in self.cubes.items() if d == n)
+    @cached_property
+    def faces(self) -> dict:
+        faces = {
+            (name, s // 2 + 1, s % 2): ref
+            for name, row in self.rows.items()
+            for s, ref in (row.items() if type(row) is dict else enumerate(row))
+        }
+        faces.update(self._stray)
+        return faces
 
     @property
     def top_dim(self) -> int:
@@ -141,9 +175,9 @@ def apply_face(K: CubicalSet, ref: FaceRef, i: int, eps: int) -> FaceRef:
     base cube is substituted and the words are recombined.  Face indices
     above a degeneracy drop by one as they pass it, so the faces of a
     partially degenerate cube, as in a product with a suspension, reach
-    the stored faces of its base.  A plain cube gets a ``FaceRef`` equal to
-    its stored face; :func:`validate` reads those from ``K.faces`` and
-    calls this for degenerate faces only.
+    the stored faces of its base, read from its row.  A plain cube gets a
+    ``FaceRef`` equal to its stored face; :func:`validate` reads those from
+    the rows and calls this for degenerate faces only.
     """
     word = ref.degens
     out: list[int] = []
@@ -156,7 +190,7 @@ def apply_face(K: CubicalSet, ref: FaceRef, i: int, eps: int) -> FaceRef:
             k -= 1
         else:
             out.append(j - 1)
-    stored = K.faces[(ref.base, k, eps)]
+    stored = K.rows[ref.base][2 * k - 2 + eps]
     return FaceRef(stored.base, compose_degens(tuple(out), stored.degens))
 
 
@@ -201,70 +235,64 @@ def iter_violations(K: CubicalSet) -> Iterator[Violation]:
     face entries of no cube, then the relations.  The work grows with the
     face entries present, not with the declared dimensions: a cube missing
     faces is one violation naming the first missing key and the count of
-    the others.  Each cube's faces are read once, into a tuple indexed by
-    ``2*(i-1)+eps``; relations are checked on cubes whose faces are all
-    present and well formed, and one that needs a face of a cube with
-    missing faces is skipped.
+    the others.  Each cube's faces are read from its row, the one face
+    layout; only faces that are not a plain (n-1)-cube are checked one by
+    one.  Relations are checked on cubes whose faces are all present and
+    well formed, and one that needs a face of a cube with missing faces is
+    skipped.
     """
     cubes = K.cubes
-    slots: defaultdict[str, dict[int, FaceRef]] = defaultdict(dict)
-    stray = []
-    for (name, i, eps), ref in K.faces.items():
-        n = cubes.get(name)
-        if n is None or not 1 <= i <= n or eps not in (0, 1):
-            stray.append((name, i, eps))
-        else:
-            slots[name][2 * i - 2 + eps] = ref
-
-    # name -> its faces by slot, for the cubes with no face missing
-    table: dict[str, tuple] = {}
+    rows = K.rows
+    full = rows  # the rows with no face missing
     clean = []
     for name in sorted(cubes):
         n = cubes[name]
-        own = slots.get(name, {})
-        missing = 2 * n - len(own)
-        if missing:
-            # the first gap lies within the len(own) + 1 first slots
-            s = next(s for s in range(len(own) + 1) if s not in own)
-            more = f" and {missing - 1} more" if missing > 1 else ""
-            yield Violation("structure", name, f"missing face {face_key(s // 2 + 1, s % 2)}{more}")
-        else:
-            fs = table[name] = tuple(map(own.__getitem__, range(2 * n)))
+        row = rows[name]
+        if type(row) is tuple:
             # the usual case, every face a plain (n-1)-cube, without a loop
-            if not any(map(_word, fs)) and list(map(cubes.get, map(_base, fs))).count(n - 1) == 2 * n:
+            if not any(map(_word, row)) and list(map(cubes.get, map(_base, row))).count(n - 1) == 2 * n:
                 clean.append(name)
                 continue
-        good = not missing
-        for s, (base, word) in sorted(own.items()):
-            for problem in _ref_problems(cubes, base, word, n - 1):
-                yield Violation("structure", name, f"face {face_key(s // 2 + 1, s % 2)} {problem}")
-                good = False
+            good, present = True, enumerate(row)
+        else:
+            # the first gap lies within the len(row) + 1 first slots
+            s = next(s for s in range(len(row) + 1) if s not in row)
+            missing = 2 * n - len(row)
+            more = f" and {missing - 1} more" if missing > 1 else ""
+            yield Violation("structure", name, f"missing face {face_key(s // 2 + 1, s % 2)}{more}")
+            if full is rows:
+                full = {c: r for c, r in rows.items() if type(r) is tuple}
+            good, present = False, sorted(row.items())
+        for s, (base, word) in present:
+            if word or cubes.get(base) != n - 1:
+                for problem in _ref_problems(cubes, base, word, n - 1):
+                    yield Violation("structure", name, f"face {face_key(s // 2 + 1, s % 2)} {problem}")
+                    good = False
         if good:
             clean.append(name)
 
-    if stray:
-        for name, i, eps in sorted(stray, key=repr):
-            where = f"exceeds dimension {cubes[name]}" if name in cubes else "belongs to no cube"
-            yield Violation("structure", name, f"face {face_key(i, eps)} {where}")
+    for name, i, eps in sorted(K._stray, key=repr):
+        where = f"exceeds dimension {cubes[name]}" if name in cubes else "belongs to no cube"
+        yield Violation("structure", name, f"face {face_key(i, eps)} {where}")
 
     memo: dict = {}
     for name in clean:
-        fs = table[name]
+        fs = rows[name]
         m = len(fs) - 2
         if m < 2:
             continue
-        # row s lists the faces of face s by slot.  Relation (i, j, eps, eta)
-        # is rows[s][r] == rows[r][s - 2] with s = 2*(j-1)+eta and
-        # r = 2*(i-1)+eps < s & ~1: a row of rows against a column
+        # grid[s] lists the faces of face s by slot.  Relation (i, j, eps, eta)
+        # is grid[s][r] == grid[r][s - 2] with s = 2*(j-1)+eta and
+        # r = 2*(i-1)+eps < s & ~1: a row of the grid against a column
         holes = (None,) * m
-        rows = [_degenerate_faces(K, f, m, memo) if f[1] else table.get(f[0], holes) for f in fs]
-        cols = list(zip(*rows))
-        if [rows[s][: s & ~1] for s in range(2, m + 2)] == [cols[s - 2][: s & ~1] for s in range(2, m + 2)]:
+        grid = [_degenerate_faces(K, f, m, memo) if f[1] else full.get(f[0], holes) for f in fs]
+        cols = list(zip(*grid))
+        if [grid[s][: s & ~1] for s in range(2, m + 2)] == [cols[s - 2][: s & ~1] for s in range(2, m + 2)]:
             continue
         for j, i, eps, eta in sorted(
             (s // 2 + 1, r // 2 + 1, r % 2, s % 2)
             for s in range(2, m + 2)
-            for r, (x, y) in enumerate(zip(rows[s][: s & ~1], cols[s - 2]))
+            for r, (x, y) in enumerate(zip(grid[s][: s & ~1], cols[s - 2]))
             if x != y and x is not None and y is not None
         ):
             one, two = face_key(i, eps), face_key(j, eta)
@@ -284,17 +312,6 @@ def validate(K: CubicalSet) -> list[Violation]:
     return list(iter_violations(K))
 
 
-def is_face_closed(K: CubicalSet, names: Iterable[str]) -> bool:
-    """True when every face of every listed cube has its base in the list."""
-    sub = frozenset(names)
-    for c in sub:
-        for i in range(1, K.cubes[c] + 1):
-            for eps in (0, 1):
-                if K.faces[(c, i, eps)].base not in sub:
-                    return False
-    return True
-
-
 def pair_name(a: str, b: str) -> str:
     return f"({a}|{b})"
 
@@ -311,16 +328,12 @@ def tensor_product(A: CubicalSet, B: CubicalSet) -> CubicalSet:
         for b, db in B.cubes.items():
             name = pair_name(a, b)
             cubes[name] = da + db
-            for i in range(1, da + db + 1):
-                for eps in (0, 1):
-                    if i <= da:
-                        r = A.faces[(a, i, eps)]
-                        faces[(name, i, eps)] = FaceRef(pair_name(r.base, b), r.degens)
-                    else:
-                        r = B.faces[(b, i - da, eps)]
-                        faces[(name, i, eps)] = FaceRef(
-                            pair_name(a, r.base), tuple(da + j for j in r.degens)
-                        )
+            for s, r in enumerate(A.rows[a]):
+                faces[(name, s // 2 + 1, s % 2)] = FaceRef(pair_name(r.base, b), r.degens)
+            for s, r in enumerate(B.rows[b]):
+                faces[(name, da + s // 2 + 1, s % 2)] = FaceRef(
+                    pair_name(a, r.base), tuple(da + j for j in r.degens)
+                )
     return CubicalSet(cubes, faces, pair_name(A.basepoint, B.basepoint))
 
 
@@ -337,7 +350,7 @@ def quotient_collapse(K: CubicalSet, collapse: Iterable[str]) -> CubicalSet:
     for c in sub:
         if c not in K.cubes:
             raise ValueError(f"collapse target names unknown cube {c!r}")
-    if not is_face_closed(K, sub):
+    if any(f.base not in sub for c in sub for f in K.rows[c]):
         raise ValueError("collapse target is not closed under faces")
     star = "*"
     survivors = set(K.cubes) - sub
@@ -349,13 +362,10 @@ def quotient_collapse(K: CubicalSet, collapse: Iterable[str]) -> CubicalSet:
         if c in sub:
             continue
         cubes[c] = d
-        for i in range(1, d + 1):
-            for eps in (0, 1):
-                ref = K.faces[(c, i, eps)]
-                if ref.base in sub:
-                    faces[(c, i, eps)] = FaceRef(star, tuple(range(d - 1, 0, -1)))
-                else:
-                    faces[(c, i, eps)] = ref
+        for s, ref in enumerate(K.rows[c]):
+            if ref.base in sub:
+                ref = FaceRef(star, tuple(range(d - 1, 0, -1)))
+            faces[(c, s // 2 + 1, s % 2)] = ref
     return CubicalSet(cubes, faces, star)
 
 
@@ -463,7 +473,7 @@ def strip_boundary(K: CubicalSet, cube: str, tuples) -> tuple[str, tuple]:
                 break
         else:
             return cube, tuple(ts)
-        ref = K.faces[(cube, hit + 1, c.numerator)]
+        ref = K.rows[cube][2 * hit + c.numerator]
         for k, cs in enumerate(ts):
             rest = cs[:hit] + cs[hit + 1:]
             for j in ref.degens:

@@ -174,34 +174,32 @@ def chain_complex(K: CubicalSet) -> ChainComplex:
     """Normalized chain complex of ``K`` with integer coefficients.
 
     The boundary of an n-cube alternates over coordinate directions, taking
-    the start face minus the end face; faces carrying a degeneracy word are
-    dropped.  ``K`` must be a complex that :func:`~dirloop.cubical.validate`
-    accepts, as every loaded complex is.  The squared boundary is checked
-    to vanish, column by column, before returning: an oracle, and the one
-    check a complex built in code gets here.
+    the start face minus the end face: one sign per slot of the cube's row.
+    Faces carrying a degeneracy word are dropped, and each basis comes out
+    of one sorted pass over the cubes.  ``K`` must be a complex that
+    :func:`~dirloop.cubical.validate` accepts, as every loaded complex is.
+    The squared boundary is checked to vanish, column by column, before
+    returning: an oracle, and the one check a complex built in code gets
+    here.
     """
-    basis = {n: K.cubes_of_dim(n) for n in range(K.top_dim + 1)}
+    top = K.top_dim
+    basis: dict[int, list[str]] = {n: [] for n in range(top + 1)}
+    for c in sorted(K.cubes):
+        basis[K.cubes[c]].append(c)
+    signs = [-1, 1, 1, -1] * ((top + 1) // 2)  # by slot 2*(i-1)+eps: (-1)**i, negated at eps = 1
     boundary: dict[int, list[dict[int, int]]] = {}
-    for n in range(1, K.top_dim + 1):
-        rows = {c: i for i, c in enumerate(basis[n - 1])}
+    for n in range(1, top + 1):
+        index = {c: i for i, c in enumerate(basis[n - 1])}
         columns = []
         for c in basis[n]:
             col: dict[int, int] = {}
-            for i in range(1, n + 1):
-                sign = -1 if i % 2 else 1
-                for eps, s in ((0, sign), (1, -sign)):
-                    ref = K.faces[(c, i, eps)]
-                    if ref.degens:
-                        continue
-                    r = rows[ref.base]
-                    v = col.get(r, 0) + s
-                    if v:
-                        col[r] = v
-                    else:
-                        del col[r]
-            columns.append(col)
+            for face, s in zip(K.rows[c], signs):
+                if not face[1]:
+                    r = index[face[0]]
+                    col[r] = col.get(r, 0) + s
+            columns.append({r: v for r, v in col.items() if v})
         boundary[n] = columns
-    for n in range(2, K.top_dim + 1):
+    for n in range(2, top + 1):
         lower = boundary[n - 1]
         for j, col in enumerate(boundary[n]):
             acc: dict[int, int] = {}

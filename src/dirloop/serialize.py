@@ -17,14 +17,15 @@ its first occurrence as ``segment <k> field <name>: ...`` (``letter <k>``
 in a word), and each track is built once: ``Suspension.path`` keeps a
 segment whose values already are canonical.
 
-A complex is read in two steps.  :func:`parse_complex` turns the JSON into
-cubes and faces and checks only what building a ``CubicalSet`` needs:
-types, face keys (exactly ``d<eps>_<i>``, so distinct keys name distinct
-face slots), distinct ids and a vertex as basepoint.  :func:`load_complex`
-then runs :func:`~dirloop.cubical.validate` and raises its first
-violation as a ``FormatError`` of the form ``cube '<id>': face
-d<eps>_<i> ...``.  Every computing command loads; the ``validate``
-command only parses.
+A complex is read in one walk: :func:`parse_complex` reads each cube's
+faces once, into its row in slot order ``2*(i-1)+eps`` (the layout that
+``validate`` and ``chain_complex`` read), with one ``FaceRef`` per plain
+base, and checks only what building a ``CubicalSet`` needs: types, face
+keys (exactly ``d<eps>_<i>``, so distinct keys name distinct slots),
+distinct ids and a vertex as basepoint.  :func:`load_complex` then runs
+:func:`~dirloop.cubical.validate` and raises its first violation as a
+``FormatError`` of the form ``cube '<id>': face d<eps>_<i> ...``.  Every
+computing command loads; the ``validate`` command only parses.
 """
 
 from __future__ import annotations
@@ -114,13 +115,11 @@ def _rational_reader(unit: str):
 def dump_complex(K: CubicalSet) -> dict:
     cubes = []
     for name in sorted(K.cubes, key=lambda c: (K.cubes[c], c)):
-        dim = K.cubes[name]
-        faces = {}
-        for i in range(1, dim + 1):
-            for eps in (0, 1):
-                ref = K.faces[(name, i, eps)]
-                faces[face_key(i, eps)] = {"base": ref.base, "degens": list(ref.degens)}
-        cubes.append({"id": name, "dim": dim, "faces": faces})
+        faces = {
+            face_key(s // 2 + 1, s % 2): {"base": ref.base, "degens": list(ref.degens)}
+            for s, ref in enumerate(K.rows[name])
+        }
+        cubes.append({"id": name, "dim": K.cubes[name], "faces": faces})
     return {"basepoint": K.basepoint, "cubes": cubes}
 
 
@@ -139,8 +138,10 @@ def parse_complex(obj) -> CubicalSet:
     if not isinstance(raw_cubes, list):
         raise FormatError("cubes must be a list")
     cubes: dict[str, int] = {}
-    faces: dict[tuple, FaceRef] = {}
-    keys: dict[str, tuple[int, int]] = {}  # face key -> (i, eps), parsed once
+    rows: dict[str, tuple | dict] = {}
+    stray: dict[tuple, FaceRef] = {}
+    slot_of: dict[str, int] = {}  # face key -> its slot 2*(i-1)+eps, parsed once
+    plain: dict[str, FaceRef] = {}  # base -> its one plain FaceRef
     for entry in raw_cubes:
         name = _require(entry, "id", "cube entry")
         if not isinstance(name, str):
@@ -154,13 +155,16 @@ def parse_complex(obj) -> CubicalSet:
         raw_faces = entry.get("faces", {})
         if not isinstance(raw_faces, dict):
             raise FormatError(f"cube {name!r} faces must be an object")
+        width = 2 * dim
+        # never longer than the entries present: a dict when some must be missing
+        row = [None] * width if len(raw_faces) >= width else {}
         for key, ref in raw_faces.items():
-            i_eps = keys.get(key)
-            if i_eps is None:
+            s = slot_of.get(key)
+            if s is None:
                 m = _FACE_KEY.fullmatch(key)
                 if not m:
                     raise FormatError(f"cube {name!r} has malformed face key {key!r}")
-                i_eps = keys[key] = (int(m[2]), int(m[1]))
+                s = slot_of[key] = 2 * int(m[2]) - 2 + int(m[1])
             if not isinstance(ref, dict) or "base" not in ref:
                 raise FormatError(f"face {key!r} of {name!r} is missing 'base'")
             base, degens = ref["base"], ref.get("degens", [])
@@ -168,9 +172,19 @@ def parse_complex(obj) -> CubicalSet:
                 raise FormatError(f"face {key!r} of {name!r} has malformed base")
             if not isinstance(degens, list) or degens and not all(map(_is_int, degens)):
                 raise FormatError(f"face {key!r} of {name!r} has malformed degeneracies")
-            faces[(name, *i_eps)] = FaceRef(base, tuple(degens))
+            if degens:
+                face = FaceRef(base, tuple(degens))
+            else:
+                face = plain.get(base) or plain.setdefault(base, FaceRef(base))
+            if s < width:
+                row[s] = face
+            else:
+                stray[(name, s // 2 + 1, s % 2)] = face
+        if type(row) is list:
+            row = tuple(row) if all(row) else {s: f for s, f in enumerate(row) if f}
+        rows[name] = row
     try:
-        return CubicalSet(cubes, faces, basepoint)
+        return CubicalSet.from_rows(cubes, rows, stray, basepoint)
     except ValueError as err:
         raise FormatError(str(err)) from None
 

@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dirloop.cli import main
 from dirloop.corpus import (
@@ -18,10 +18,11 @@ from dirloop.corpus import (
     two_component_complex,
     wedge_of_circles,
 )
-from dirloop.cubical import RealizationPoint
+from dirloop.cubical import CubicalSet, FaceRef, RealizationPoint, suspension_model, tensor_product, validate
+from dirloop.homology import chain_complex
 from dirloop.james import PointLetter, word_loop
 from dirloop.paths import Suspension
-from dirloop.serialize import dump_complex, dump_path
+from dirloop.serialize import FormatError, dump_complex, dump_path, load_complex, parse_complex
 
 CIRCLE = Suspension(circle_complex())
 
@@ -603,3 +604,50 @@ def test_mangled_complex_files_never_crash(tmp_path_factory, mutations):
         # a presentation validate rejects or cannot read is never computed on
         if verdict != 0:
             assert code == 2, (template, err)
+
+
+# a complex with plain faces only, and one whose faces carry degeneracy words
+_PRODUCERS_BASES = [
+    dump_complex(torus_complex()),
+    dump_complex(tensor_product(suspension_model(circle_complex()).complex, circle_complex())),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    base=st.sampled_from(_PRODUCERS_BASES),
+    mutations=st.lists(_complex_mutation, max_size=3),
+    rnd=st.randoms(use_true_random=False),
+)
+# a row with a hole and a stray entry, among degenerate and plain faces
+@example(base=_PRODUCERS_BASES[1], mutations=[("key", 7, "d0_1000000000")], rnd=random.Random(0))
+@example(base=_PRODUCERS_BASES[0], mutations=[("key", 3, "d1_3")], rnd=random.Random(1))
+def test_parsed_rows_and_rows_from_faces_give_one_answer(base, mutations, rnd):
+    # the parser's rows and the rows a complex built in code gets from its
+    # faces mapping are two producers of one layout: every reader agrees
+    obj = _mangle_complex(json.loads(json.dumps(base)), mutations)
+    for cube in obj["cubes"]:
+        if isinstance(cube.get("faces"), dict):
+            items = list(cube["faces"].items())
+            rnd.shuffle(items)
+            cube["faces"] = dict(items)
+    try:
+        L = parse_complex(obj)
+    except FormatError:
+        return
+    # the faces the document holds, read without the parser's rows
+    assert L.faces == {
+        (cube["id"], int(key[3:]), int(key[1])): FaceRef(ref["base"], tuple(ref.get("degens", [])))
+        for cube in obj["cubes"]
+        for key, ref in cube.get("faces", {}).items()
+    }
+    M = CubicalSet(L.cubes, L.faces, L.basepoint)
+    report = validate(L)
+    assert report == validate(M)
+    try:
+        load_complex(obj)
+    except FormatError as err:
+        assert str(err) == f"cube {report[0].cube!r}: {report[0].detail}"
+    else:
+        assert report == []
+        assert chain_complex(L) == chain_complex(M)

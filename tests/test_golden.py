@@ -1,4 +1,4 @@
-"""Byte for byte regression of the path commands.
+"""Byte for byte regression of the path and complex commands.
 
 Each case runs one command through ``cli.main`` on a seeded corpus loop and
 compares the SHA-256 of its stdout, together with the exit code, against a
@@ -11,6 +11,12 @@ The cube and the wedge of three circles were added before the internal
 join and the integer pole clamp: I^3 has boundary coordinates that the
 contraction walk and the collar truncation strip through faces, and the
 wedge loop of up to twelve excursions gives long words and trails.
+
+The complex commands (``validate``, ``homology``, ``loop-homology`` and
+``suspension``) are pinned the same way, with stderr hashed too, on stock
+complexes, on complexes with degenerate faces and on mangled documents,
+each also with every cube's face keys in reversed order: a change of the
+loader keeps the whole violation list, its order and its text.
 """
 
 import hashlib
@@ -21,15 +27,15 @@ from dirloop.cli import main
 from dirloop.corpus import (
     circle_complex,
     interval_complex,
+    point_complex,
     random_loop,
     torus_complex,
+    two_component_complex,
     wedge_of_circles,
 )
-from dirloop.cubical import tensor_product
+from dirloop.cubical import suspension_model, tensor_product
 from dirloop.paths import Suspension
 from dirloop.serialize import dump_complex, dump_path, rational_str
-
-
 
 def _cube3():
     interval = interval_complex()
@@ -182,3 +188,338 @@ def test_path_command_outputs_are_unchanged(capsys, tmp_path):
     got = {key: _digest(capsys, argv) for key, argv in _cases(tmp_path)}
     assert got.keys() == GOLDEN.keys()
     assert [k for k in GOLDEN if got[k] != GOLDEN[k]] == []
+
+
+def _sus(make):
+    return lambda: suspension_model(make()).complex
+
+
+# name: a complex; the suspension models and their products carry
+# degenerate faces
+COMPLEXES = {
+    "point": point_complex,
+    "interval": interval_complex,
+    "circle": circle_complex,
+    "wedge3": lambda: wedge_of_circles(3),
+    "torus": torus_complex,
+    "two-component": two_component_complex,
+    "cube3": _cube3,
+    "sus-circle": _sus(circle_complex),
+    "sus-torus": _sus(torus_complex),
+    "sus-sus-circle": lambda: suspension_model(_sus(circle_complex)()).complex,
+    "sus-circle*circle": lambda: tensor_product(_sus(circle_complex)(), circle_complex()),
+    "interval*sus-circle": lambda: tensor_product(interval_complex(), _sus(circle_complex)()),
+}
+
+
+def _faces(obj, cube):
+    return next(c for c in obj["cubes"] if c["id"] == cube)["faces"]
+
+
+def _mangler(base, *edits):
+    """A mangled copy of a stock complex: each edit is ``(cube, key, value)``,
+    where value ``None`` deletes the key, a dict replaces the face and a
+    list replaces its degeneracy word."""
+
+    def make(obj):
+        for cube, key, value in edits:
+            faces = _faces(obj, cube)
+            if value is None:
+                del faces[key]
+            elif isinstance(value, dict):
+                faces[key] = value
+            else:
+                faces[key]["degens"] = value
+        return obj
+
+    return base, make
+
+
+MANGLED = {
+    "missing-face": _mangler("cube3", ("((e|e)|e)", "d1_2", None)),
+    "missing-faces": _mangler(
+        "cube3", ("((e|e)|e)", "d0_1", None), ("((e|e)|e)", "d0_3", None), ("((e|a)|e)", "d1_1", None)
+    ),
+    "ghost-base": _mangler("torus", ("(e|e)", "d0_2", {"base": "ghost", "degens": []})),
+    "word-not-normal": _mangler("sus-circle*circle", ("((hi|e)|e)", "d1_1", [1, 2])),
+    "word-repeats": _mangler("sus-circle", ("(lo|e)", "d0_2", [1, 1])),
+    "index-over-bound": _mangler("sus-circle*circle", ("((lo|e)|e)", "d0_2", [3])),
+    "index-zero": _mangler("sus-circle", ("(hi|e)", "d1_2", [0])),
+    "wrong-dimension": _mangler("torus", ("(e|e)", "d0_1", {"base": "(v|v)", "degens": []})),
+    "broken-square": _mangler("cube3", ("((e|e)|b)", "d0_1", {"base": "((a|e)|a)", "degens": []})),
+    "broken-degenerate-square": _mangler(
+        "sus-circle*circle", ("((hi|e)|e)", "d0_3", {"base": "((lo|e)|v)", "degens": []})
+    ),
+    "stray-key": _mangler("circle", ("e", "d0_2", {"base": "v", "degens": []})),
+    "stray-and-broken": _mangler(
+        "cube3",
+        ("((a|e)|e)", "d1_7", {"base": "((a|a)|e)", "degens": []}),
+        ("((e|e)|a)", "d1_2", {"base": "((e|a)|b)", "degens": []}),
+        ("((e|a)|e)", "d0_1", {"base": "((a|a)|e)", "degens": [1]}),
+    ),
+}
+
+COMPLEX_COMMANDS = {
+    "validate": ["validate"],
+    "homology-q": ["homology", "--field", "q"],
+    "homology-q-reduced": ["homology", "--field", "q", "--reduced"],
+    "homology-zp3": ["homology", "--field", "zp:3"],
+    "homology-zp3-reduced": ["homology", "--field", "zp:3", "--reduced"],
+    "loop-homology": ["loop-homology", "--degree", "6"],
+    "suspension": ["suspension"],
+}
+
+
+def _reversed_keys(obj):
+    for cube in obj["cubes"]:
+        cube["faces"] = dict(reversed(cube["faces"].items()))
+    return obj
+
+
+def _complex_documents():
+    for name, make in COMPLEXES.items():
+        yield name, dump_complex(make()), COMPLEX_COMMANDS
+    for name, (base, mangle) in MANGLED.items():
+        yield name, mangle(dump_complex(COMPLEXES[base]())), ("validate", "homology-q")
+
+
+def _complex_cases(tmp_path):
+    for name, obj, commands in _complex_documents():
+        for order, doc in (("", obj), ("reversed/", _reversed_keys(json.loads(json.dumps(obj))))):
+            target = tmp_path / f"{order.strip('/') or 'as-dumped'}-{name}.json"
+            target.write_text(json.dumps(doc))
+            for label in commands:
+                head, *rest = COMPLEX_COMMANDS[label]
+                yield f"{order}{name}/{label}", [head, str(target), *rest]
+
+
+def _full_digest(capsys, argv) -> str:
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return f"{code} {hashlib.sha256((out + chr(0) + err).encode('utf-8')).hexdigest()}"
+
+
+GOLDEN_COMPLEX = {
+    "point/validate": "0 e795da9310ff18b6f32deea6113460f7918b3ef64151f4ea555fb2c6c9558996",
+    "point/homology-q": "0 b74ab80adfe319f0b9c475b51159a1192b09781ac59cf9116c7a210c1341c536",
+    "point/homology-q-reduced": "0 870e45aedc2f6444ad95b15a1f28d30dc7cb5f48e3aebce539eb57fbb86cb1d2",
+    "point/homology-zp3": "0 b74ab80adfe319f0b9c475b51159a1192b09781ac59cf9116c7a210c1341c536",
+    "point/homology-zp3-reduced": "0 870e45aedc2f6444ad95b15a1f28d30dc7cb5f48e3aebce539eb57fbb86cb1d2",
+    "point/loop-homology": "0 bf6c8d52085cb03c799a6a951ad48ad23e39f4be07f06d31b9da75f530a0e6d0",
+    "point/suspension": "0 67a781d02fa7895e907debdc8ead88788dc467b1b3208720c3c8106db0872c28",
+    "reversed/point/validate": "0 e795da9310ff18b6f32deea6113460f7918b3ef64151f4ea555fb2c6c9558996",
+    "reversed/point/homology-q": "0 b74ab80adfe319f0b9c475b51159a1192b09781ac59cf9116c7a210c1341c536",
+    "reversed/point/homology-q-reduced": "0 870e45aedc2f6444ad95b15a1f28d30dc7cb5f48e3aebce539eb57fbb86cb1d2",
+    "reversed/point/homology-zp3": "0 b74ab80adfe319f0b9c475b51159a1192b09781ac59cf9116c7a210c1341c536",
+    "reversed/point/homology-zp3-reduced": "0 870e45aedc2f6444ad95b15a1f28d30dc7cb5f48e3aebce539eb57fbb86cb1d2",
+    "reversed/point/loop-homology": "0 bf6c8d52085cb03c799a6a951ad48ad23e39f4be07f06d31b9da75f530a0e6d0",
+    "reversed/point/suspension": "0 67a781d02fa7895e907debdc8ead88788dc467b1b3208720c3c8106db0872c28",
+    "interval/validate": "0 e795da9310ff18b6f32deea6113460f7918b3ef64151f4ea555fb2c6c9558996",
+    "interval/homology-q": "0 6a6ec7a0e49c3ab3b62ef20ea943c7d30f76e7bda7a04058a142b0dcd80ee69f",
+    "interval/homology-q-reduced": "0 b33964fa41e1063739f7c6ff909e621bb035b15398f2caa32f74c34c3404f20d",
+    "interval/homology-zp3": "0 6a6ec7a0e49c3ab3b62ef20ea943c7d30f76e7bda7a04058a142b0dcd80ee69f",
+    "interval/homology-zp3-reduced": "0 b33964fa41e1063739f7c6ff909e621bb035b15398f2caa32f74c34c3404f20d",
+    "interval/loop-homology": "0 bf6c8d52085cb03c799a6a951ad48ad23e39f4be07f06d31b9da75f530a0e6d0",
+    "interval/suspension": "0 cba480dc7e207111d69d390d3527f09cb4baf95365d61812ee5dd2ae3b5c558e",
+    "reversed/interval/validate": "0 e795da9310ff18b6f32deea6113460f7918b3ef64151f4ea555fb2c6c9558996",
+    "reversed/interval/homology-q": "0 6a6ec7a0e49c3ab3b62ef20ea943c7d30f76e7bda7a04058a142b0dcd80ee69f",
+    "reversed/interval/homology-q-reduced": "0 b33964fa41e1063739f7c6ff909e621bb035b15398f2caa32f74c34c3404f20d",
+    "reversed/interval/homology-zp3": "0 6a6ec7a0e49c3ab3b62ef20ea943c7d30f76e7bda7a04058a142b0dcd80ee69f",
+    "reversed/interval/homology-zp3-reduced": "0 b33964fa41e1063739f7c6ff909e621bb035b15398f2caa32f74c34c3404f20d",
+    "reversed/interval/loop-homology": "0 bf6c8d52085cb03c799a6a951ad48ad23e39f4be07f06d31b9da75f530a0e6d0",
+    "reversed/interval/suspension": "0 cba480dc7e207111d69d390d3527f09cb4baf95365d61812ee5dd2ae3b5c558e",
+    "circle/validate": "0 e795da9310ff18b6f32deea6113460f7918b3ef64151f4ea555fb2c6c9558996",
+    "circle/homology-q": "0 21e7c44c4818f686519db211cb381dc32ecc4a1d89c9dda9040b32d099d7532a",
+    "circle/homology-q-reduced": "0 73c7da54bef8b3e5e63bce2c1e5a7ffd651823a1de43398acddeed9ea895d5ce",
+    "circle/homology-zp3": "0 21e7c44c4818f686519db211cb381dc32ecc4a1d89c9dda9040b32d099d7532a",
+    "circle/homology-zp3-reduced": "0 73c7da54bef8b3e5e63bce2c1e5a7ffd651823a1de43398acddeed9ea895d5ce",
+    "circle/loop-homology": "0 1c57cf8b4c061ad087447fea35eb6fc2f3c780bfdf67805b88277340c3df452a",
+    "circle/suspension": "0 6aea452cfb10f3b590ab5b3a6da9e585bce25d27d2a8ab1852c8f1c98fd61680",
+    "reversed/circle/validate": "0 e795da9310ff18b6f32deea6113460f7918b3ef64151f4ea555fb2c6c9558996",
+    "reversed/circle/homology-q": "0 21e7c44c4818f686519db211cb381dc32ecc4a1d89c9dda9040b32d099d7532a",
+    "reversed/circle/homology-q-reduced": "0 73c7da54bef8b3e5e63bce2c1e5a7ffd651823a1de43398acddeed9ea895d5ce",
+    "reversed/circle/homology-zp3": "0 21e7c44c4818f686519db211cb381dc32ecc4a1d89c9dda9040b32d099d7532a",
+    "reversed/circle/homology-zp3-reduced": "0 73c7da54bef8b3e5e63bce2c1e5a7ffd651823a1de43398acddeed9ea895d5ce",
+    "reversed/circle/loop-homology": "0 1c57cf8b4c061ad087447fea35eb6fc2f3c780bfdf67805b88277340c3df452a",
+    "reversed/circle/suspension": "0 6aea452cfb10f3b590ab5b3a6da9e585bce25d27d2a8ab1852c8f1c98fd61680",
+    "wedge3/validate": "0 e795da9310ff18b6f32deea6113460f7918b3ef64151f4ea555fb2c6c9558996",
+    "wedge3/homology-q": "0 b081676fea0f1b89acc2c8dc5c4a6108f1c5d2c34aae727fb745f93ecff57768",
+    "wedge3/homology-q-reduced": "0 ae72bbc9356cc84e24279a4011e0d2f3fd397bfb8efbfbbc69899b32b3853190",
+    "wedge3/homology-zp3": "0 b081676fea0f1b89acc2c8dc5c4a6108f1c5d2c34aae727fb745f93ecff57768",
+    "wedge3/homology-zp3-reduced": "0 ae72bbc9356cc84e24279a4011e0d2f3fd397bfb8efbfbbc69899b32b3853190",
+    "wedge3/loop-homology": "0 3ab5e1fcf4331aa1b555ef9d9dcc6d9c5ac2f97f57293108434312c755e05972",
+    "wedge3/suspension": "0 e4786b341804aa6cd1d27a58a88d118d018d07a5cfd88f315ad2dd4c2cf00ab3",
+    "reversed/wedge3/validate": "0 e795da9310ff18b6f32deea6113460f7918b3ef64151f4ea555fb2c6c9558996",
+    "reversed/wedge3/homology-q": "0 b081676fea0f1b89acc2c8dc5c4a6108f1c5d2c34aae727fb745f93ecff57768",
+    "reversed/wedge3/homology-q-reduced": "0 ae72bbc9356cc84e24279a4011e0d2f3fd397bfb8efbfbbc69899b32b3853190",
+    "reversed/wedge3/homology-zp3": "0 b081676fea0f1b89acc2c8dc5c4a6108f1c5d2c34aae727fb745f93ecff57768",
+    "reversed/wedge3/homology-zp3-reduced": "0 ae72bbc9356cc84e24279a4011e0d2f3fd397bfb8efbfbbc69899b32b3853190",
+    "reversed/wedge3/loop-homology": "0 3ab5e1fcf4331aa1b555ef9d9dcc6d9c5ac2f97f57293108434312c755e05972",
+    "reversed/wedge3/suspension": "0 e4786b341804aa6cd1d27a58a88d118d018d07a5cfd88f315ad2dd4c2cf00ab3",
+    "torus/validate": "0 e795da9310ff18b6f32deea6113460f7918b3ef64151f4ea555fb2c6c9558996",
+    "torus/homology-q": "0 820d98bf2a6d4286424185ce1f78287b607df4f1e1c65636aecd7f299c779bbc",
+    "torus/homology-q-reduced": "0 bb6f9e4ca34c7450d559f00e3825e4a9df42412ec7af7352fae6aafcb6883305",
+    "torus/homology-zp3": "0 820d98bf2a6d4286424185ce1f78287b607df4f1e1c65636aecd7f299c779bbc",
+    "torus/homology-zp3-reduced": "0 bb6f9e4ca34c7450d559f00e3825e4a9df42412ec7af7352fae6aafcb6883305",
+    "torus/loop-homology": "0 e04d6c9742adbc8498dee808a03ed3aac8eca8bfb72ea732de2cee4fdb3d3924",
+    "torus/suspension": "0 ce7af67425ea0fdddfad2e2feec7725402b473e2f38cc2da16923fcd04e4f0d3",
+    "reversed/torus/validate": "0 e795da9310ff18b6f32deea6113460f7918b3ef64151f4ea555fb2c6c9558996",
+    "reversed/torus/homology-q": "0 820d98bf2a6d4286424185ce1f78287b607df4f1e1c65636aecd7f299c779bbc",
+    "reversed/torus/homology-q-reduced": "0 bb6f9e4ca34c7450d559f00e3825e4a9df42412ec7af7352fae6aafcb6883305",
+    "reversed/torus/homology-zp3": "0 820d98bf2a6d4286424185ce1f78287b607df4f1e1c65636aecd7f299c779bbc",
+    "reversed/torus/homology-zp3-reduced": "0 bb6f9e4ca34c7450d559f00e3825e4a9df42412ec7af7352fae6aafcb6883305",
+    "reversed/torus/loop-homology": "0 e04d6c9742adbc8498dee808a03ed3aac8eca8bfb72ea732de2cee4fdb3d3924",
+    "reversed/torus/suspension": "0 ce7af67425ea0fdddfad2e2feec7725402b473e2f38cc2da16923fcd04e4f0d3",
+    "two-component/validate": "0 e795da9310ff18b6f32deea6113460f7918b3ef64151f4ea555fb2c6c9558996",
+    "two-component/homology-q": "0 50daca7298b4ec329764438bd86ee6b8e84b9084c5b863121b722fc8f20dbb6e",
+    "two-component/homology-q-reduced": "0 7fc6fde2ccbe26b083cc514680eb3c13c337695ee54c8f027934069c54098d90",
+    "two-component/homology-zp3": "0 50daca7298b4ec329764438bd86ee6b8e84b9084c5b863121b722fc8f20dbb6e",
+    "two-component/homology-zp3-reduced": "0 7fc6fde2ccbe26b083cc514680eb3c13c337695ee54c8f027934069c54098d90",
+    "two-component/loop-homology": "1 29d76a1294cc5c7186b915ef100646beba64eeb61b7a0ffde16ba4d570c50b1b",
+    "two-component/suspension": "0 2aa59e56b797d020b5ee4e5da7703a0d8616c4b64222110f41e8e3592af1aae9",
+    "reversed/two-component/validate": "0 e795da9310ff18b6f32deea6113460f7918b3ef64151f4ea555fb2c6c9558996",
+    "reversed/two-component/homology-q": "0 50daca7298b4ec329764438bd86ee6b8e84b9084c5b863121b722fc8f20dbb6e",
+    "reversed/two-component/homology-q-reduced": "0 7fc6fde2ccbe26b083cc514680eb3c13c337695ee54c8f027934069c54098d90",
+    "reversed/two-component/homology-zp3": "0 50daca7298b4ec329764438bd86ee6b8e84b9084c5b863121b722fc8f20dbb6e",
+    "reversed/two-component/homology-zp3-reduced": "0 7fc6fde2ccbe26b083cc514680eb3c13c337695ee54c8f027934069c54098d90",
+    "reversed/two-component/loop-homology": "1 29d76a1294cc5c7186b915ef100646beba64eeb61b7a0ffde16ba4d570c50b1b",
+    "reversed/two-component/suspension": "0 2aa59e56b797d020b5ee4e5da7703a0d8616c4b64222110f41e8e3592af1aae9",
+    "cube3/validate": "0 e795da9310ff18b6f32deea6113460f7918b3ef64151f4ea555fb2c6c9558996",
+    "cube3/homology-q": "0 8b0d30604eeb20020d9f61ca929252a86b4364d9225ac7045d808dd59b86d2b5",
+    "cube3/homology-q-reduced": "0 9dbbde522867804748e0bfde04a640bbf016757ad586cc0f01637281e025aeba",
+    "cube3/homology-zp3": "0 8b0d30604eeb20020d9f61ca929252a86b4364d9225ac7045d808dd59b86d2b5",
+    "cube3/homology-zp3-reduced": "0 9dbbde522867804748e0bfde04a640bbf016757ad586cc0f01637281e025aeba",
+    "cube3/loop-homology": "0 bf6c8d52085cb03c799a6a951ad48ad23e39f4be07f06d31b9da75f530a0e6d0",
+    "cube3/suspension": "0 91079eb5325d170b084ec657e14ad34929048534a4128f06b0bab7d1ce752892",
+    "reversed/cube3/validate": "0 e795da9310ff18b6f32deea6113460f7918b3ef64151f4ea555fb2c6c9558996",
+    "reversed/cube3/homology-q": "0 8b0d30604eeb20020d9f61ca929252a86b4364d9225ac7045d808dd59b86d2b5",
+    "reversed/cube3/homology-q-reduced": "0 9dbbde522867804748e0bfde04a640bbf016757ad586cc0f01637281e025aeba",
+    "reversed/cube3/homology-zp3": "0 8b0d30604eeb20020d9f61ca929252a86b4364d9225ac7045d808dd59b86d2b5",
+    "reversed/cube3/homology-zp3-reduced": "0 9dbbde522867804748e0bfde04a640bbf016757ad586cc0f01637281e025aeba",
+    "reversed/cube3/loop-homology": "0 bf6c8d52085cb03c799a6a951ad48ad23e39f4be07f06d31b9da75f530a0e6d0",
+    "reversed/cube3/suspension": "0 91079eb5325d170b084ec657e14ad34929048534a4128f06b0bab7d1ce752892",
+    "sus-circle/validate": "0 e795da9310ff18b6f32deea6113460f7918b3ef64151f4ea555fb2c6c9558996",
+    "sus-circle/homology-q": "0 6aeaf332cde80e125f1b56ed7fcced694db608053bf610c8a8f31cecb2b702b3",
+    "sus-circle/homology-q-reduced": "0 67ed72041a5a419941eae75dad6c490c2cee07794836f986fc1a4a3e521c0339",
+    "sus-circle/homology-zp3": "0 6aeaf332cde80e125f1b56ed7fcced694db608053bf610c8a8f31cecb2b702b3",
+    "sus-circle/homology-zp3-reduced": "0 67ed72041a5a419941eae75dad6c490c2cee07794836f986fc1a4a3e521c0339",
+    "sus-circle/loop-homology": "0 c21998383a5e3ed24d9070422a55b3c9479e95db3331b27ad5559323957730af",
+    "sus-circle/suspension": "0 1a790422c65951857f30040839cc2b4678f1a312ad152c31f46dabdd96ac2140",
+    "reversed/sus-circle/validate": "0 e795da9310ff18b6f32deea6113460f7918b3ef64151f4ea555fb2c6c9558996",
+    "reversed/sus-circle/homology-q": "0 6aeaf332cde80e125f1b56ed7fcced694db608053bf610c8a8f31cecb2b702b3",
+    "reversed/sus-circle/homology-q-reduced": "0 67ed72041a5a419941eae75dad6c490c2cee07794836f986fc1a4a3e521c0339",
+    "reversed/sus-circle/homology-zp3": "0 6aeaf332cde80e125f1b56ed7fcced694db608053bf610c8a8f31cecb2b702b3",
+    "reversed/sus-circle/homology-zp3-reduced": "0 67ed72041a5a419941eae75dad6c490c2cee07794836f986fc1a4a3e521c0339",
+    "reversed/sus-circle/loop-homology": "0 c21998383a5e3ed24d9070422a55b3c9479e95db3331b27ad5559323957730af",
+    "reversed/sus-circle/suspension": "0 1a790422c65951857f30040839cc2b4678f1a312ad152c31f46dabdd96ac2140",
+    "sus-torus/validate": "0 e795da9310ff18b6f32deea6113460f7918b3ef64151f4ea555fb2c6c9558996",
+    "sus-torus/homology-q": "0 eb796a6470db20ad8d0ea37e3245cb41b5209779e7f95e8ac29a412edc95c951",
+    "sus-torus/homology-q-reduced": "0 c1c139fa2a6071530b7d09f35e51c44cfd5444d60eceac657cc183b030572c43",
+    "sus-torus/homology-zp3": "0 eb796a6470db20ad8d0ea37e3245cb41b5209779e7f95e8ac29a412edc95c951",
+    "sus-torus/homology-zp3-reduced": "0 c1c139fa2a6071530b7d09f35e51c44cfd5444d60eceac657cc183b030572c43",
+    "sus-torus/loop-homology": "0 d921df50a4902638479b31a95b649cc931c65094a044297f176d713cb72a8ffd",
+    "sus-torus/suspension": "0 943a20ccc4801a64ad217d6cc3c5f36d9cea64327fefd471f528d725c34bc6e7",
+    "reversed/sus-torus/validate": "0 e795da9310ff18b6f32deea6113460f7918b3ef64151f4ea555fb2c6c9558996",
+    "reversed/sus-torus/homology-q": "0 eb796a6470db20ad8d0ea37e3245cb41b5209779e7f95e8ac29a412edc95c951",
+    "reversed/sus-torus/homology-q-reduced": "0 c1c139fa2a6071530b7d09f35e51c44cfd5444d60eceac657cc183b030572c43",
+    "reversed/sus-torus/homology-zp3": "0 eb796a6470db20ad8d0ea37e3245cb41b5209779e7f95e8ac29a412edc95c951",
+    "reversed/sus-torus/homology-zp3-reduced": "0 c1c139fa2a6071530b7d09f35e51c44cfd5444d60eceac657cc183b030572c43",
+    "reversed/sus-torus/loop-homology": "0 d921df50a4902638479b31a95b649cc931c65094a044297f176d713cb72a8ffd",
+    "reversed/sus-torus/suspension": "0 943a20ccc4801a64ad217d6cc3c5f36d9cea64327fefd471f528d725c34bc6e7",
+    "sus-sus-circle/validate": "0 e795da9310ff18b6f32deea6113460f7918b3ef64151f4ea555fb2c6c9558996",
+    "sus-sus-circle/homology-q": "0 546a79999c04237d7ea18e8e23658f933241fb87e4e674f957f1ee7b4f2b94c0",
+    "sus-sus-circle/homology-q-reduced": "0 a260d71c5fc92b7b18cb20ad2e8d6d9f684b72039dd53c5112176d58c446e23d",
+    "sus-sus-circle/homology-zp3": "0 546a79999c04237d7ea18e8e23658f933241fb87e4e674f957f1ee7b4f2b94c0",
+    "sus-sus-circle/homology-zp3-reduced": "0 a260d71c5fc92b7b18cb20ad2e8d6d9f684b72039dd53c5112176d58c446e23d",
+    "sus-sus-circle/loop-homology": "0 1c02d57e04282dea7a54907a9ccf9f34e8abe1ba7f39a46379655808c64cf25a",
+    "sus-sus-circle/suspension": "0 9d270ce88e1afa52a70159849ddb2e735a54d74145f4a9a9e49a64adddd40f26",
+    "reversed/sus-sus-circle/validate": "0 e795da9310ff18b6f32deea6113460f7918b3ef64151f4ea555fb2c6c9558996",
+    "reversed/sus-sus-circle/homology-q": "0 546a79999c04237d7ea18e8e23658f933241fb87e4e674f957f1ee7b4f2b94c0",
+    "reversed/sus-sus-circle/homology-q-reduced": "0 a260d71c5fc92b7b18cb20ad2e8d6d9f684b72039dd53c5112176d58c446e23d",
+    "reversed/sus-sus-circle/homology-zp3": "0 546a79999c04237d7ea18e8e23658f933241fb87e4e674f957f1ee7b4f2b94c0",
+    "reversed/sus-sus-circle/homology-zp3-reduced": "0 a260d71c5fc92b7b18cb20ad2e8d6d9f684b72039dd53c5112176d58c446e23d",
+    "reversed/sus-sus-circle/loop-homology": "0 1c02d57e04282dea7a54907a9ccf9f34e8abe1ba7f39a46379655808c64cf25a",
+    "reversed/sus-sus-circle/suspension": "0 9d270ce88e1afa52a70159849ddb2e735a54d74145f4a9a9e49a64adddd40f26",
+    "sus-circle*circle/validate": "0 e795da9310ff18b6f32deea6113460f7918b3ef64151f4ea555fb2c6c9558996",
+    "sus-circle*circle/homology-q": "0 457f6b0f0ddc8368723cd7961858162536cbf8f419cd1f13c4ff11c300d447b8",
+    "sus-circle*circle/homology-q-reduced": "0 8b9d5bf389f058b67a292f7a8e778582cbbeb3a1cff46003925e3850b4cac7ef",
+    "sus-circle*circle/homology-zp3": "0 457f6b0f0ddc8368723cd7961858162536cbf8f419cd1f13c4ff11c300d447b8",
+    "sus-circle*circle/homology-zp3-reduced": "0 8b9d5bf389f058b67a292f7a8e778582cbbeb3a1cff46003925e3850b4cac7ef",
+    "sus-circle*circle/loop-homology": "0 32db34223084a0a7719c3eae0dbbda757d06c7afd7d2b519b3d79abeaec0c7e4",
+    "sus-circle*circle/suspension": "0 35e627121de1db55cd5c382c2eebe70a739f0611a6d57fe206e08ebd84756904",
+    "reversed/sus-circle*circle/validate": "0 e795da9310ff18b6f32deea6113460f7918b3ef64151f4ea555fb2c6c9558996",
+    "reversed/sus-circle*circle/homology-q": "0 457f6b0f0ddc8368723cd7961858162536cbf8f419cd1f13c4ff11c300d447b8",
+    "reversed/sus-circle*circle/homology-q-reduced": "0 8b9d5bf389f058b67a292f7a8e778582cbbeb3a1cff46003925e3850b4cac7ef",
+    "reversed/sus-circle*circle/homology-zp3": "0 457f6b0f0ddc8368723cd7961858162536cbf8f419cd1f13c4ff11c300d447b8",
+    "reversed/sus-circle*circle/homology-zp3-reduced": "0 8b9d5bf389f058b67a292f7a8e778582cbbeb3a1cff46003925e3850b4cac7ef",
+    "reversed/sus-circle*circle/loop-homology": "0 32db34223084a0a7719c3eae0dbbda757d06c7afd7d2b519b3d79abeaec0c7e4",
+    "reversed/sus-circle*circle/suspension": "0 35e627121de1db55cd5c382c2eebe70a739f0611a6d57fe206e08ebd84756904",
+    "interval*sus-circle/validate": "0 e795da9310ff18b6f32deea6113460f7918b3ef64151f4ea555fb2c6c9558996",
+    "interval*sus-circle/homology-q": "0 284db9d98b24719fd48674b125f788bd417e6beebc5a31ce366e49d7e2ac2329",
+    "interval*sus-circle/homology-q-reduced": "0 1b80871f87be251542ee116b18ed8710cea874101a06e409d72ad8bea5cf807c",
+    "interval*sus-circle/homology-zp3": "0 284db9d98b24719fd48674b125f788bd417e6beebc5a31ce366e49d7e2ac2329",
+    "interval*sus-circle/homology-zp3-reduced": "0 1b80871f87be251542ee116b18ed8710cea874101a06e409d72ad8bea5cf807c",
+    "interval*sus-circle/loop-homology": "0 c21998383a5e3ed24d9070422a55b3c9479e95db3331b27ad5559323957730af",
+    "interval*sus-circle/suspension": "0 bb88da7ccae2c1c1c9d714aea92ff036b0f1778c4b348f79ba87ee1f54001351",
+    "reversed/interval*sus-circle/validate": "0 e795da9310ff18b6f32deea6113460f7918b3ef64151f4ea555fb2c6c9558996",
+    "reversed/interval*sus-circle/homology-q": "0 284db9d98b24719fd48674b125f788bd417e6beebc5a31ce366e49d7e2ac2329",
+    "reversed/interval*sus-circle/homology-q-reduced": "0 1b80871f87be251542ee116b18ed8710cea874101a06e409d72ad8bea5cf807c",
+    "reversed/interval*sus-circle/homology-zp3": "0 284db9d98b24719fd48674b125f788bd417e6beebc5a31ce366e49d7e2ac2329",
+    "reversed/interval*sus-circle/homology-zp3-reduced": "0 1b80871f87be251542ee116b18ed8710cea874101a06e409d72ad8bea5cf807c",
+    "reversed/interval*sus-circle/loop-homology": "0 c21998383a5e3ed24d9070422a55b3c9479e95db3331b27ad5559323957730af",
+    "reversed/interval*sus-circle/suspension": "0 bb88da7ccae2c1c1c9d714aea92ff036b0f1778c4b348f79ba87ee1f54001351",
+    "missing-face/validate": "1 afee55dca15b9ebf4ee3b2ce3d7312d6939ef8eaca9da3e73055a52c0b04d8a2",
+    "missing-face/homology-q": "2 e88ff52bc7e722c79c0f7c477c1519a2439a848b2a0e9644f91de048c35e9222",
+    "reversed/missing-face/validate": "1 afee55dca15b9ebf4ee3b2ce3d7312d6939ef8eaca9da3e73055a52c0b04d8a2",
+    "reversed/missing-face/homology-q": "2 e88ff52bc7e722c79c0f7c477c1519a2439a848b2a0e9644f91de048c35e9222",
+    "missing-faces/validate": "1 9674dbf2d50fe11c267fe30b4022d356297ef0d4bfc4a21826470c57617db479",
+    "missing-faces/homology-q": "2 d14628f44555aa5832720ef6cdef38e896a31f2710132f77325d61fefcb998f4",
+    "reversed/missing-faces/validate": "1 9674dbf2d50fe11c267fe30b4022d356297ef0d4bfc4a21826470c57617db479",
+    "reversed/missing-faces/homology-q": "2 d14628f44555aa5832720ef6cdef38e896a31f2710132f77325d61fefcb998f4",
+    "ghost-base/validate": "1 c3d0dbf8b3802fdcb1788a481f04d77a3073d1c0025b2d929c43fe9b03e31708",
+    "ghost-base/homology-q": "2 e12880e3e2e1fb7a44c6c69fc66fa93560807caffe9f11f98d88d0f7f9eff87c",
+    "reversed/ghost-base/validate": "1 c3d0dbf8b3802fdcb1788a481f04d77a3073d1c0025b2d929c43fe9b03e31708",
+    "reversed/ghost-base/homology-q": "2 e12880e3e2e1fb7a44c6c69fc66fa93560807caffe9f11f98d88d0f7f9eff87c",
+    "word-not-normal/validate": "1 d1725b5f1eec58b72a0d6e10e4e3f9f0fee9ba615e3d763823b4772e885a4070",
+    "word-not-normal/homology-q": "2 7247ac8b149c1dec755cd54bc513f3d7b2f5bd17d465e010d47d44597627ce95",
+    "reversed/word-not-normal/validate": "1 d1725b5f1eec58b72a0d6e10e4e3f9f0fee9ba615e3d763823b4772e885a4070",
+    "reversed/word-not-normal/homology-q": "2 7247ac8b149c1dec755cd54bc513f3d7b2f5bd17d465e010d47d44597627ce95",
+    "word-repeats/validate": "1 85366595f1435d789c420e90e9e07bbc20bec1beba470527733858c8b1f9b6f2",
+    "word-repeats/homology-q": "2 bdc8ce1078ea3bc19864a1a42d2f72ac7fc8d83402b63431e23af8fe05504149",
+    "reversed/word-repeats/validate": "1 85366595f1435d789c420e90e9e07bbc20bec1beba470527733858c8b1f9b6f2",
+    "reversed/word-repeats/homology-q": "2 bdc8ce1078ea3bc19864a1a42d2f72ac7fc8d83402b63431e23af8fe05504149",
+    "index-over-bound/validate": "1 a8fa748cc1328412da51c25c0c5554721365ee7351d84b427ee69972e240edb1",
+    "index-over-bound/homology-q": "2 f15b7f87722518bcc0e3f128c20fd1466de6bfc832d029ec9c0473034bfaf7f9",
+    "reversed/index-over-bound/validate": "1 a8fa748cc1328412da51c25c0c5554721365ee7351d84b427ee69972e240edb1",
+    "reversed/index-over-bound/homology-q": "2 f15b7f87722518bcc0e3f128c20fd1466de6bfc832d029ec9c0473034bfaf7f9",
+    "index-zero/validate": "1 71e5091be342ab43573b96266918bb069a51c4fbc46887e93958b168afb9e15f",
+    "index-zero/homology-q": "2 5e659616bc42dee235950c8dd12c1d1202591182e474d1e9066d423848e022c4",
+    "reversed/index-zero/validate": "1 71e5091be342ab43573b96266918bb069a51c4fbc46887e93958b168afb9e15f",
+    "reversed/index-zero/homology-q": "2 5e659616bc42dee235950c8dd12c1d1202591182e474d1e9066d423848e022c4",
+    "wrong-dimension/validate": "1 d660cd4bc1d0886594187f39cb08e1a9e565fe121226a427a4f4d1a71e1813e0",
+    "wrong-dimension/homology-q": "2 b323354cdbc0bc5ba28a84f1ab87cb12f07611c798a6dd53a2277806df1deb05",
+    "reversed/wrong-dimension/validate": "1 d660cd4bc1d0886594187f39cb08e1a9e565fe121226a427a4f4d1a71e1813e0",
+    "reversed/wrong-dimension/homology-q": "2 b323354cdbc0bc5ba28a84f1ab87cb12f07611c798a6dd53a2277806df1deb05",
+    "broken-square/validate": "1 9e87b5f4ed61058e931c6451cfb638bf632a7b906e0ecb9239b23c1ede3578ee",
+    "broken-square/homology-q": "2 e2ab2fea0fdaa40dbbc192ef7813a30cd08b2b09b4512ea9a2758c35e310e2a7",
+    "reversed/broken-square/validate": "1 9e87b5f4ed61058e931c6451cfb638bf632a7b906e0ecb9239b23c1ede3578ee",
+    "reversed/broken-square/homology-q": "2 e2ab2fea0fdaa40dbbc192ef7813a30cd08b2b09b4512ea9a2758c35e310e2a7",
+    "broken-degenerate-square/validate": "1 c9e785c8a0440c533a2e3d8b473a3293e580e9931e0d49901c618666c2e9d6e9",
+    "broken-degenerate-square/homology-q": "2 6199114d1ee3a8f0a0b068fb70aae84f1ee92492e7df94a772f7be6ad350e05b",
+    "reversed/broken-degenerate-square/validate": "1 c9e785c8a0440c533a2e3d8b473a3293e580e9931e0d49901c618666c2e9d6e9",
+    "reversed/broken-degenerate-square/homology-q": "2 6199114d1ee3a8f0a0b068fb70aae84f1ee92492e7df94a772f7be6ad350e05b",
+    "stray-key/validate": "1 4404caa51812e65b39dba51c09fc355d0d77e5a08082397ec5eadbfed9e29e01",
+    "stray-key/homology-q": "2 601a63f611b3df53625f6b8dd23bda12d7bfa3ff7e5a5100da50eb30d98f1ff5",
+    "reversed/stray-key/validate": "1 4404caa51812e65b39dba51c09fc355d0d77e5a08082397ec5eadbfed9e29e01",
+    "reversed/stray-key/homology-q": "2 601a63f611b3df53625f6b8dd23bda12d7bfa3ff7e5a5100da50eb30d98f1ff5",
+    "stray-and-broken/validate": "1 bc1733865e5f69e4db1c16e2a3b83db7db395c249055fe9cd1b3f0c52efba6bd",
+    "stray-and-broken/homology-q": "2 d2e00ee7f6e3f340d65690629e2640ec7d5198130a1e2b93a66fdfca9c4bd166",
+    "reversed/stray-and-broken/validate": "1 bc1733865e5f69e4db1c16e2a3b83db7db395c249055fe9cd1b3f0c52efba6bd",
+    "reversed/stray-and-broken/homology-q": "2 d2e00ee7f6e3f340d65690629e2640ec7d5198130a1e2b93a66fdfca9c4bd166",
+}
+
+
+def test_complex_command_outputs_are_unchanged(capsys, tmp_path):
+    got = {key: _full_digest(capsys, argv) for key, argv in _complex_cases(tmp_path)}
+    assert got.keys() == GOLDEN_COMPLEX.keys()
+    assert [k for k in GOLDEN_COMPLEX if got[k] != GOLDEN_COMPLEX[k]] == []
