@@ -13,10 +13,13 @@ cannot; ``--samples`` is checked as its grid is built.  Options that one
 handler reads and argparse fully checks, ``--x-structure`` (default
 ``total``) and ``--seed`` (default 0), stay on the parsed arguments.
 
-The output text is built inside the same guarded block as the
-computation, so a payload that cannot be formatted (an integer past the
-interpreter's digit limit) exits 1 with an ``error:`` line like any other
-domain failure.
+Each handler returns its output as pieces of text, formatted inside the
+same guarded block as the computation, so a payload that cannot be
+formatted (an integer past the interpreter's digit limit) exits 1 with an
+``error:`` line and no output, like any other domain failure.  Path
+outputs join the texts of :func:`~dirloop.serialize.segment_texts`, each
+distinct segment encoded once; a contraction trail is encoded whole and
+then written one frame at a time, since joining cannot fail.
 """
 
 from __future__ import annotations
@@ -37,14 +40,14 @@ from .paths import STAR, Suspension
 from .serialize import (
     FormatError,
     dump_complex,
-    dump_path,
-    dump_paths,
     dump_word,
     load_complex,
     load_path,
     parse_complex,
     parse_rational,
+    path_text,
     rational_str,
+    segment_texts,
 )
 from .straighten import DEFAULT_SAMPLES, contract_straightened, contract_to_constant, full_straighten
 
@@ -114,6 +117,18 @@ def _point_json(pt) -> dict:
     }
 
 
+def _json(payload) -> tuple:
+    return (json.dumps(payload),)
+
+
+def _trail_pieces(head: str, trail, texts):
+    # every segment is encoded already, so this only joins
+    yield head + '"trail": ['
+    for k, frame in enumerate(trail):
+        yield (", " if k else "") + path_text(frame, texts)
+    yield "]}"
+
+
 def cmd_validate(args):
     report = validate(parse_complex(_read_json(args.complex)))
     payload = {
@@ -122,7 +137,7 @@ def cmd_validate(args):
             for v in report
         ]
     }
-    return payload, (1 if report else 0)
+    return _json(payload), (1 if report else 0)
 
 
 def cmd_homology(args):
@@ -130,7 +145,7 @@ def cmd_homology(args):
     dims = betti(_load_complex_file(args.complex), config.field)
     if args.reduced:
         dims = dims.reduced()
-    return {"dims": {str(k): n for k, n in enumerate(dims.as_tuple())}}, 0
+    return _json({"dims": {str(k): n for k, n in enumerate(dims.as_tuple())}}), 0
 
 
 def cmd_suspension(args):
@@ -141,7 +156,7 @@ def cmd_suspension(args):
         "lower": sorted(model.lower),
         "upper": sorted(model.upper),
     }
-    return payload, 0
+    return _json(payload), 0
 
 
 def cmd_loop_homology(args):
@@ -149,60 +164,62 @@ def cmd_loop_homology(args):
     series = loop_space_homology(
         _load_complex_file(args.complex), config.field, truncation=config.degree
     )
-    return {"series": [series.get(k) for k in range(config.degree + 1)]}, 0
+    return _json({"series": [series.get(k) for k in range(config.degree + 1)]}), 0
 
 
 def cmd_sec(args):
     sus, loop = _load_pair(args)
-    return dump_word(crossing_word(sus, loop).letters), 0
+    return _json(dump_word(crossing_word(sus, loop).letters)), 0
 
 
 def cmd_straighten(args):
     config = _config(args)
     sus, loop = _load_pair(args)
     result, frames = full_straighten(sus, loop, config.samples)
-    payload = {
-        "result": dump_path(result),
-        "frames": [dump_path(f) for f in frames],
-        "sec": dump_word(crossing_word(sus, result).letters),
-    }
+    texts = segment_texts([result, *frames])
+    head = (
+        f'{{"result": {path_text(result, texts)}, '
+        f'"frames": [{", ".join([path_text(f, texts) for f in frames])}], '
+        f'"sec": {json.dumps(dump_word(crossing_word(sus, result).letters))}'
+    )
     if args.contract:
-        payload["trail"] = dump_paths(contract_straightened(sus, result, frames))
-    return payload, 0
+        trail = contract_straightened(sus, result, frames)
+        return _trail_pieces(head + ", ", trail, segment_texts(trail)), 0
+    return (head + "}",), 0
 
 
 def cmd_contract(args):
     config = _config(args)
     sus, loop = _load_pair(args)
     trail = contract_to_constant(sus, loop, config.samples)
-    return {"trail": dump_paths(trail)}, 0
+    return _trail_pieces("{", trail, segment_texts(trail)), 0
 
 
 def cmd_path_eval(args):
     sus, loop = _load_pair(args)
-    return _point_json(sus.evaluate(loop, args.t)), 0
+    return _json(_point_json(sus.evaluate(loop, args.t))), 0
 
 
 def cmd_path_verify(args):
     sus, loop = _load_pair(args)
     problems = sus.verify_directed(loop, args.x_structure)
-    return {"ok": not problems, "problems": problems}, (1 if problems else 0)
+    return _json({"ok": not problems, "problems": problems}), (1 if problems else 0)
 
 
 def cmd_path_phi(args):
     sus, loop = _load_pair(args)
-    return dump_path(sus.shrink_cone(loop, args.side, args.t)), 0
+    return (path_text(sus.shrink_cone(loop, args.side, args.t)),), 0
 
 
 def cmd_path_increase(args):
     config = _config(args)
     sus, loop = _load_pair(args)
-    return dump_path(sus.make_increasing(loop, config.epsilon)), 0
+    return (path_text(sus.make_increasing(loop, config.epsilon)),), 0
 
 
 def cmd_path_truncate(args):
     sus, loop = _load_pair(args)
-    return dump_path(sus.truncate_near_basepoint(loop, args.delta)), 0
+    return (path_text(sus.truncate_near_basepoint(loop, args.delta)),), 0
 
 
 def cmd_selftest(args):
@@ -318,17 +335,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        payload, code = args.handler(args)
-        # formatting can fail too, on an integer past the digit limit
-        text = None if payload is None else json.dumps(payload)
+        # formatting can fail too, on an integer past the digit limit, so
+        # every handler formats here; only joins are left for the writes
+        pieces, code = args.handler(args)
     except (FormatError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    if text is not None:
-        print(text)
+    if pieces is not None:
+        write = sys.stdout.write
+        for piece in pieces:
+            write(piece)
+        write("\n")
     return code
 
 

@@ -337,16 +337,25 @@ def _map_heights(segments, a, b, c) -> list:
     return segs
 
 
-def _shifted(segments, b) -> list:
-    # the pure shift h -> h + b needs no clock, and b = 0 no arithmetic
+def _shifted(segments, b, f=1) -> list:
+    """The segments with every height raised by ``b`` and every duration
+    multiplied by ``f``, clamped at the poles.
+
+    The pure shift needs no clock, b = 0 and f = 1 need no arithmetic, and
+    each piece is built once: the clamp cuts at the same parameters on
+    either clock.
+    """
+    scale = f != 1
     segs = []
     for seg in segments:
         if isinstance(seg, StarSeg):
-            segs.append(seg)
-        else:
-            if b:
-                seg = TrackSeg(seg.duration, seg.h0 + b, seg.h1 + b, seg.cube, seg.c0, seg.c1)
-            segs.extend(_clamped_track(seg))
+            segs.append(StarSeg(seg.duration * f) if scale else seg)
+            continue
+        if b or scale:
+            h0, h1 = (seg.h0 + b, seg.h1 + b) if b else (seg.h0, seg.h1)
+            d = seg.duration * f if scale else seg.duration
+            seg = TrackSeg(d, h0, h1, seg.cube, seg.c0, seg.c1)
+        segs.extend(_clamped_track(seg))
     return segs
 
 

@@ -10,6 +10,11 @@ larger than the interpreter's integer digit limit
 (``sys.get_int_max_str_digits()``).  Cube ids must be strings; anything
 else is a ``FormatError`` naming the segment or letter.
 
+A path is written as the text of ``json.dumps(dump_path(path))`` by
+:func:`path_text`, which joins the texts :func:`segment_texts` makes, each
+distinct segment object encoded once: the frames of a contraction trail
+share most of their segments.
+
 A path or a word is read in one pass, in document order.  Equal rational
 strings within one document load as one shared ``Fraction``; nothing is
 kept from one document to the next.  A malformed rational is reported at
@@ -30,6 +35,7 @@ computing command loads; the ``validate`` command only parses.
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from fractions import Fraction
@@ -218,25 +224,51 @@ def dump_path(path: MoorePath) -> dict:
     return {"segments": [_dump_segment(seg) for seg in path.segments]}
 
 
-def dump_paths(paths) -> list:
-    """``[dump_path(p) for p in paths]``, dumping each segment object once.
+def _array_text(values) -> str:
+    # a JSON list of rational strings; these need no escaping
+    return '["' + '", "'.join(map(rational_str, values)) + '"]' if values else "[]"
 
-    The frames of a contraction trail share most of their segment objects;
-    the shared ones dump to one shared dict, which ``json`` writes as often
-    as it occurs.
+
+def segment_texts(paths) -> dict:
+    """``{id(seg): text}`` for the segments of the paths, each distinct
+    segment object encoded once.
+
+    ``text`` is ``json.dumps(_dump_segment(seg))``; cube names go through
+    ``json.dumps``.  This is the one step of writing a path that can fail
+    (a value past the interpreter's integer digit limit), so a caller
+    encodes every segment before it writes anything.  The ids stay valid
+    only while the paths are alive.
     """
-    # keyed by id, holding the segment so that its id stays taken
-    dumped: dict[int, tuple] = {}
-    out = []
+    texts: dict[int, str] = {}
+    cubes: dict = {}
     for path in paths:
-        segs = []
         for seg in path.segments:
-            hit = dumped.get(id(seg))
-            if hit is None:
-                hit = dumped[id(seg)] = (seg, _dump_segment(seg))
-            segs.append(hit[1])
-        out.append({"segments": segs})
-    return out
+            if id(seg) in texts:
+                continue
+            if isinstance(seg, StarSeg):
+                text = f'{{"kind": "star", "dur": "{rational_str(seg.duration)}"}}'
+            else:
+                cube = cubes.get(seg.cube)
+                if cube is None:
+                    cube = cubes[seg.cube] = json.dumps(seg.cube)
+                text = (
+                    f'{{"kind": "track", "dur": "{rational_str(seg.duration)}", '
+                    f'"h": ["{rational_str(seg.h0)}", "{rational_str(seg.h1)}"], '
+                    f'"cube": {cube}, "c0": {_array_text(seg.c0)}, "c1": {_array_text(seg.c1)}}}'
+                )
+            texts[id(seg)] = text
+    return texts
+
+
+def path_text(path: MoorePath, texts=None) -> str:
+    """``json.dumps(dump_path(path))``, joined from the segment texts.
+
+    ``texts`` comes from :func:`segment_texts` over paths that include
+    this one; without it the path's own segments are encoded.
+    """
+    if texts is None:
+        texts = segment_texts((path,))
+    return '{"segments": [' + ", ".join(map(texts.__getitem__, map(id, path.segments))) + "]}"
 
 
 def load_path(sus: Suspension, obj) -> MoorePath:

@@ -12,7 +12,9 @@ The helpers build raw segment lists with the :mod:`dirloop.paths`
 builders.  A frame is made of pieces of the loop's canonical segments and
 of climbs over normalized points, so it goes through the join of
 :class:`~dirloop.paths.Suspension` once, without the boundary
-canonicalizer, and no work is done twice.  :func:`full_straighten` builds
+canonicalizer, and no work is done twice: one scan of an excursion finds
+its crossing and cuts the segment that holds it, and each frame piece is
+shifted, clamped and rescaled in one pass.  :func:`full_straighten` builds
 each distinct stage once: the result and a stage 1 sample are one frame,
 and stage 0 is the input loop itself.  A contraction frame differs from the
 word only around the letter walking home, so only that head is joined and
@@ -31,9 +33,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cubical import CubicalSet, RealizationPoint, normalize_point
-from .paths import MoorePath, STAR, StarSeg, Suspension, TrackSeg, _map_heights, _scaled, _slice
+from .paths import MoorePath, STAR, StarSeg, Suspension, TrackSeg, _lerp_coords, _shifted
 
-DEFAULT_SAMPLES = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
+_ZERO, _HALF, _ONE, _MINUS_ONE = Fraction(0), Fraction(1, 2), Fraction(1), Fraction(-1)
+DEFAULT_SAMPLES = (_ZERO, Fraction(1, 4), _HALF, Fraction(3, 4), _ONE)
 
 
 @dataclass(frozen=True)
@@ -64,33 +67,72 @@ def assemble(sus: Suspension, chain: ChainDecomposition) -> MoorePath:
     return sus.path(segs)
 
 
-def _unique_crossing(sus: Suspension, run: MoorePath):
-    crossings = sus.middle_crossings(run)
-    if len(crossings) != 1:
+def _legs(sus: Suspension, run: MoorePath):
+    """The crossing (time b, point xb), the duration a, and the raw
+    stretches before and after the crossing.
+
+    One scan counts the crossings as ``Suspension.middle_crossings`` does:
+    a plateau on the middle slice raises, a crossing at the cone point does
+    not count, and the two ends of a junction at height 0 are one crossing.
+    The segment that holds the only crossing is split at its parameter.
+    """
+    segs, times = run.segments, run.times
+    K, origin = sus.base, sus.origin
+    count, last, found = 0, None, None
+    for k, seg in enumerate(segs):
+        if isinstance(seg, TrackSeg):
+            h0, h1 = seg.h0, seg.h1
+            # h0 <= 0 <= h1 on the numerators: a denominator is positive
+            if h0.numerator <= 0 <= h1.numerator:
+                if h0 == h1:
+                    raise ValueError(
+                        "height plateau on the middle slice; apply make_increasing first"
+                    )
+                s = -h0 / (h1 - h0)
+                t = times[k] + seg.duration * s
+                coords = _lerp_coords(seg.c0, seg.c1, s)
+                pt = normalize_point(K, seg.cube, coords)
+                if pt != origin and t != last:
+                    count, last = count + 1, t
+                    if count == 1:
+                        found = k, s, t, pt, coords
+    if count != 1:
         raise ValueError(
-            f"excursion crosses the middle slice {len(crossings)} times; "
+            f"excursion crosses the middle slice {count} times; "
             "straightening needs exactly one"
         )
-    return crossings[0]
+    k, s, b, xb, coords = found
+    if s == 0:
+        pre, post = list(segs[:k]), list(segs[k:])
+    elif s == 1:
+        pre, post = list(segs[: k + 1]), list(segs[k + 1 :])
+    else:
+        seg = segs[k]
+        d = seg.duration * s
+        pre = [*segs[:k], TrackSeg(d, seg.h0, _ZERO, seg.cube, seg.c0, coords)]
+        post = [TrackSeg(seg.duration - d, _ZERO, seg.h1, seg.cube, coords, seg.c1), *segs[k + 1 :]]
+    return b, xb, times[-1], pre, post
 
 
-def _legs(sus: Suspension, run: MoorePath):
-    # the crossing (time b, point xb), the duration a, and the raw
-    # stretches before and after the crossing
-    b, xb = _unique_crossing(sus, run)
-    a = run.duration
-    return b, xb, a, _slice(run, 0, b), _slice(run, b, a)
+def _early_frames(legs, t: Fraction) -> list:
+    """The raw segments of each excursion's legs at stage ``t`` in [0, 1].
 
-
-def _early_frame(b: Fraction, xb: RealizationPoint, a: Fraction, pre, post, t: Fraction) -> list:
-    # heights before the crossing never exceed 0 and after it never drop
-    # below 0, so pushing each side away from the middle slice by t and
-    # refilling with climbs over the crossing point keeps both ends fixed
-    segs = _map_heights(pre, 1, -t, 0)
-    segs.append(TrackSeg(t * b, -t, Fraction(0), xb.cube, xb.coords, xb.coords))
-    segs.append(TrackSeg(t * (a - b), Fraction(0), t, xb.cube, xb.coords, xb.coords))
-    segs.extend(_map_heights(post, 1, t, 0))
-    return _scaled(segs, 1 / (1 + t))
+    Heights before the crossing never exceed 0 and after it never drop
+    below 0, so pushing each side away from the middle slice by t and
+    refilling with climbs over the crossing point keeps both ends fixed.
+    The clock is rescaled by 1/(1 + t) on the way, so each piece is built
+    once, and the stage's constants are worked out once for all legs.
+    """
+    f = 1 / (1 + t)
+    tf, down = t * f, -t
+    frames = []
+    for b, xb, a, pre, post in legs:
+        segs = _shifted(pre, down, f)
+        segs.append(TrackSeg(tf * b, down, _ZERO, xb.cube, xb.coords, xb.coords))
+        segs.append(TrackSeg(tf * (a - b), _ZERO, t, xb.cube, xb.coords, xb.coords))
+        segs.extend(_shifted(post, t, f))
+        frames.append(segs)
+    return frames
 
 
 def straighten_step(sus: Suspension, run: MoorePath, t) -> MoorePath:
@@ -101,20 +143,22 @@ def straighten_step(sus: Suspension, run: MoorePath, t) -> MoorePath:
     tt = Fraction(t)
     if not 0 <= tt <= 1:
         raise ValueError("stage must lie in [0, 1]")
-    return sus.path(_early_frame(*_legs(sus, run), tt))
+    return sus.path(_early_frames([_legs(sus, run)], tt)[0])
 
 
 def _late_frame(b: Fraction, xb: RealizationPoint, a: Fraction, u: Fraction) -> list:
     # from the half straightened shape to the single full climb: the four
-    # phase breakpoints move affinely while the profile stays -1, 0, 1
+    # phase breakpoints p < q < r move affinely while the profile stays
+    # -1, 0, 1: p = (1-u)*b/2, q = (1-u)*b + u*a/2, r = (1-u)*(a+b)/2 + u*a,
+    # so the four lengths share p and u*a/2
     p = (1 - u) * b / 2
-    q = (1 - u) * b + u * a / 2
-    r = (1 - u) * (a + b) / 2 + u * a
+    ua = u * a / 2
+    climb = a / 2 - p  # r - q
     return [
         StarSeg(p),
-        TrackSeg(q - p, Fraction(-1), Fraction(0), xb.cube, xb.coords, xb.coords),
-        TrackSeg(r - q, Fraction(0), Fraction(1), xb.cube, xb.coords, xb.coords),
-        StarSeg(a - r),
+        TrackSeg(p + ua, _MINUS_ONE, _ZERO, xb.cube, xb.coords, xb.coords),
+        TrackSeg(climb, _ZERO, _ONE, xb.cube, xb.coords, xb.coords),
+        StarSeg(climb - ua),
     ]
 
 
@@ -137,22 +181,25 @@ def full_straighten(sus: Suspension, loop: MoorePath, samples=DEFAULT_SAMPLES):
     chain = chain_split(sus, loop)
     legs = [_legs(sus, exc) for exc in chain.excursions]
     # one frame per distinct stage; stage 0 is the loop itself
-    built = {Fraction(0): loop}
+    built = {_ZERO: loop}
 
     def frame(t: Fraction) -> MoorePath:
         if t in built:
             return built[t]
-        segs: list = [StarSeg(chain.pauses[0] * (1 - t))]
-        for (b, xb, a, pre, post), pause in zip(legs, chain.pauses[1:]):
-            if t <= Fraction(1, 2):
-                segs.extend(_early_frame(b, xb, a, pre, post, 2 * t))
-            else:
-                segs.extend(_late_frame(b, xb, a, 2 * t - 1))
-            segs.append(StarSeg(pause * (1 - t)))
+        if t <= _HALF:
+            pieces = _early_frames(legs, 2 * t)
+        else:
+            u = 2 * t - 1
+            pieces = [_late_frame(b, xb, a, u) for b, xb, a, _, _ in legs]
+        rest = 1 - t
+        segs: list = [StarSeg(chain.pauses[0] * rest)]
+        for piece, pause in zip(pieces, chain.pauses[1:]):
+            segs.extend(piece)
+            segs.append(StarSeg(pause * rest))
         built[t] = sus._join(segs)
         return built[t]
 
-    return frame(Fraction(1)), [frame(s) for s in stages]
+    return frame(_ONE), [frame(s) for s in stages]
 
 
 def _routes_home(K: CubicalSet):
@@ -166,8 +213,8 @@ def _routes_home(K: CubicalSet):
     """
     adj: dict[str, list] = {}
     for e in sorted(c for c, d in K.cubes.items() if d == 1):
-        a = K.faces[(e, 1, 0)].base
-        b = K.faces[(e, 1, 1)].base
+        # slots 0 and 1 of an edge's row: its faces d0_1 and d1_1
+        a, b = K.rows[e][0].base, K.rows[e][1].base
         adj.setdefault(a, []).append((b, e))
         adj.setdefault(b, []).append((a, e))
     for nbrs in adj.values():
@@ -228,13 +275,13 @@ def contract_straightened(sus: Suspension, result: MoorePath, frames) -> list:
         raise ValueError("contraction needs a word loop: one full climb per letter")
     trail = list(frames)
     K = sus.base
-    walked = Fraction(0)
+    walked = _ZERO
     for k, tr in enumerate(word):
         after, tail = word[k + 1 : k + 2], word[k + 2 :]
         stops = [normalize_point(K, tr.cube, tuple(c / 2 for c in tr.c0))]
-        stops.append(normalize_point(K, tr.cube, (Fraction(0),) * len(tr.c0)))
+        stops.append(normalize_point(K, tr.cube, (_ZERO,) * len(tr.c0)))
         for edge, far in route(stops[-1].cube):
-            stops.append(normalize_point(K, edge, (Fraction(1, 2),)))
+            stops.append(normalize_point(K, edge, (_HALF,)))
             stops.append(RealizationPoint(far, ()))
         for p in stops:
             moving = TrackSeg(tr.duration, tr.h0, tr.h1, p.cube, p.coords, p.coords)

@@ -3,6 +3,7 @@
 import io
 import json
 import random
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
@@ -21,7 +22,7 @@ from dirloop.corpus import (
 from dirloop.cubical import CubicalSet, FaceRef, RealizationPoint, suspension_model, tensor_product, validate
 from dirloop.homology import chain_complex
 from dirloop.james import PointLetter, word_loop
-from dirloop.paths import Suspension
+from dirloop.paths import StarSeg, Suspension, TrackSeg
 from dirloop.serialize import FormatError, dump_complex, dump_path, load_complex, parse_complex
 
 CIRCLE = Suspension(circle_complex())
@@ -272,6 +273,38 @@ def test_output_past_the_digit_limit_is_an_error_line(capsys, tmp_path):
     target = tmp_path / "wedge.json"
     target.write_text(json.dumps(dump_complex(wedge_of_circles(1000))))
     code, out, err = invoke(capsys, "loop-homology", str(target), "--degree", "1500")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["contract"], ["straighten", "--contract", "--samples", "2"]])
+def test_a_trail_past_the_digit_limit_is_an_error_line(capsys, tmp_path, circle_file, argv):
+    # two letters lasting 1/r and 1/(r + 2), r of 401 digits, so every
+    # input value reads under a limit of 640 digits; the walk home merges
+    # them into one pause of (2r + 2)/(r(r + 2)), 801 digits.  With two
+    # samples the frames are the loop and the word loop, so straighten has
+    # formatted all but its trail when the trail fails to format
+    r = 10**400 + 1
+    x = (F(1, 2),)
+    loop = CIRCLE.path(
+        [
+            StarSeg(F(1)),
+            TrackSeg(F(1, r), F(-1), F(1), "e", x, x),
+            StarSeg(F(1)),
+            TrackSeg(F(1, r + 2), F(-1), F(1), "e", x, x),
+        ]
+    )
+    target = tmp_path / "thin_letters.json"
+    target.write_text(json.dumps(dump_path(loop)))
+    argv = [argv[0], str(target), "--complex", circle_file, *argv[1:]]
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0 and f"\"{2 * r + 2}/{r * (r + 2)}\"" in out
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = invoke(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
 

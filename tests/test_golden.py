@@ -17,11 +17,17 @@ The complex commands (``validate``, ``homology``, ``loop-homology`` and
 complexes, on complexes with degenerate faces and on mangled documents,
 each also with every cube's face keys in reversed order: a change of the
 loader keeps the whole violation list, its order and its text.
+
+A long trail is pinned from committed files: ``tests/data/wedge3_loop47.json``
+is the 47-letter loop ``bench/gen.make_loop(wedge_of_circles(3),
+random.Random(47), 47, 3)["path"]`` and ``tests/data/wedge3.json`` its
+complex.  CI hashes the console script's stdout on the same files.
 """
 
 import hashlib
 import json
 import random
+from pathlib import Path
 
 from dirloop.cli import main
 from dirloop.corpus import (
@@ -523,3 +529,15 @@ def test_complex_command_outputs_are_unchanged(capsys, tmp_path):
     got = {key: _full_digest(capsys, argv) for key, argv in _complex_cases(tmp_path)}
     assert got.keys() == GOLDEN_COMPLEX.keys()
     assert [k for k in GOLDEN_COMPLEX if got[k] != GOLDEN_COMPLEX[k]] == []
+
+
+DATA = Path(__file__).parent / "data"
+LONG_TRAIL = "0 87c0728795e7d0a5e07f636df016d18414f6850bfb4028d9fd877881d49e6c9c"
+
+
+def test_long_trail_is_unchanged(capsys):
+    # 100 frames over a 47-letter word, written one frame at a time
+    complex_file = DATA / "wedge3.json"
+    assert json.loads(complex_file.read_text()) == dump_complex(wedge_of_circles(3))
+    argv = ["contract", str(DATA / "wedge3_loop47.json"), "--complex", str(complex_file)]
+    assert _digest(capsys, argv) == LONG_TRAIL

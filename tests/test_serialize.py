@@ -18,7 +18,7 @@ from dirloop.corpus import (
     wedge_of_circles,
 )
 from dirloop.cubical import RealizationPoint
-from dirloop.paths import Suspension, TrackSeg
+from dirloop.paths import STAR, MoorePath, StarSeg, Suspension, TrackSeg
 from dirloop.serialize import (
     FormatError,
     dump_complex,
@@ -28,8 +28,11 @@ from dirloop.serialize import (
     load_path,
     load_word,
     parse_rational,
+    path_text,
     rational_str,
+    segment_texts,
 )
+from dirloop.straighten import contract_to_constant
 
 CIRCLE = Suspension(circle_complex())
 BASES = [CIRCLE, Suspension(torus_complex()), Suspension(wedge_of_circles(3))]
@@ -218,6 +221,44 @@ def test_path_round_trip_random(sus, rng):
     assert all(shared.setdefault(v, v) is v for v in values)
     # and nothing is kept from one call to the next
     assert not {id(v) for v in values} & {id(v) for v in _fraction_fields(second)}
+
+
+@given(st.sampled_from(BASES), st.randoms(use_true_random=False))
+@settings(max_examples=25, deadline=None)
+def test_path_text_is_the_json_of_dump_path(sus, rng):
+    # a contraction trail shares most segment objects between its frames;
+    # the texts of one encoding serve them all
+    loop = sus.make_increasing(random_loop(sus, rng), F(1, 2))
+    trail = contract_to_constant(sus, loop)
+    texts = segment_texts(trail)
+    assert len(texts) == len({id(seg) for fr in trail for seg in fr.segments})
+    assert path_text(loop) == json.dumps(dump_path(loop))
+    for frame in trail:
+        assert path_text(frame, texts) == json.dumps(dump_path(frame))
+
+
+@pytest.mark.parametrize(
+    "segments",
+    [
+        (),
+        # paths built in code may hold int values, which dump as rationals
+        (TrackSeg(1, -1, 0, "e", (0,), (1,)), StarSeg(3), TrackSeg(F(1, 2), 0, 1, "e", (1,), (F(2, 3),))),
+        # a vertex track has no coordinates
+        (StarSeg(F(1, 2)), TrackSeg(F(2), F(-1), F(1), "v", (), ())),
+        # cube names are JSON strings: quotes, backslashes, non-ASCII
+        (
+            TrackSeg(F(1), F(-1, 2), F(0), 'q"uote', (F(1, 3),), (F(1, 3),)),
+            TrackSeg(F(1), F(0), F(1, 2), "back\\slash", (F(1, 3), F(1)), (F(1, 3), F(0))),
+            TrackSeg(F(1), F(1, 2), F(1), "w\u00e9dge-\u2207\U0001d54a\n", (F(0),), (F(7, 9),)),
+        ),
+    ],
+)
+def test_path_text_of_paths_built_in_code(segments):
+    path = MoorePath(segments, STAR)
+    assert path_text(path) == json.dumps(dump_path(path))
+    shared = MoorePath(segments + segments[:1], STAR)
+    texts = segment_texts([path, shared])
+    assert path_text(shared, texts) == json.dumps(dump_path(shared))
 
 
 def test_load_path_builds_each_track_once(monkeypatch):

@@ -1,5 +1,6 @@
 """Straightening and contraction of directed loops."""
 
+import json
 import random
 from collections import deque
 from fractions import Fraction as F
@@ -20,7 +21,8 @@ from dirloop.corpus import (
 from dirloop.cubical import CubicalSet, FaceRef, RealizationPoint, suspension_model, tensor_product
 from dirloop.homology import betti
 from dirloop.james import IntervalLetter, PointLetter, crossing_word, word_loop
-from dirloop.paths import MoorePath, STAR, StarSeg, Suspension, TrackSeg
+from dirloop.paths import MoorePath, STAR, StarSeg, Suspension, TrackSeg, _slice
+from dirloop.serialize import dump_complex, load_complex
 from dirloop.straighten import (
     ChainDecomposition,
     assemble,
@@ -28,6 +30,7 @@ from dirloop.straighten import (
     contract_straightened,
     contract_to_constant,
     _late_frame,
+    _legs,
     _routes_home,
     full_straighten,
     straighten_step,
@@ -93,6 +96,106 @@ def test_straighten_step_preserves_duration_and_crossing():
         out = straighten_step(sus, run, t)
         assert out.duration == run.duration
         assert sus.middle_crossings(out)[0][1] == sus.middle_crossings(run)[0][1]
+
+
+def _legs_by_oracle(sus, run):
+    # the crossing from middle_crossings, the stretches from two slices
+    crossings = sus.middle_crossings(run)
+    if len(crossings) != 1:
+        raise ValueError(
+            f"excursion crosses the middle slice {len(crossings)} times; "
+            "straightening needs exactly one"
+        )
+    ((b, xb),) = crossings
+    return b, xb, run.duration, _slice(run, 0, b), _slice(run, b, run.duration)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return ("raised", str(err))
+
+
+def _random_run(rng):
+    # raw tracks of the circle, heights on a coarse grid so that ends at
+    # height 0, plateaus, descents and the vertex (coordinate 0 or 1, the
+    # cone point at height 0) all come up; pauses in between
+    heights = [F(-1), F(-1, 2), F(0), F(1, 3), F(1)]
+    coords = [F(0), F(1, 4), F(1, 2), F(1)]
+    segs, h, c = [], rng.choice(heights), rng.choice(coords)
+    for _ in range(rng.randint(1, 5)):
+        if rng.random() < 0.15:
+            segs.append(StarSeg(F(rng.randint(1, 3), rng.randint(1, 3))))
+            continue
+        h1, c1 = rng.choice(heights), rng.choice(coords)
+        segs.append(TrackSeg(F(rng.randint(1, 4), rng.randint(1, 3)), h, h1, "e", (c,), (c1,)))
+        h, c = h1, c1
+    return MoorePath(tuple(segs))
+
+
+def test_legs_cut_once_as_the_slices_do():
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(3000):
+        run = _random_run(rng)
+        want = _outcome(_legs_by_oracle, CIRCLE, run)
+        assert _outcome(_legs, CIRCLE, run) == want, run
+        if want[0] == "raised":
+            seen.add(want[1].split(";")[0])
+        else:
+            seen.add("at a junction" if want[0] in run.times else "inside a segment")
+    assert seen == {
+        "excursion crosses the middle slice 0 times",
+        "excursion crosses the middle slice 2 times",
+        "excursion crosses the middle slice 3 times",
+        "height plateau on the middle slice",
+        "at a junction",
+        "inside a segment",
+    }
+
+
+X = (F(1, 4),)
+Y = (F(1, 2),)
+
+
+@pytest.mark.parametrize(
+    "segments, cut",
+    [
+        # the first track ends on the middle slice: s = 1 there, and the
+        # second track's start at s = 0 is the same crossing
+        ([TrackSeg(F(1), F(-1), F(0), "e", X, Y), TrackSeg(F(2), F(0), F(1), "e", Y, Y)], 1),
+        # a descent to the middle slice does not cross it: s = 0 in the climb
+        ([TrackSeg(F(1), F(1, 3), F(0), "e", X, Y), TrackSeg(F(2), F(0), F(1), "e", Y, Y)], 1),
+        # inside a track, after a crossing at the vertex, which does not count
+        ([TrackSeg(F(1), F(-1), F(1), "e", (F(0),), (F(0),)), TrackSeg(F(2), F(-1), F(1), "e", X, Y)], 2),
+    ],
+)
+def test_legs_cut_where_the_crossing_is(segments, cut):
+    run = MoorePath(tuple(segments))
+    b, xb, a, pre, post = _legs(CIRCLE, run)
+    assert (b, xb, a, pre, post) == _legs_by_oracle(CIRCLE, run)
+    assert len(pre) == cut and pre[:-1] == list(segments[: cut - 1])
+
+
+@pytest.mark.parametrize(
+    "segments, message",
+    [
+        ([StarSeg(F(1))], "excursion crosses the middle slice 0 times; straightening needs exactly one"),
+        (
+            [TrackSeg(F(1), F(-1), F(1), "e", X, X), TrackSeg(F(1), F(-1), F(1), "e", Y, Y)],
+            "excursion crosses the middle slice 2 times; straightening needs exactly one",
+        ),
+        (
+            [TrackSeg(F(1), F(-1), F(0), "e", X, X), TrackSeg(F(1), F(0), F(0), "e", X, Y)],
+            "height plateau on the middle slice; apply make_increasing first",
+        ),
+    ],
+)
+def test_legs_error_texts(segments, message):
+    with pytest.raises(ValueError) as err:
+        _legs(CIRCLE, MoorePath(tuple(segments)))
+    assert str(err.value) == message
 
 
 def test_straighten_step_rejects_bad_stage():
@@ -342,6 +445,24 @@ def test_routes_home_match_a_bfs_from_each_start(K):
         route = _routes_home(K)
         for v in vertices:
             assert route(v) == reference[v]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: wedge_of_circles(3), torus_complex, lambda: tensor_product(torus_complex(), interval_complex())],
+)
+def test_contract_over_a_parsed_base_reads_rows_not_faces(make):
+    K = make()
+    parsed = load_complex(json.loads(json.dumps(dump_complex(K))))
+    sus = Suspension(parsed)
+    loop = random_loop(sus, random.Random(3))
+    trail = contract_to_constant(sus, loop)
+    assert trail[-1] == MoorePath((), STAR)
+    # the face mapping of a parsed complex is built only when read
+    assert "faces" not in vars(parsed)
+    route, built = _routes_home(parsed), _routes_home(K)
+    for v in (c for c, d in K.cubes.items() if d == 0):
+        assert route(v) == built(v)
 
 
 def test_connectivity_verdict_matches_betti_zero():
