@@ -39,7 +39,9 @@ Whether two tracks merge is one integer cross-multiplication on
 numerators and denominators, and a pure vertical shift (a = 1, c = 0)
 adds b to each height with no clock, or nothing at all when b = 0.  Two
 tracks that meet with the same data in the same carrier are continuous
-without normalizing their end points.  A track
+without normalizing their end points, and a track end with every
+coordinate strictly inside (0, 1) is no cone point unless at a pole, so
+``pauses_and_runs`` normalizes only the other ends.  A track
 that stays within the poles is clamped without computing cuts; one that
 crosses a pole is cut there on the integers of its end heights, with the
 pole as the height at the cut and only moving coordinates interpolated.
@@ -422,6 +424,17 @@ class Suspension:
             return STAR
         return self.point(seg.h1, seg.cube, seg.c1)
 
+    def _ends_at_star(self, seg: TrackSeg) -> bool:
+        # an end with every coordinate strictly inside (0, 1) strips nothing,
+        # so it stays in the track's own cube, of positive dimension, and
+        # is the cone point only at a pole; an end with a coordinate at 0
+        # or 1 may reach the basepoint through a face, even a degenerate
+        # one that deletes its other slots, so it is normalized
+        c1 = seg.c1
+        if c1 and all(0 < c.numerator < c.denominator for c in c1):
+            return _at_pole(seg.h1)
+        return self._seg_end(seg) is STAR
+
     # ------------------------------------------------------------------
     # construction
 
@@ -796,7 +809,7 @@ class Suspension:
                     pauses.append(Fraction(0))
                 pauses[-1] += seg.duration
             else:
-                if cur and self._seg_end(cur[-1]) is STAR:
+                if cur and self._ends_at_star(cur[-1]):
                     runs.append(tuple(cur))
                     cur = []
                     pauses.append(Fraction(0))

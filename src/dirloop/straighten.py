@@ -13,10 +13,18 @@ builders.  A frame is made of pieces of the loop's canonical segments and
 of climbs over normalized points, so it goes through the join of
 :class:`~dirloop.paths.Suspension` once, without the boundary
 canonicalizer, and no work is done twice: one scan of an excursion finds
-its crossing and cuts the segment that holds it, and each frame piece is
-shifted, clamped and rescaled in one pass.  :func:`full_straighten` builds
-each distinct stage once: the result and a stage 1 sample are one frame,
-and stage 0 is the input loop itself.  A contraction frame differs from the
+its crossing and cuts the segment that holds it.  Only the stages strictly
+below 1/2 shift, clamp and rescale the loop's pieces, each in one pass.
+From stage 1/2 on, every excursion is a pause, a climb from -1 to the
+middle slice over its crossing point, a climb on to the top and a pause,
+so those frames are built in closed form from each excursion's crossing
+time, crossing point and duration, and the result (stage 1) is one full
+climb per letter.  Stage 1/2 is the closed form at its start: at 2t = 1
+the heights before the crossing, which never exceed 0, are pushed down to
+-1 or below and those after it up to 1 or above, so the shifted pieces
+all clamp into pauses.  :func:`full_straighten` builds each distinct stage
+once: the result and a stage 1 sample are one frame, and stage 0 is the
+input loop itself.  A contraction frame differs from the
 word only around the letter walking home, so only that head is joined and
 the rest of the word's canonical segments is spliced on as it is.  A
 letter's walk ends with its climb over the basepoint vertex, which the join
@@ -82,33 +90,35 @@ def _legs(sus: Suspension, run: MoorePath):
     for k, seg in enumerate(segs):
         if isinstance(seg, TrackSeg):
             h0, h1 = seg.h0, seg.h1
+            n0, n1 = h0.numerator, h1.numerator
             # h0 <= 0 <= h1 on the numerators: a denominator is positive
-            if h0.numerator <= 0 <= h1.numerator:
-                if h0 == h1:
+            if n0 <= 0 <= n1:
+                if n0 == n1:
                     raise ValueError(
                         "height plateau on the middle slice; apply make_increasing first"
                     )
-                s = -h0 / (h1 - h0)
-                t = times[k] + seg.duration * s
+                # -h0 / (h1 - h0) on the integers, one Fraction built
+                s = Fraction(-n0 * h1.denominator, n1 * h0.denominator - n0 * h1.denominator)
+                d = seg.duration * s
+                t = times[k] + d
                 coords = _lerp_coords(seg.c0, seg.c1, s)
                 pt = normalize_point(K, seg.cube, coords)
                 if pt != origin and t != last:
                     count, last = count + 1, t
                     if count == 1:
-                        found = k, s, t, pt, coords
+                        found = k, s, d, t, pt, coords
     if count != 1:
         raise ValueError(
             f"excursion crosses the middle slice {count} times; "
             "straightening needs exactly one"
         )
-    k, s, b, xb, coords = found
+    k, s, d, b, xb, coords = found
     if s == 0:
         pre, post = list(segs[:k]), list(segs[k:])
     elif s == 1:
         pre, post = list(segs[: k + 1]), list(segs[k + 1 :])
     else:
         seg = segs[k]
-        d = seg.duration * s
         pre = [*segs[:k], TrackSeg(d, seg.h0, _ZERO, seg.cube, seg.c0, coords)]
         post = [TrackSeg(seg.duration - d, _ZERO, seg.h1, seg.cube, coords, seg.c1), *segs[k + 1 :]]
     return b, xb, times[-1], pre, post
@@ -122,6 +132,8 @@ def _early_frames(legs, t: Fraction) -> list:
     refilling with climbs over the crossing point keeps both ends fixed.
     The clock is rescaled by 1/(1 + t) on the way, so each piece is built
     once, and the stage's constants are worked out once for all legs.
+    :func:`full_straighten` builds its stages below 1/2 here (t < 1);
+    :func:`straighten_step` uses it for every t.
     """
     f = 1 / (1 + t)
     tf, down = t * f, -t
@@ -146,20 +158,31 @@ def straighten_step(sus: Suspension, run: MoorePath, t) -> MoorePath:
     return sus.path(_early_frames([_legs(sus, run)], tt)[0])
 
 
-def _late_frame(b: Fraction, xb: RealizationPoint, a: Fraction, u: Fraction) -> list:
-    # from the half straightened shape to the single full climb: the four
-    # phase breakpoints p < q < r move affinely while the profile stays
-    # -1, 0, 1: p = (1-u)*b/2, q = (1-u)*b + u*a/2, r = (1-u)*(a+b)/2 + u*a,
-    # so the four lengths share p and u*a/2
-    p = (1 - u) * b / 2
-    ua = u * a / 2
-    climb = a / 2 - p  # r - q
-    return [
-        StarSeg(p),
-        TrackSeg(p + ua, _MINUS_ONE, _ZERO, xb.cube, xb.coords, xb.coords),
-        TrackSeg(climb, _ZERO, _ONE, xb.cube, xb.coords, xb.coords),
-        StarSeg(climb - ua),
-    ]
+def _late_frames(legs, u: Fraction) -> list:
+    """The raw segments of each excursion at stage ``u`` in [0, 1] of the
+    second half of the clock, from its crossing (b, xb) and duration a alone.
+
+    From the half straightened shape to the single full climb the three
+    breakpoints p < q < r move affinely while the profile stays -1, 0, 1:
+    p = (1-u)*b/2, q = (1-u)*b + u*a/2, r = (1-u)*(a+b)/2 + u*a.  So the
+    four lengths p, q - p, r - q and a - r share p and u*a/2, and the
+    stage's factors (1-u)/2 and u/2 are worked out once for all legs.
+    """
+    v, w = (1 - u) / 2, u / 2
+    frames = []
+    for b, xb, a, _, _ in legs:
+        p, ua = v * b, w * a
+        climb = a / 2 - p  # r - q
+        cube, x = xb.cube, xb.coords
+        frames.append(
+            [
+                StarSeg(p),
+                TrackSeg(p + ua, _MINUS_ONE, _ZERO, cube, x, x),
+                TrackSeg(climb, _ZERO, _ONE, cube, x, x),
+                StarSeg(climb - ua),
+            ]
+        )
+    return frames
 
 
 def full_straighten(sus: Suspension, loop: MoorePath, samples=DEFAULT_SAMPLES):
@@ -169,6 +192,13 @@ def full_straighten(sus: Suspension, loop: MoorePath, samples=DEFAULT_SAMPLES):
     per requested sample of the deformation clock.  Stage 1/2 finishes the
     per excursion straightening, the rest of the clock evens out the climbs
     while the pauses shrink away.
+
+    Stages below 1/2 shift each excursion's pieces away from the middle
+    slice (:func:`_early_frames`).  Stage 1/2 and later come in closed form
+    from each excursion's crossing and duration (:func:`_late_frames`):
+    at stage 1/2 the shifted pieces would all clamp into pauses, which is
+    the closed form at its start.  Stage 1 is one full climb per letter.
+    Every frame goes through the join once.
     """
     if not sus.is_loop(loop):
         raise ValueError("straightening needs a loop at the cone point")
@@ -182,15 +212,18 @@ def full_straighten(sus: Suspension, loop: MoorePath, samples=DEFAULT_SAMPLES):
     legs = [_legs(sus, exc) for exc in chain.excursions]
     # one frame per distinct stage; stage 0 is the loop itself
     built = {_ZERO: loop}
+    # stage 1 is one full climb over each crossing point
+    built[_ONE] = sus._join(
+        [TrackSeg(a, _MINUS_ONE, _ONE, xb.cube, xb.coords, xb.coords) for _, xb, a, _, _ in legs]
+    )
 
     def frame(t: Fraction) -> MoorePath:
         if t in built:
             return built[t]
-        if t <= _HALF:
+        if t < _HALF:
             pieces = _early_frames(legs, 2 * t)
         else:
-            u = 2 * t - 1
-            pieces = [_late_frame(b, xb, a, u) for b, xb, a, _, _ in legs]
+            pieces = _late_frames(legs, 2 * t - 1)
         rest = 1 - t
         segs: list = [StarSeg(chain.pauses[0] * rest)]
         for piece, pause in zip(pieces, chain.pauses[1:]):

@@ -21,7 +21,9 @@ loader keeps the whole violation list, its order and its text.
 A long trail is pinned from committed files: ``tests/data/wedge3_loop47.json``
 is the 47-letter loop ``bench/gen.make_loop(wedge_of_circles(3),
 random.Random(47), 47, 3)["path"]`` and ``tests/data/wedge3.json`` its
-complex.  CI hashes the console script's stdout on the same files.
+complex.  Its ``contract`` trail and its ``straighten`` output, with the
+default five samples and with nine, are pinned; CI hashes the console
+script's ``contract`` and ``straighten`` stdout on the same files.
 """
 
 import hashlib
@@ -541,3 +543,17 @@ def test_long_trail_is_unchanged(capsys):
     assert json.loads(complex_file.read_text()) == dump_complex(wedge_of_circles(3))
     argv = ["contract", str(DATA / "wedge3_loop47.json"), "--complex", str(complex_file)]
     assert _digest(capsys, argv) == LONG_TRAIL
+
+
+LONG_STRAIGHTEN = {
+    (): "0 00803d4e6038964479bfb3a731cc59e8e94a4e4d5cbc1b8c6e4fc38a7b498a65",
+    ("--samples", "9"): "0 bdc680937425b93d2ed8bc301178ca8316f5bd4da4c792f6851c3c8ced93ae05",
+}
+
+
+def test_long_straighten_is_unchanged(capsys):
+    # every stage of the clock over a 47-letter word: the default five
+    # samples, and nine, which put four frames past the half-way stage
+    argv = ["straighten", str(DATA / "wedge3_loop47.json"), "--complex", str(DATA / "wedge3.json")]
+    got = {extra: _digest(capsys, [*argv, *extra]) for extra in LONG_STRAIGHTEN}
+    assert got == LONG_STRAIGHTEN

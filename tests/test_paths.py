@@ -393,6 +393,24 @@ def test_runs_split_at_sideways_cone_touch():
     assert len(runs) == 2
 
 
+def test_runs_split_where_a_degenerate_face_reaches_the_cone_point():
+    # in (lo|e) of the suspended circle the face d0_1 is the basepoint with
+    # its slot deleted, so the end (0, 1/2) is the cone point although its
+    # second coordinate lies inside (0, 1); the end (1, 1/2) lies in (mid|e)
+    s = Suspension(suspension_model(circle_complex()).complex)
+    assert s.point(F(1, 2), "(lo|e)", (F(0), F(1, 2))) is STAR
+    into_star = TrackSeg(F(1), F(-1, 2), F(1, 2), "(lo|e)", (F(1, 2), F(1, 2)), (F(0), F(1, 2)))
+    climb = TrackSeg(F(1), F(-1), F(1), "(lo|e)", (F(1, 2), F(1, 4)), (F(1, 2), F(1, 4)))
+    pauses, runs = s.pauses_and_runs(s.path([into_star, climb]))
+    assert pauses == [F(0), F(0), F(0)]
+    assert runs == [(into_star,), (climb,)]
+    onto_mid = TrackSeg(F(1), F(-1, 2), F(1, 2), "(lo|e)", (F(1, 2), F(1, 2)), (F(1), F(1, 2)))
+    on = TrackSeg(F(1), F(1, 2), F(1), "(mid|e)", (F(1, 2),), (F(1, 4),))
+    pauses, runs = s.pauses_and_runs(s.path([onto_mid, on]))
+    assert pauses == [F(0), F(0)]
+    assert runs == [(onto_mid, on)]
+
+
 def test_middle_crossings_dedupe_at_junction(sus):
     p = sus.path([const_track(1, -1, 0), const_track(2, 0, 1)])
     crossings = sus.middle_crossings(p)

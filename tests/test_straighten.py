@@ -29,7 +29,6 @@ from dirloop.straighten import (
     chain_split,
     contract_straightened,
     contract_to_constant,
-    _late_frame,
     _legs,
     _routes_home,
     full_straighten,
@@ -293,9 +292,26 @@ def test_full_straighten_rejects_plateau_and_undirected():
         full_straighten(CIRCLE, CIRCLE.ramp(RealizationPoint("e", (F(1, 2),)), F(-1), F(0)))
 
 
+def _late_pieces(b, xb, a, u):
+    # the second half of the clock on one excursion of duration a crossing
+    # at time b over xb: pause until p, climb from -1 to the middle slice
+    # until q, on to the top until r, pause until a; at u = 0 the
+    # breakpoints are b/2, b and (a + b)/2, at u = 1 they are 0, a/2 and a
+    p = (1 - u) * b / 2
+    q = (1 - u) * b + u * a / 2
+    r = (1 - u) * (a + b) / 2 + u * a
+    return [
+        StarSeg(p),
+        TrackSeg(q - p, F(-1), F(0), xb.cube, xb.coords, xb.coords),
+        TrackSeg(r - q, F(0), F(1), xb.cube, xb.coords, xb.coords),
+        StarSeg(a - r),
+    ]
+
+
 def _stage_by_stage(sus, loop, t):
-    # one frame of the full deformation: straighten_step on each excursion
-    # for the first half of the clock, _late_frame for the second
+    # one frame of the full deformation: straighten_step, which shifts the
+    # pieces, on each excursion for the first half of the clock including
+    # the half-way stage, the breakpoint pieces above for the second half
     chain = chain_split(sus, loop)
     segs = [StarSeg(chain.pauses[0] * (1 - t))]
     for exc, pause in zip(chain.excursions, chain.pauses[1:]):
@@ -303,7 +319,7 @@ def _stage_by_stage(sus, loop, t):
             segs.extend(straighten_step(sus, exc, 2 * t).segments)
         else:
             ((b, xb),) = sus.middle_crossings(exc)
-            segs.extend(_late_frame(b, xb, exc.duration, 2 * t - 1))
+            segs.extend(_late_pieces(b, xb, exc.duration, 2 * t - 1))
         segs.append(StarSeg(pause * (1 - t)))
     return sus.path(segs)
 
@@ -331,6 +347,42 @@ def test_each_stage_is_built_once_and_matches_the_stage_maps(samples, seed):
             if t == 0:
                 assert fr is loop
             assert seen.setdefault(t, fr) is fr
+
+
+def _wandering_loop(sus, rng):
+    # excursions whose base coordinates move inside one cube along every
+    # track, heights rising through distinct levels, so the one crossing
+    # falls inside a track or at a junction
+    cubes = sorted(c for c, d in sus.base.cubes.items() if d > 0)
+    pool = [F(-2, 3), F(-1, 3), F(0), F(1, 4), F(1, 2)]
+    segs = [StarSeg(F(rng.randint(0, 2), 2))]
+    for _ in range(rng.randint(1, 4)):
+        cube = rng.choice(cubes)
+        n = sus.base.cubes[cube]
+        levels = [F(-1), *sorted(rng.sample(pool, rng.randint(0, 3))), F(1)]
+        c = tuple(F(rng.randint(1, 7), 8) for _ in range(n))
+        for h0, h1 in zip(levels, levels[1:]):
+            c1 = tuple(F(rng.randint(1, 7), 8) for _ in range(n))
+            segs.append(TrackSeg(F(rng.randint(1, 4), 2), h0, h1, cube, c, c1))
+            c = c1
+        segs.append(StarSeg(F(rng.randint(0, 2), 2)))
+    return sus.path(segs)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_closed_form_stages_match_the_shifting_construction(seed):
+    # from stage 1/2 on, frames come from each excursion's crossing and
+    # duration alone; at 2t = 1 the shifted pieces all clamp into pauses
+    rng = random.Random(seed)
+    bases = (wedge_of_circles(3), torus_complex(), suspension_model(circle_complex()).complex)
+    samples = [F(1, 4), F(1, 2), F(5, 8), F(1)]
+    for K in bases:
+        sus = Suspension(K)
+        for _ in range(5):
+            loop = _wandering_loop(sus, rng)
+            result, frames = full_straighten(sus, loop, samples)
+            assert result == _stage_by_stage(sus, loop, F(1))
+            assert frames == [_stage_by_stage(sus, loop, t) for t in samples]
 
 
 def test_contract_trail_on_circle_basic_loop():
