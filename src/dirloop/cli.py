@@ -27,12 +27,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .acceptance import run_acceptance
-from .cubical import suspension_model, validate
+from .cubical import RealizationPoint, suspension_model, validate
 from .homology import RATIONALS, FieldSpec, betti
 from .james import crossing_word
 from .loop_algebra import loop_space_homology
@@ -49,7 +50,13 @@ from .serialize import (
     rational_str,
     segment_texts,
 )
-from .straighten import DEFAULT_SAMPLES, contract_straightened, contract_to_constant, full_straighten
+from .straighten import (
+    DEFAULT_SAMPLES,
+    contract_straightened,
+    contract_to_constant,
+    full_straighten,
+    word_climbs,
+)
 
 
 @dataclass(frozen=True)
@@ -177,10 +184,12 @@ def cmd_straighten(args):
     sus, loop = _load_pair(args)
     result, frames = full_straighten(sus, loop, config.samples)
     texts = segment_texts([result, *frames])
+    # the result is one full climb per letter, so its word is read off the climbs
+    sec = dump_word([RealizationPoint(tr.cube, tr.c0) for tr in word_climbs(sus, result)])
     head = (
         f'{{"result": {path_text(result, texts)}, '
         f'"frames": [{", ".join([path_text(f, texts) for f in frames])}], '
-        f'"sec": {json.dumps(dump_word(crossing_word(sus, result).letters))}'
+        f'"sec": {json.dumps(sec)}'
     )
     if args.contract:
         trail = contract_straightened(sus, result, frames)
@@ -338,17 +347,24 @@ def main(argv=None) -> int:
         # formatting can fail too, on an integer past the digit limit, so
         # every handler formats here; only joins are left for the writes
         pieces, code = args.handler(args)
+        if pieces is not None:
+            write = sys.stdout.write
+            for piece in pieces:
+                write(piece)
+            write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError as err:
+        # the reader closed stdout; what is still buffered goes to devnull,
+        # so the interpreter's flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     except (FormatError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    if pieces is not None:
-        write = sys.stdout.write
-        for piece in pieces:
-            write(piece)
-        write("\n")
     return code
 
 

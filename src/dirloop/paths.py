@@ -14,8 +14,8 @@ offending input segment.  Two paths are therefore equal as maps exactly
 when they are equal as values.
 
 Raw segments inside, one :meth:`Suspension.path` per public transform: the
-module level builders (``_slice``, ``_scaled``, ``_map_heights``,
-``_ramp_segments``) return plain segment lists, and each public transform
+module level builders (``_slice``, ``_shifted``, ``_map_heights``) return
+plain segment lists, and each public transform
 canonicalizes its output once.  Canonicalizing in stages gives the same
 path as canonicalizing once, so no intermediate result is wrapped in a
 ``MoorePath`` only to be canonicalized again.  Pieces of canonical segments
@@ -23,12 +23,16 @@ already sit in their carriers, so builders that only cut, shift, clamp and
 rescale such pieces (the straightening frames and the contraction heads in
 :mod:`dirloop.straighten`) hand them to the join directly.
 
-Each transform has one mechanism underneath: every height deformation
+Each concept has one mechanism underneath.  Every height deformation
 (``height_affine``, ``shift_heights``, ``make_increasing`` and through them
-``shrink_cone``) is one clamped map h -> a*h + b + c*t, every change of
-clock (``scale_time``, ``reparam``) rescales durations in one place, and
-level crossings inside a track are cut at exact parameters: one cut per
-pole crossed for the clamp, and the collar levels for the truncation.
+``shrink_cone``) is one clamped map h -> a*h + b + c*t.  Every change of
+clock (``scale_time``, ``reparam`` and the straightening frames) is
+``_shifted`` with its duration factor.  One pole clamp, ``_clamped_track``,
+serves them all and the ramps, and cuts a track once per pole it crosses;
+the collar truncation cuts at the collar levels.  Every point inside a
+segment comes from one integer interpolator, ``_lerp``.  The passages
+through the middle slice come from one scan, ``Suspension._crossings``,
+which ``middle_crossings`` and the straightening both read.
 
 The kernel stays exact and cheap per segment.  Range and pole tests on
 durations and heights read the integers of a ``Fraction`` rather than
@@ -169,13 +173,23 @@ def star_measure(path: MoorePath) -> Fraction:
     )
 
 
-def _lerp(a: Fraction, b: Fraction, s: Fraction) -> Fraction:
-    # a coordinate held constant along a track is the common case
-    return a if a == b else a + (b - a) * s
+def _lerp(a: Fraction, b: Fraction, p: int, q: int) -> Fraction:
+    """The value at parameter p/q (q > 0) on the way from ``a`` to ``b``.
+
+    Built once from integers; a value held constant, the common case for
+    coordinates, is ``a`` itself.
+    """
+    if a == b:
+        return a
+    return Fraction(
+        a.numerator * b.denominator * q
+        + (b.numerator * a.denominator - a.numerator * b.denominator) * p,
+        a.denominator * b.denominator * q,
+    )
 
 
-def _lerp_coords(c0, c1, s):
-    return tuple(_lerp(a, b, s) for a, b in zip(c0, c1))
+def _lerp_coords(c0, c1, p: int, q: int) -> tuple:
+    return tuple([_lerp(a, b, p, q) for a, b in zip(c0, c1)])
 
 
 def _sub_segment(seg, sa: Fraction, sb: Fraction):
@@ -188,11 +202,13 @@ def _sub_segment(seg, sa: Fraction, sb: Fraction):
     if sa == 0:
         h0, c0 = seg.h0, seg.c0
     else:
-        h0, c0 = _lerp(seg.h0, seg.h1, sa), _lerp_coords(seg.c0, seg.c1, sa)
+        p, q = sa.numerator, sa.denominator
+        h0, c0 = _lerp(seg.h0, seg.h1, p, q), _lerp_coords(seg.c0, seg.c1, p, q)
     if sb == 1:
         h1, c1 = seg.h1, seg.c1
     else:
-        h1, c1 = _lerp(seg.h0, seg.h1, sb), _lerp_coords(seg.c0, seg.c1, sb)
+        p, q = sb.numerator, sb.denominator
+        h1, c1 = _lerp(seg.h0, seg.h1, p, q), _lerp_coords(seg.c0, seg.c1, p, q)
     return TrackSeg(d, h0, h1, seg.cube, c0, c1)
 
 
@@ -213,16 +229,6 @@ def _slice(path: MoorePath, a: Fraction, b: Fraction) -> list:
                 segs.append(_sub_segment(seg, (lo - acc) / d, (hi - acc) / d))
         k += 1
     return segs
-
-
-def _scaled(segments, f: Fraction) -> list:
-    """The segments with every duration multiplied by ``f``."""
-    return [
-        StarSeg(s.duration * f)
-        if isinstance(s, StarSeg)
-        else TrackSeg(s.duration * f, s.h0, s.h1, s.cube, s.c0, s.c1)
-        for s in segments
-    ]
 
 
 def _collar_cuts(seg: TrackSeg) -> list:
@@ -262,21 +268,6 @@ def _at_pole(h) -> bool:
     return h.denominator == 1 and (h.numerator == 1 or h.numerator == -1)
 
 
-def _coords_at(c0, c1, p: int, q: int) -> tuple:
-    # the coordinates at parameter p/q (q > 0), each moving one built once
-    # from integers; a constant coordinate is kept as it is
-    return tuple(
-        a
-        if a == b
-        else Fraction(
-            a.numerator * b.denominator * q
-            + (b.numerator * a.denominator - a.numerator * b.denominator) * p,
-            a.denominator * b.denominator * q,
-        )
-        for a, b in zip(c0, c1)
-    )
-
-
 def _clamped_track(seg: TrackSeg) -> list:
     """Pieces of a track whose heights may overshoot the poles.
 
@@ -309,11 +300,11 @@ def _clamped_track(seg: TrackSeg) -> list:
     out = []
     if pa:
         out.append(StarSeg(Fraction(dn * pa, dd)))
-        h0, c0 = enter, _coords_at(seg.c0, seg.c1, pa, q)
+        h0, c0 = enter, _lerp_coords(seg.c0, seg.c1, pa, q)
     else:
         c0 = seg.c0
     if pb < q:
-        h1, c1 = leave, _coords_at(seg.c0, seg.c1, pb, q)
+        h1, c1 = leave, _lerp_coords(seg.c0, seg.c1, pb, q)
     else:
         c1 = seg.c1
     out.append(TrackSeg(Fraction(dn * (pb - pa), dd), h0, h1, seg.cube, c0, c1))
@@ -345,7 +336,8 @@ def _shifted(segments, b, f=1) -> list:
 
     The pure shift needs no clock, b = 0 and f = 1 need no arithmetic, and
     each piece is built once: the clamp cuts at the same parameters on
-    either clock.
+    either clock.  With b = 0 it is the one clock scaler; on canonical
+    pieces the clamp then changes nothing.
     """
     scale = f != 1
     segs = []
@@ -372,19 +364,10 @@ def _map_point(p, a, b):
 def _ramp_segments(x: RealizationPoint, a: Fraction, b: Fraction) -> list:
     """Constant base location ``x``, height climbing at unit speed from ``a`` to ``b``.
 
-    The parts beyond the poles ride at the cone point.
+    The parts beyond the poles ride at the cone point; for a = b the one
+    piece has duration 0, which the join drops.
     """
-    if a == b:
-        return []
-    segs = []
-    lo, hi = max(a, Fraction(-1)), min(b, Fraction(1))
-    if a < -1:
-        segs.append(StarSeg(min(b, Fraction(-1)) - a))
-    if lo < hi:
-        segs.append(TrackSeg(hi - lo, lo, hi, x.cube, x.coords, x.coords))
-    if b > 1:
-        segs.append(StarSeg(b - max(a, Fraction(1))))
-    return segs
+    return _clamped_track(TrackSeg(b - a, a, b, x.cube, x.coords, x.coords))
 
 
 def _snap_height(h: Fraction) -> Fraction:
@@ -572,7 +555,8 @@ class Suspension:
         if isinstance(seg, StarSeg):
             return STAR
         s = (tt - path.times[k]) / seg.duration
-        return self.point(_lerp(seg.h0, seg.h1, s), seg.cube, _lerp_coords(seg.c0, seg.c1, s))
+        p, q = s.numerator, s.denominator
+        return self.point(_lerp(seg.h0, seg.h1, p, q), seg.cube, _lerp_coords(seg.c0, seg.c1, p, q))
 
     def start_point(self, path: MoorePath):
         return self._seg_start(path.segments[0]) if path.segments else path.empty_at
@@ -624,7 +608,7 @@ class Suspension:
         f = Fraction(factor)
         if f <= 0:
             raise ValueError("time scale must be positive")
-        return self.path(_scaled(path.segments, f), empty_at=path.empty_at)
+        return self.path(_shifted(path.segments, 0, f), empty_at=path.empty_at)
 
     def reparam(self, path: MoorePath, table: Sequence) -> MoorePath:
         """Run the path on a new clock given (new_time, old_time) breakpoints.
@@ -664,7 +648,7 @@ class Suspension:
                         )
                     )
             else:
-                segs.extend(_scaled(_slice(path, o0, o1), (n1 - n0) / (o1 - o0)))
+                segs.extend(_shifted(_slice(path, o0, o1), 0, (n1 - n0) / (o1 - o0)))
         return self.path(segs, empty_at=self.start_point(path))
 
     # ------------------------------------------------------------------
@@ -689,7 +673,7 @@ class Suspension:
 
         Not a quotient map in general: a path that re-enters from the pole
         being pushed away can come apart, in which case the junction check
-        raises.  Meant for single excursions during straightening.
+        raises.  A single excursion off the cone point never comes apart.
         """
         d = Fraction(delta)
         segs = _map_heights(path.segments, 1, d, 0)
@@ -819,6 +803,40 @@ class Suspension:
             pauses.append(Fraction(0))
         return pauses, runs
 
+    def _crossings(self, path: MoorePath) -> list:
+        """Every upward passage through the middle slice, in time order.
+
+        Each is ``(k, s, d, t, point, coords)``: segment ``k`` is at height 0
+        at parameter ``s``, that is ``d`` into it and at time ``t``, over the
+        normalized base ``point`` of the raw ``coords``.  A track level with
+        the middle slice raises, a passage at the cone point does not count,
+        and the two ends of a junction at height 0 are one passage.
+        """
+        out = []
+        times, K, origin = path.times, self.base, self.origin
+        last = None
+        for k, seg in enumerate(path.segments):
+            if isinstance(seg, TrackSeg):
+                h0, h1 = seg.h0, seg.h1
+                n0, n1 = h0.numerator, h1.numerator
+                # h0 <= 0 <= h1 on the numerators: a denominator is positive
+                if n0 <= 0 <= n1:
+                    if n0 == n1:
+                        raise ValueError(
+                            "height plateau on the middle slice; apply make_increasing first"
+                        )
+                    # s = -h0 / (h1 - h0) = p/q on the integers
+                    p, q = -n0 * h1.denominator, n1 * h0.denominator - n0 * h1.denominator
+                    s = Fraction(p, q)
+                    d = seg.duration * s
+                    t = times[k] + d
+                    coords = _lerp_coords(seg.c0, seg.c1, p, q)
+                    pt = normalize_point(K, seg.cube, coords)
+                    if pt != origin and t != last:
+                        out.append((k, s, d, t, pt, coords))
+                        last = t
+        return out
+
     def middle_crossings(self, path: MoorePath) -> list:
         """Upward passages through the middle slice, as (time, base point).
 
@@ -826,21 +844,7 @@ class Suspension:
         :meth:`make_increasing` first.  Passages that happen at the cone
         point do not count.
         """
-        out = []
-        acc = Fraction(0)
-        for seg in path.segments:
-            if isinstance(seg, TrackSeg) and seg.h0 <= 0 <= seg.h1:
-                if seg.h0 == seg.h1:
-                    raise ValueError(
-                        "height plateau on the middle slice; apply make_increasing first"
-                    )
-                s = -seg.h0 / (seg.h1 - seg.h0)
-                t = acc + seg.duration * s
-                pt = self.point(Fraction(0), seg.cube, _lerp_coords(seg.c0, seg.c1, s))
-                if isinstance(pt, Interior) and (not out or out[-1][0] != t):
-                    out.append((t, pt.point))
-            acc += seg.duration
-        return out
+        return [(t, pt) for _, _, _, t, pt, _ in self._crossings(path)]
 
     # ------------------------------------------------------------------
     # truncation near the cone point
@@ -895,7 +899,7 @@ class Suspension:
             for sa, sb in zip(cuts, cuts[1:]):
                 piece = _sub_segment(seg, sa, sb)
                 hm = (piece.h0 + piece.h1) / 2
-                cm = _lerp_coords(piece.c0, piece.c1, Fraction(1, 2))
+                cm = _lerp_coords(piece.c0, piece.c1, 1, 2)
                 snapped_mid = boundary_snap(self.base, RealizationPoint(seg.cube, cm))
                 if hm <= -2 * _THIRD or hm >= 2 * _THIRD or snapped_mid == self.origin:
                     segs.append(StarSeg(piece.duration))

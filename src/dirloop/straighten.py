@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cubical import CubicalSet, RealizationPoint, normalize_point
-from .paths import MoorePath, STAR, StarSeg, Suspension, TrackSeg, _lerp_coords, _shifted
+from .paths import MoorePath, STAR, StarSeg, Suspension, TrackSeg, _shifted
 
 _ZERO, _HALF, _ONE, _MINUS_ONE = Fraction(0), Fraction(1, 2), Fraction(1), Fraction(-1)
 DEFAULT_SAMPLES = (_ZERO, Fraction(1, 4), _HALF, Fraction(3, 4), _ONE)
@@ -79,40 +79,18 @@ def _legs(sus: Suspension, run: MoorePath):
     """The crossing (time b, point xb), the duration a, and the raw
     stretches before and after the crossing.
 
-    One scan counts the crossings as ``Suspension.middle_crossings`` does:
-    a plateau on the middle slice raises, a crossing at the cone point does
-    not count, and the two ends of a junction at height 0 are one crossing.
-    The segment that holds the only crossing is split at its parameter.
+    The crossings are those of ``Suspension._crossings``, the one scan
+    behind ``Suspension.middle_crossings``; there must be exactly one, and
+    the segment that holds it is split at its parameter.
     """
-    segs, times = run.segments, run.times
-    K, origin = sus.base, sus.origin
-    count, last, found = 0, None, None
-    for k, seg in enumerate(segs):
-        if isinstance(seg, TrackSeg):
-            h0, h1 = seg.h0, seg.h1
-            n0, n1 = h0.numerator, h1.numerator
-            # h0 <= 0 <= h1 on the numerators: a denominator is positive
-            if n0 <= 0 <= n1:
-                if n0 == n1:
-                    raise ValueError(
-                        "height plateau on the middle slice; apply make_increasing first"
-                    )
-                # -h0 / (h1 - h0) on the integers, one Fraction built
-                s = Fraction(-n0 * h1.denominator, n1 * h0.denominator - n0 * h1.denominator)
-                d = seg.duration * s
-                t = times[k] + d
-                coords = _lerp_coords(seg.c0, seg.c1, s)
-                pt = normalize_point(K, seg.cube, coords)
-                if pt != origin and t != last:
-                    count, last = count + 1, t
-                    if count == 1:
-                        found = k, s, d, t, pt, coords
-    if count != 1:
+    crossings = sus._crossings(run)
+    if len(crossings) != 1:
         raise ValueError(
-            f"excursion crosses the middle slice {count} times; "
+            f"excursion crosses the middle slice {len(crossings)} times; "
             "straightening needs exactly one"
         )
-    k, s, d, b, xb, coords = found
+    ((k, s, d, b, xb, coords),) = crossings
+    segs = run.segments
     if s == 0:
         pre, post = list(segs[:k]), list(segs[k:])
     elif s == 1:
@@ -121,7 +99,7 @@ def _legs(sus: Suspension, run: MoorePath):
         seg = segs[k]
         pre = [*segs[:k], TrackSeg(d, seg.h0, _ZERO, seg.cube, seg.c0, coords)]
         post = [TrackSeg(seg.duration - d, _ZERO, seg.h1, seg.cube, coords, seg.c1), *segs[k + 1 :]]
-    return b, xb, times[-1], pre, post
+    return b, xb, run.times[-1], pre, post
 
 
 def _early_frames(legs, t: Fraction) -> list:
@@ -273,6 +251,22 @@ def _routes_home(K: CubicalSet):
     return route
 
 
+def word_climbs(sus: Suspension, result: MoorePath) -> tuple:
+    """The climbs of a word loop, one ``TrackSeg`` from -1 to 1 per letter.
+
+    Letter k sits over ``(climb.cube, climb.c0)``.  Raises ``ValueError``
+    unless every excursion of ``result`` is one such climb over a fixed
+    base point, as in the result of :func:`full_straighten`.
+    """
+    _, runs = sus.pauses_and_runs(result)
+    word = tuple(run[0] for run in runs)
+    if any(len(run) != 1 for run in runs) or not all(
+        tr.h0 == -1 and tr.h1 == 1 and tr.c0 == tr.c1 for tr in word
+    ):
+        raise ValueError("contraction needs a word loop: one full climb per letter")
+    return word
+
+
 def contract_to_constant(sus: Suspension, loop: MoorePath, samples=DEFAULT_SAMPLES) -> list:
     """Deformation trail from a directed loop all the way to the constant loop.
 
@@ -300,12 +294,7 @@ def contract_straightened(sus: Suspension, result: MoorePath, frames) -> list:
     where nothing merges.
     """
     route = _routes_home(sus.base)
-    _, runs = sus.pauses_and_runs(result)
-    word = tuple(run[0] for run in runs)
-    if any(len(run) != 1 for run in runs) or not all(
-        tr.h0 == -1 and tr.h1 == 1 and tr.c0 == tr.c1 for tr in word
-    ):
-        raise ValueError("contraction needs a word loop: one full climb per letter")
+    word = word_climbs(sus, result)
     trail = list(frames)
     K = sus.base
     walked = _ZERO

@@ -2,11 +2,14 @@
 
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -684,3 +687,34 @@ def test_parsed_rows_and_rows_from_faces_give_one_answer(base, mutations, rnd):
     else:
         assert report == []
         assert chain_complex(L) == chain_complex(M)
+
+
+@pytest.mark.parametrize(
+    "argv, keep",
+    [
+        # the reader leaves after 100 bytes, in the middle of the trail
+        (["contract", "wedge3_loop47.json", "--complex", "wedge3.json"], 100),
+        # the reader leaves before the first byte
+        (["contract", "wedge3_loop47.json", "--complex", "wedge3.json"], 0),
+        (["homology", "wedge3.json"], 0),
+        (["selftest"], 0),
+    ],
+)
+def test_a_closed_stdout_is_one_error_line(argv, keep):
+    tests = Path(__file__).parent
+    src = str(tests.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dirloop", *argv],
+        cwd=tests / "data",
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(keep)) == keep
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    # one error line: no traceback, nothing from the flush at exit
+    assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -21,9 +21,10 @@ loader keeps the whole violation list, its order and its text.
 A long trail is pinned from committed files: ``tests/data/wedge3_loop47.json``
 is the 47-letter loop ``bench/gen.make_loop(wedge_of_circles(3),
 random.Random(47), 47, 3)["path"]`` and ``tests/data/wedge3.json`` its
-complex.  Its ``contract`` trail and its ``straighten`` output, with the
-default five samples and with nine, are pinned; CI hashes the console
-script's ``contract`` and ``straighten`` stdout on the same files.
+complex.  Its ``contract`` trail, its ``straighten`` output, with the
+default five samples and with nine, and its ``sec`` word are pinned; CI
+hashes the console script's ``contract``, ``straighten`` and ``sec``
+stdout on the same files.
 """
 
 import hashlib
@@ -557,3 +558,12 @@ def test_long_straighten_is_unchanged(capsys):
     argv = ["straighten", str(DATA / "wedge3_loop47.json"), "--complex", str(DATA / "wedge3.json")]
     got = {extra: _digest(capsys, [*argv, *extra]) for extra in LONG_STRAIGHTEN}
     assert got == LONG_STRAIGHTEN
+
+
+LONG_SEC = "0 a7fb650c739939ce016e74df2e4098f327faad1ff45f3dddb330279429ba21d7"
+
+
+def test_long_sec_is_unchanged(capsys):
+    # the 47-letter crossing word, which straighten's "sec" must also give
+    argv = ["sec", str(DATA / "wedge3_loop47.json"), "--complex", str(DATA / "wedge3.json")]
+    assert _digest(capsys, argv) == LONG_SEC

@@ -31,6 +31,7 @@ from dirloop.paths import (
     Suspension,
     TrackSeg,
     _clamped_track,
+    _lerp,
     _map_heights,
     _same_rate,
     classify_point,
@@ -437,9 +438,33 @@ def test_middle_plateau_raises(sus):
 def test_ramp_shapes(sus, x):
     assert sus.ramp(x, -2, 0).segments == (StarSeg(F(1)), const_track(1, -1, 0))
     assert sus.ramp(x, 0, 2).segments == (const_track(1, 0, 1), StarSeg(F(1)))
+    # both poles crossed: a pause, the full climb, a pause
+    assert sus.ramp(x, -2, 2).segments == (StarSeg(F(1)), const_track(2, -1, 1), StarSeg(F(1)))
     assert sus.ramp(sus.origin, -1, 1) == sus.path([StarSeg(F(2))])
     with pytest.raises(ValueError):
         sus.ramp(x, 1, 1)
+
+
+_LERP_VALUES = st.one_of(
+    # signed heights
+    st.fractions(min_value=-1, max_value=1, max_denominator=60),
+    # coordinates
+    st.fractions(min_value=0, max_value=1, max_denominator=60),
+    # large, unequal denominators
+    st.builds(lambda n, d: F(n % (2 * d) - d, d), st.integers(), st.integers(1, 10**30)),
+)
+
+
+@given(_LERP_VALUES, _LERP_VALUES, st.integers(0, 10**20), st.integers(1, 10**20), st.integers(1, 50))
+@settings(max_examples=400, deadline=None)
+def test_lerp_is_the_fraction_interpolation(a, b, p, q, k):
+    p = p % (q + 1)
+    want = a + (b - a) * F(p, q)
+    assert _lerp(a, b, p, q) == want
+    # p/q need not be in lowest terms
+    assert _lerp(a, b, k * p, k * q) == want
+    # a value held constant comes back as the same object
+    assert _lerp(a, F(a.numerator, a.denominator), p, q) is a
 
 
 def test_truncate_delta_kills_shallow_dips(sus):

@@ -21,7 +21,7 @@ from dirloop.corpus import (
 from dirloop.cubical import CubicalSet, FaceRef, RealizationPoint, suspension_model, tensor_product
 from dirloop.homology import betti
 from dirloop.james import IntervalLetter, PointLetter, crossing_word, word_loop
-from dirloop.paths import MoorePath, STAR, StarSeg, Suspension, TrackSeg, _slice
+from dirloop.paths import Interior, MoorePath, STAR, StarSeg, Suspension, TrackSeg, _slice
 from dirloop.serialize import dump_complex, load_complex
 from dirloop.straighten import (
     ChainDecomposition,
@@ -33,6 +33,7 @@ from dirloop.straighten import (
     _routes_home,
     full_straighten,
     straighten_step,
+    word_climbs,
 )
 
 CIRCLE = Suspension(circle_complex())
@@ -97,9 +98,28 @@ def test_straighten_step_preserves_duration_and_crossing():
         assert sus.middle_crossings(out)[0][1] == sus.middle_crossings(run)[0][1]
 
 
+def _crossings_by_oracle(sus, path):
+    # the middle slice passages on Fractions, one segment at a time: each
+    # track with h0 <= 0 <= h1 meets height 0 at s = -h0 / (h1 - h0); the
+    # point there counts unless it is the cone point, and a passage at the
+    # same time as the one before it is the same passage
+    out, acc = [], F(0)
+    for seg in path.segments:
+        if isinstance(seg, TrackSeg) and seg.h0 <= 0 <= seg.h1:
+            if seg.h0 == seg.h1:
+                raise ValueError("height plateau on the middle slice; apply make_increasing first")
+            s = -seg.h0 / (seg.h1 - seg.h0)
+            t = acc + seg.duration * s
+            pt = sus.point(F(0), seg.cube, tuple(a + (b - a) * s for a, b in zip(seg.c0, seg.c1)))
+            if isinstance(pt, Interior) and (not out or out[-1][0] != t):
+                out.append((t, pt.point))
+        acc += seg.duration
+    return out
+
+
 def _legs_by_oracle(sus, run):
-    # the crossing from middle_crossings, the stretches from two slices
-    crossings = sus.middle_crossings(run)
+    # the crossing from the oracle scan, the stretches from two slices
+    crossings = _crossings_by_oracle(sus, run)
     if len(crossings) != 1:
         raise ValueError(
             f"excursion crosses the middle slice {len(crossings)} times; "
@@ -152,6 +172,54 @@ def test_legs_cut_once_as_the_slices_do():
         "at a junction",
         "inside a segment",
     }
+
+
+def _cube3():
+    interval = interval_complex()
+    return tensor_product(tensor_product(interval, interval), interval)
+
+
+CROSSING_BASES = {
+    "circle": CIRCLE,
+    "wedge2": Suspension(wedge_of_circles(2)),
+    "torus": Suspension(torus_complex()),
+    "cube3": Suspension(_cube3()),
+    "sus-circle": Suspension(suspension_model(circle_complex()).complex),
+}
+_GRID_HEIGHTS = [F(-1), F(-1, 2), F(0), F(1, 3), F(1)]
+_GRID_COORDS = [F(0), F(1, 4), F(1, 2), F(1)]
+
+
+@st.composite
+def raw_runs(draw):
+    """A base and raw tracks in its cubes: heights and coordinates on a
+    grid, so that ends at height 0, plateaus, faces and vertices come up,
+    or drawn freely; pauses in between."""
+    name = draw(st.sampled_from(sorted(CROSSING_BASES)))
+    sus = CROSSING_BASES[name]
+    cubes = sorted(sus.base.cubes)
+    value = st.one_of(st.sampled_from(_GRID_HEIGHTS), st.fractions(-1, 1, max_denominator=12))
+    coord = st.one_of(st.sampled_from(_GRID_COORDS), st.fractions(0, 1, max_denominator=12))
+    segs = []
+    for _ in range(draw(st.integers(1, 6))):
+        dur = draw(st.fractions(F(1, 8), 4, max_denominator=9))
+        if draw(st.integers(0, 9)) == 0:
+            segs.append(StarSeg(dur))
+            continue
+        cube = draw(st.sampled_from(cubes))
+        n = sus.base.cubes[cube]
+        c0 = tuple(draw(coord) for _ in range(n))
+        c1 = c0 if draw(st.booleans()) else tuple(draw(coord) for _ in range(n))
+        segs.append(TrackSeg(dur, draw(value), draw(value), cube, c0, c1))
+    return sus, MoorePath(tuple(segs))
+
+
+@given(raw_runs())
+@settings(max_examples=250, deadline=None)
+def test_crossings_and_legs_match_the_fraction_scan(case):
+    sus, run = case
+    assert _outcome(sus.middle_crossings, run) == _outcome(_crossings_by_oracle, sus, run)
+    assert _outcome(_legs, sus, run) == _outcome(_legs_by_oracle, sus, run)
 
 
 X = (F(1, 4),)
@@ -239,6 +307,17 @@ def test_full_straighten_is_word_loop_of_crossing_word():
         )
         assert result.duration == sum(sum(s.duration for s in r) for r in runs)
         assert result == expected
+
+
+@pytest.mark.parametrize("name", sorted(CROSSING_BASES))
+def test_word_read_off_the_climbs_is_the_crossing_word(name):
+    # the word that straighten prints as "sec" without scanning again
+    sus = CROSSING_BASES[name]
+    rng = random.Random(name)
+    for _ in range(10):
+        result, _ = full_straighten(sus, random_loop(sus, rng, max_runs=4))
+        letters = tuple(RealizationPoint(tr.cube, tr.c0) for tr in word_climbs(sus, result))
+        assert letters == crossing_word(sus, result).letters
 
 
 def test_full_straighten_drops_interval_letters():
