@@ -452,13 +452,17 @@ def strip_boundary(K: CubicalSet, cube: str, tuples) -> tuple[str, tuple]:
     Returns the carrier and the stripped tuples.  For a well formed complex
     the outcome does not depend on the stripping order.  When nothing is
     stripped, a given tuple of ``Fraction`` values comes back as the very
-    same object, so a caller can tell an unchanged input by identity.
+    same object, so a caller can tell an unchanged input by identity.  Such
+    a tuple passed twice in a row (the ends of a held track) is checked
+    once and stripped once, so its two results are one object too.
     """
-    if cube not in K.cubes:
+    n = K.cubes.get(cube)
+    if n is None:
         raise ValueError(f"unknown cube {cube!r}")
-    n = K.cubes[cube]
     ts = [cs if _is_fraction_tuple(cs) else tuple(map(as_fraction, cs)) for cs in tuples]
-    for cs in ts:
+    for k, cs in enumerate(ts):
+        if k and cs is ts[k - 1]:
+            continue
         if len(cs) != n:
             raise ValueError(f"cube {cube!r} has dimension {n}, got {len(cs)} coordinates")
         for c in cs:
@@ -474,10 +478,12 @@ def strip_boundary(K: CubicalSet, cube: str, tuples) -> tuple[str, tuple]:
         else:
             return cube, tuple(ts)
         ref = K.rows[cube][2 * hit + c.numerator]
+        last = rest = None
         for k, cs in enumerate(ts):
-            rest = cs[:hit] + cs[hit + 1:]
-            for j in ref.degens:
-                rest = rest[: j - 1] + rest[j:]
+            if cs is not last:
+                last, rest = cs, cs[:hit] + cs[hit + 1:]
+                for j in ref.degens:
+                    rest = rest[: j - 1] + rest[j:]
             ts[k] = rest
         cube, first = ref.base, ts[0]
 

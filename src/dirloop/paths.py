@@ -38,18 +38,21 @@ The kernel stays exact and cheap per segment.  Range and pole tests on
 durations and heights read the integers of a ``Fraction`` rather than
 comparing ``Fraction`` objects, and values that already are ``Fraction``
 are not rebuilt: a track that is canonical as given, with every value a
-``Fraction``, comes back from the canonicalizer as the same object.
-Whether two tracks merge is one integer cross-multiplication on
-numerators and denominators, and a pure vertical shift (a = 1, c = 0)
-adds b to each height with no clock, or nothing at all when b = 0.  Two
-tracks that meet with the same data in the same carrier are continuous
-without normalizing their end points, and a track end with every
-coordinate strictly inside (0, 1) is no cone point unless at a pole, so
-``pauses_and_runs`` normalizes only the other ends.  A track
+``Fraction``, comes back from the canonicalizer as the same object.  The
+join is one loop over the pieces.  It compares shared values by identity
+before ``==``, and whether two tracks merge is one integer
+cross-multiplication on numerators and denominators per moving value; a
+coordinate held on both sides of a junction needs none.  A pure vertical
+shift (a = 1, c = 0) adds b to each height with no clock, or nothing at
+all when b = 0.  Two tracks that meet with the same data in the same
+carrier are continuous without normalizing their end points, and a track
+end with every coordinate strictly inside (0, 1) is no cone point unless
+at a pole, so ``pauses_and_runs`` normalizes only the other ends.  A track
 that stays within the poles is clamped without computing cuts; one that
 crosses a pole is cut there on the integers of its end heights, with the
 pole as the height at the cut and only moving coordinates interpolated.
-A path keeps its breakpoint times (``MoorePath.times``, computed once), so
+A path keeps its breakpoint times (``MoorePath.times``, computed once and
+summed on integers over the running lcm of the denominators), so
 ``evaluate``, ``slice_path`` and ``reparam`` find segments by bisection.
 """
 
@@ -59,7 +62,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from math import gcd
 from typing import Iterable, Sequence
 
 from .cubical import (
@@ -73,7 +76,7 @@ from .cubical import (
 )
 
 _THIRD = Fraction(1, 3)
-_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
+_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
 _COLLAR_HEIGHTS = (-2 * _THIRD, -_THIRD, _THIRD, 2 * _THIRD)
 _COLLAR_COORDS = (_THIRD, 2 * _THIRD)
 
@@ -151,8 +154,23 @@ class MoorePath:
 
     @cached_property
     def times(self) -> tuple:
-        """Breakpoints: 0, then the end time of each segment in turn."""
-        return tuple(accumulate((s.duration for s in self.segments), initial=Fraction(0)))
+        """Breakpoints: 0, then the end time of each segment in turn.
+
+        Summed on integers over a running common denominator, the lcm of
+        the durations' denominators so far; each breakpoint is one
+        ``Fraction``.
+        """
+        out = [_ZERO]
+        num, den = 0, 1
+        for seg in self.segments:
+            n, q = seg.duration.numerator, seg.duration.denominator
+            if q == den:
+                num += n
+            else:
+                g = gcd(den, q)
+                num, den = num * (q // g) + n * (den // g), den // g * q
+            out.append(Fraction(num, den))
+        return tuple(out)
 
     @cached_property
     def duration(self) -> Fraction:
@@ -456,64 +474,60 @@ class Suspension:
                 raise ValueError(f"segment {k}: {err}") from None
             yield piece
 
-    def _push(self, out: list, seg) -> bool:
-        # append or merge; False when seg does not start where out ends
-        if not out:
-            out.append(seg)
-            return True
-        prev = out[-1]
-        if isinstance(prev, StarSeg) and isinstance(seg, StarSeg):
-            out[-1] = StarSeg(prev.duration + seg.duration)
-            return True
-        if (
-            isinstance(prev, TrackSeg)
-            and isinstance(seg, TrackSeg)
-            and prev.cube == seg.cube
-            and prev.h1 == seg.h0
-            and prev.c1 == seg.c0
-        ):
-            # the same data in the same carrier meet: continuous, no need
-            # to normalize the end points
-            d0, d1 = prev.duration, seg.duration
-            if _same_rate(prev.h0, prev.h1, d0, seg.h0, seg.h1, d1) and all(
-                _same_rate(p0, p1, d0, q0, q1, d1)
-                for p0, p1, q0, q1 in zip(prev.c0, prev.c1, seg.c0, seg.c1)
-            ):
-                out[-1] = TrackSeg(
-                    prev.duration + seg.duration, prev.h0, seg.h1, prev.cube, prev.c0, seg.c1
-                )
-            else:
-                out.append(seg)
-            return True
-        if self._seg_end(prev) != self._seg_start(seg):
-            return False
-        out.append(seg)
-        return True
-
     def _join(self, pieces: Iterable, empty_at=STAR) -> MoorePath:
         """The path through pieces that each already sit in their carrier.
 
         Internal builders hand their pieces of canonical segments here
         directly.  Pieces of duration 0 are dropped, a track in the
-        basepoint column or flat at a pole becomes a pause, collinear
-        neighbours merge, and a discontinuous junction raises ``ValueError``
-        naming the two piece indices.
+        basepoint column or flat at a pole becomes a pause, pauses merge and
+        so do collinear tracks, and a discontinuous junction raises
+        ``ValueError`` naming the two piece indices.  Pieces are taken one
+        at a time, so a junction is checked before a later piece is made.
         """
         out: list = []
-        last = None
+        prev = last = None  # the last piece out and its index
         basepoint = self.base.basepoint
         for k, seg in enumerate(pieces):
-            if seg.duration.numerator == 0:
+            d = seg.duration
+            if d.numerator == 0:
                 continue
-            if isinstance(seg, TrackSeg) and (
+            if isinstance(seg, StarSeg) or (
                 seg.cube == basepoint or (_at_pole(seg.h0) and seg.h0 == seg.h1)
             ):
-                seg = StarSeg(seg.duration)
-            if not self._push(out, seg):
-                raise ValueError(
-                    f"discontinuous junction between segment {last} and segment {k}"
-                )
-            last = k
+                if isinstance(prev, StarSeg):
+                    prev = out[-1] = StarSeg(prev.duration + d)
+                    last = k
+                    continue
+                if not isinstance(seg, StarSeg):
+                    seg = StarSeg(d)
+                meets = prev is None or self._seg_end(prev) is STAR
+            elif (
+                isinstance(prev, TrackSeg)
+                and (prev.cube is seg.cube or prev.cube == seg.cube)
+                and (prev.h1 is seg.h0 or prev.h1 == seg.h0)
+                and (prev.c1 is seg.c0 or prev.c1 == seg.c0)
+            ):
+                # the same data in the same carrier meet: continuous, no need
+                # to normalize the end points; merge when every rate agrees
+                d0 = prev.duration
+                if _same_rate(prev.h0, prev.h1, d0, seg.h0, seg.h1, d):
+                    for p0, p1, q0, q1 in zip(prev.c0, prev.c1, seg.c0, seg.c1):
+                        # a coordinate held on both sides has rate 0 on both
+                        if not (p0 is p1 and q0 is q1) and not _same_rate(p0, p1, d0, q0, q1, d):
+                            break
+                    else:
+                        prev = out[-1] = TrackSeg(
+                            d0 + d, prev.h0, seg.h1, prev.cube, prev.c0, seg.c1
+                        )
+                        last = k
+                        continue
+                meets = True
+            else:
+                meets = prev is None or self._seg_end(prev) == self._seg_start(seg)
+            if not meets:
+                raise ValueError(f"discontinuous junction between segment {last} and segment {k}")
+            out.append(seg)
+            prev, last = seg, k
         if not out:
             if not (empty_at is STAR or isinstance(empty_at, Interior)):
                 raise ValueError("empty_at must be a suspension point")

@@ -16,11 +16,14 @@ distinct segment object encoded once: the frames of a contraction trail
 share most of their segments.
 
 A path or a word is read in one pass, in document order.  Equal rational
-strings within one document load as one shared ``Fraction``; nothing is
-kept from one document to the next.  A malformed rational is reported at
-its first occurrence as ``segment <k> field <name>: ...`` (``letter <k>``
-in a word), and each track is built once: ``Suspension.path`` keeps a
-segment whose values already are canonical.
+strings within one document load as one shared ``Fraction``, and equal
+coordinate lists of strings as one shared tuple, so the two ends of a held
+track are one object; nothing is kept from one document to the next.  A
+well formed path segment is read straight from its dict, and any other
+goes through the checks that name what is wrong.  A malformed rational is
+reported at its first occurrence as ``segment <k> field <name>: ...``
+(``letter <k>`` in a word), and each track is built once:
+``Suspension.path`` keeps a segment whose values already are canonical.
 
 A complex is read in one walk: :func:`parse_complex` reads each cube's
 faces once, into its row in slot order ``2*(i-1)+eps`` (the layout that
@@ -271,47 +274,101 @@ def path_text(path: MoorePath, texts=None) -> str:
     return '{"segments": [' + ", ".join(map(texts.__getitem__, map(id, path.segments))) + "]}"
 
 
+def _coords_reader(read):
+    """``coords(values, k, field)``: the coordinate lists of one document.
+
+    An all-string list is read once and later equal lists share its tuple,
+    so a held track has ``c0 is c1``.  Only all-string lists are shared:
+    ``True == 1 == 1.0``, so a key with other values could match a list
+    that reads differently.  Make one reader per document.
+    """
+    lists: dict[tuple, tuple] = {}
+
+    def coords(values, k: int, field: str) -> tuple:
+        key = tuple(values)
+        try:
+            hit = lists.get(key)
+        except TypeError:  # an unhashable value, which ``read`` rejects
+            hit = None
+        if hit is not None:
+            return hit
+        got = tuple([read(c, k, field) for c in values])
+        if all(type(c) is str for c in values):
+            lists[key] = got
+        return got
+
+    return coords
+
+
+def _segment(entry, k: int, cubes, read, coords):
+    # every check of one entry in order, each with its own error text
+    kind = _require(entry, "kind", "segment {}", k)
+    dur = read(_require(entry, "dur", "segment {}", k), k, "dur")
+    if kind == "star":
+        return StarSeg(dur)
+    if kind != "track":
+        raise FormatError(f"segment {k} has unknown kind {kind!r}")
+    cube = _require(entry, "cube", "segment {}", k)
+    if not isinstance(cube, str):
+        raise FormatError(f"segment {k} cube id must be a string, got {cube!r}")
+    if cube not in cubes:
+        raise FormatError(f"segment {k} references unknown cube {cube!r}")
+    h = _require(entry, "h", "segment {}", k)
+    if not isinstance(h, list) or len(h) != 2:
+        raise FormatError(f"segment {k} needs a two element height list")
+    c0 = _require(entry, "c0", "segment {}", k)
+    c1 = _require(entry, "c1", "segment {}", k)
+    dim = cubes[cube]
+    for label, values in (("c0", c0), ("c1", c1)):
+        if not isinstance(values, list) or len(values) != dim:
+            raise FormatError(
+                f"segment {k} field {label} needs {dim} coordinates for cube {cube!r}"
+            )
+    return TrackSeg(
+        dur, read(h[0], k, "h"), read(h[1], k, "h"), cube, coords(c0, k, "c0"), coords(c1, k, "c1")
+    )
+
+
 def load_path(sus: Suspension, obj) -> MoorePath:
     raw = _require(obj, "segments", "path")
     if not isinstance(raw, list):
         raise FormatError("segments must be a list")
     read = _rational_reader("segment")
+    coords = _coords_reader(read)
     cubes = sus.base.cubes
     segs = []
     for k, entry in enumerate(raw):
-        kind = _require(entry, "kind", "segment {}", k)
-        dur = read(_require(entry, "dur", "segment {}", k), k, "dur")
-        if kind == "star":
-            segs.append(StarSeg(dur))
-        elif kind == "track":
-            cube = _require(entry, "cube", "segment {}", k)
-            if not isinstance(cube, str):
-                raise FormatError(f"segment {k} cube id must be a string, got {cube!r}")
-            if cube not in cubes:
-                raise FormatError(f"segment {k} references unknown cube {cube!r}")
-            h = _require(entry, "h", "segment {}", k)
-            if not isinstance(h, list) or len(h) != 2:
-                raise FormatError(f"segment {k} needs a two element height list")
-            c0 = _require(entry, "c0", "segment {}", k)
-            c1 = _require(entry, "c1", "segment {}", k)
-            dim = cubes[cube]
-            for label, coords in (("c0", c0), ("c1", c1)):
-                if not isinstance(coords, list) or len(coords) != dim:
-                    raise FormatError(
-                        f"segment {k} field {label} needs {dim} coordinates for cube {cube!r}"
+        # a well formed entry is read straight from the dict; anything else
+        # goes through ``_segment``, whose checks come first, so the first
+        # error is the same either way
+        if type(entry) is dict and "dur" in entry:
+            kind = entry.get("kind")
+            if kind == "track":
+                cube, h = entry.get("cube"), entry.get("h")
+                c0, c1 = entry.get("c0"), entry.get("c1")
+                if (
+                    type(cube) is str
+                    and type(h) is list
+                    and len(h) == 2
+                    and type(c0) is list
+                    and type(c1) is list
+                    and len(c0) == len(c1) == cubes.get(cube)
+                ):
+                    segs.append(
+                        TrackSeg(
+                            read(entry["dur"], k, "dur"),
+                            read(h[0], k, "h"),
+                            read(h[1], k, "h"),
+                            cube,
+                            coords(c0, k, "c0"),
+                            coords(c1, k, "c1"),
+                        )
                     )
-            segs.append(
-                TrackSeg(
-                    dur,
-                    read(h[0], k, "h"),
-                    read(h[1], k, "h"),
-                    cube,
-                    tuple([read(c, k, "c0") for c in c0]),
-                    tuple([read(c, k, "c1") for c in c1]),
-                )
-            )
-        else:
-            raise FormatError(f"segment {k} has unknown kind {kind!r}")
+                    continue
+            elif kind == "star":
+                segs.append(StarSeg(read(entry["dur"], k, "dur")))
+                continue
+        segs.append(_segment(entry, k, cubes, read, coords))
     return sus.path(segs)
 
 

@@ -22,14 +22,16 @@ A long trail is pinned from committed files: ``tests/data/wedge3_loop47.json``
 is the 47-letter loop ``bench/gen.make_loop(wedge_of_circles(3),
 random.Random(47), 47, 3)["path"]`` and ``tests/data/wedge3.json`` its
 complex.  Its ``contract`` trail, its ``straighten`` output, with the
-default five samples and with nine, and its ``sec`` word are pinned; CI
-hashes the console script's ``contract``, ``straighten`` and ``sec``
+default five samples and with nine, its ``sec`` word and its ``path eval``
+points at five times k/64 of its duration 215 are pinned; CI hashes the
+console script's ``contract``, ``straighten``, ``sec`` and ``path eval``
 stdout on the same files.
 """
 
 import hashlib
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 from dirloop.cli import main
@@ -567,3 +569,20 @@ def test_long_sec_is_unchanged(capsys):
     # the 47-letter crossing word, which straighten's "sec" must also give
     argv = ["sec", str(DATA / "wedge3_loop47.json"), "--complex", str(DATA / "wedge3.json")]
     assert _digest(capsys, argv) == LONG_SEC
+
+
+# k: the point at time 215*k/64, that is k/64 of the loop's duration
+LONG_EVAL = {
+    1: "0 be87b21395b38603ce0937f07ec0f37378b3add9624f4152cc29a93e9e40b91e",
+    13: "0 07e30e8a8da2619e618b1284c475dcb891bdbd62b9f234c9548024150730d453",
+    31: "0 5e87b93e3347db861e29dc21c7363faff636270f73c840c4cae9f70bb41a5fa9",
+    45: "0 9a396651be39474539d2f1f97bdc8b7fc23d29649ad2b9956d4e5b48f09136f3",
+    64: "0 5e87b93e3347db861e29dc21c7363faff636270f73c840c4cae9f70bb41a5fa9",
+}
+
+
+def test_long_eval_is_unchanged(capsys):
+    # two interior points, a pause in the middle of the loop, and its end
+    argv = ["path", "eval", str(DATA / "wedge3_loop47.json"), "--complex", str(DATA / "wedge3.json")]
+    got = {k: _digest(capsys, [*argv, "--t", str(Fraction(215 * k, 64))]) for k in LONG_EVAL}
+    assert got == LONG_EVAL

@@ -34,6 +34,7 @@ from dirloop.paths import (
     _lerp,
     _map_heights,
     _same_rate,
+    _slice,
     classify_point,
     is_strictly_increasing,
     star_measure,
@@ -1292,3 +1293,163 @@ def test_pure_shift_matches_pointwise_map(make_base, seed, delta):
             s, exc, out, lambda t: t, lambda p, t: None if p is STAR else image(p, t), _breaks(exc)
         )
         assert checked > 0
+
+
+# ----------------------------------------------------------------------
+# the join and the breakpoints against plain Fraction references
+
+
+def _ends(s, seg):
+    # both end points, normalized through ``Suspension.point``
+    if isinstance(seg, StarSeg):
+        return STAR, STAR
+    return s.point(seg.h0, seg.cube, seg.c0), s.point(seg.h1, seg.cube, seg.c1)
+
+
+def _reference_join(s, pieces):
+    """The join in plain Fraction arithmetic: every junction compares the
+    normalized end points, and two tracks merge when every rate agrees."""
+    out, last = [], None
+    for k, seg in enumerate(pieces):
+        if seg.duration == 0:
+            continue
+        if isinstance(seg, TrackSeg) and (
+            seg.cube == s.base.basepoint or (seg.h0 == seg.h1 and abs(seg.h0) == 1)
+        ):
+            seg = StarSeg(seg.duration)
+        if out:
+            prev = out[-1]
+            if _ends(s, prev)[1] != _ends(s, seg)[0]:
+                raise ValueError(f"discontinuous junction between segment {last} and segment {k}")
+            last = k
+            if isinstance(prev, StarSeg) and isinstance(seg, StarSeg):
+                out[-1] = StarSeg(prev.duration + seg.duration)
+                continue
+            if isinstance(prev, TrackSeg) and isinstance(seg, TrackSeg) and prev.cube == seg.cube:
+                p0, p1 = (prev.h0, *prev.c0), (prev.h1, *prev.c1)
+                q0, q1 = (seg.h0, *seg.c0), (seg.h1, *seg.c1)
+                if p1 == q0 and all(
+                    (b - a) / prev.duration == (d - c) / seg.duration
+                    for a, b, c, d in zip(p0, p1, q0, q1)
+                ):
+                    out[-1] = TrackSeg(
+                        prev.duration + seg.duration, prev.h0, seg.h1, prev.cube, prev.c0, seg.c1
+                    )
+                    continue
+        out.append(seg)
+        last = k
+    return MoorePath(tuple(out), STAR)
+
+
+def _face_excursion(s, rng):
+    """A climb in a cube onto one of its faces, continued in the face's
+    carrier: a junction between two carriers."""
+    K = s.base
+    cube = rng.choice(sorted(c for c, d in K.cubes.items() if d > 0))
+    i, eps = rng.randrange(K.cubes[cube]), rng.randint(0, 1)
+    ref = K.faces[(cube, i + 1, eps)]
+    start = tuple(F(rng.randint(1, 7), 8) for _ in range(K.cubes[cube]))
+    end = start[:i] + (F(eps),) + start[i + 1:]
+    rest = end[:i] + end[i + 1:]
+    for j in ref.degens:
+        rest = rest[: j - 1] + rest[j:]
+    a = F(rng.randint(-3, 3), 4)
+    return [
+        TrackSeg(F(rng.randint(1, 4), 2), F(-1), a, cube, start, end),
+        TrackSeg(F(rng.randint(1, 4), 2), a, F(1), ref.base, rest, rest),
+    ]
+
+
+def _bent_climb(s, rng):
+    """A climb at one speed whose base coordinates may turn, stop or start
+    at its middle: the two tracks merge only when they do not."""
+    x = random_interior_point(s.base, rng)
+    y = tuple(c if rng.random() < 0.5 else F(rng.randint(1, 7), 8) for c in x.coords)
+    z = tuple(c if rng.random() < 0.5 else F(rng.randint(1, 7), 8) for c in y)
+    d = F(rng.randint(1, 4), 2)
+    return [TrackSeg(d, F(-1), F(0), x.cube, x.coords, y), TrackSeg(d, F(0), F(1), x.cube, y, z)]
+
+
+def _outcome(build, pieces):
+    try:
+        return build(pieces)
+    except ValueError as err:
+        return str(err)
+
+
+JOIN_BASES = POINTWISE_BASES + [_cube3_complex, lambda: suspension_model(circle_complex()).complex]
+
+
+@pytest.mark.parametrize("make_base", JOIN_BASES)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), shifted=st.booleans())
+def test_join_matches_a_fraction_reference(make_base, seed, shifted):
+    rng = random.Random(seed)
+    s = Suspension(make_base())
+    loop = random_loop(s, rng) if rng.random() < 0.5 else _wandering_loop(s, rng)
+    T = loop.duration
+    a, b = sorted(T * F(rng.randint(0, 8), 8) for _ in range(2))
+    cuts = sorted({a, b} | {a + (b - a) * F(rng.randint(1, 15), 16) for _ in range(3)})
+    # a slice cut into more pieces: collinear neighbours that must merge back
+    pieces = [p for t0, t1 in zip(cuts, cuts[1:]) for p in _slice(loop, t0, t1)]
+    if a < b:
+        assert s._join(pieces) == s.slice_path(loop, a, b)
+    # pieces that become pauses, a junction between two carriers and one
+    # where only the base coordinates turn, each put where the path sits at
+    # the cone point
+    x = random_interior_point(s.base, rng)
+    pole = F(rng.choice([-1, 1]))
+    h0, h1 = sorted(F(rng.randint(-4, 4), 4) for _ in range(2))
+    blocks = [
+        [TrackSeg(F(rng.randint(1, 4), 2), h0, h1, s.base.basepoint, (), ())],
+        [TrackSeg(F(rng.randint(1, 4), 2), pole, pole, x.cube, x.coords, x.coords)],
+        _face_excursion(s, rng),
+        _bent_climb(s, rng),
+    ]
+    for block in blocks:
+        at_star = [
+            k
+            for k in range(len(pieces) + 1)
+            if (k == 0 or _ends(s, pieces[k - 1])[1] is STAR)
+            and (k == len(pieces) or _ends(s, pieces[k])[0] is STAR)
+        ]
+        if at_star and rng.random() < 0.7:
+            k = rng.choice(at_star)
+            pieces[k:k] = block
+    # zero-length pieces anywhere, a track's data not even continuous
+    for empty in (StarSeg(F(0)), TrackSeg(F(0), F(1, 2), F(-1, 3), x.cube, x.coords, x.coords)):
+        pieces.insert(rng.randint(0, len(pieces)), empty)
+    tracks = [k for k, p in enumerate(pieces) if isinstance(p, TrackSeg) and p.duration]
+    if shifted and tracks:
+        k = rng.choice(tracks)
+        p = pieces[k]
+        pieces[k] = TrackSeg(p.duration, p.h0 / 2, p.h1 / 2 + F(1, 8), p.cube, p.c0, p.c1)
+    want = _outcome(lambda p: _reference_join(s, p), pieces)
+    assert _outcome(s._join, pieces) == want
+    assert _outcome(s.path, pieces) == want
+    if not shifted:
+        assert isinstance(want, MoorePath)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_times_match_fraction_breakpoints(data):
+    # durations with large denominators, mostly coprime to each other
+    n = data.draw(st.integers(0, 60))
+    segs = tuple(
+        StarSeg(d) if data.draw(st.booleans()) else TrackSeg(d, F(0), F(0), "e", (), ())
+        for d in (_rational(data, 0, 5) for _ in range(n))
+    )
+    times = MoorePath(segs).times
+    assert list(times) == _breaks(MoorePath(segs))
+    assert all(type(t) is F for t in times)
+
+
+def test_times_over_pairwise_coprime_denominators():
+    # consecutive integers are coprime, so the common denominator grows
+    # with every segment
+    segs = tuple(StarSeg(F(k % 7 + 1, 10**12 + k)) for k in range(200))
+    times = MoorePath(segs).times
+    assert list(times) == _breaks(MoorePath(segs))
+    assert all(type(t) is F for t in times)
+    assert MoorePath().times == (0,) and type(MoorePath().times[0]) is F

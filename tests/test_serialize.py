@@ -282,8 +282,11 @@ def test_load_path_builds_each_track_once(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(TrackSeg, "__init__", counting_init)
-    assert load_path(sus, obj) == loop
+    loaded = load_path(sus, obj)
+    assert loaded == loop
     assert len(built) <= tracks
+    # every track of the loop is held, and its two ends load as one tuple
+    assert all(seg.c0 is seg.c1 for seg in loaded.segments if isinstance(seg, TrackSeg))
 
 
 _TRACK = {"kind": "track", "dur": "1", "h": ["-1", "1"], "cube": "e", "c0": ["1/4"], "c1": ["1/4"]}
@@ -308,11 +311,28 @@ _TRACK = {"kind": "track", "dur": "1", "h": ["-1", "1"], "cube": "e", "c0": ["1/
             [_TRACK, {"kind": "star", "dur": "x"}, dict(_TRACK, c0=["x"])],
             "segment 1 field dur: malformed rational 'x'",
         ),
+        # True == 1 == 1.0, so only all-string coordinate lists are shared
+        ([dict(_TRACK, c0=[1], c1=[True])], "segment 0 field c1: expected a rational, got True"),
+        ([dict(_TRACK, c0=[1], c1=[1.0])], "segment 0 field c1: rationals must be strings"),
+        ([dict(_TRACK, c1=[1.0])], "segment 0 field c1: rationals must be strings"),
+        (
+            [dict(_TRACK, c0=[[1]])],
+            "segment 0 field c0: rationals must be strings or integers, got [1]",
+        ),
     ],
 )
 def test_load_path_names_the_segment_and_field_of_a_bad_rational(segments, message):
     with pytest.raises(FormatError, match=f"^{re.escape(message)}"):
         load_path(CIRCLE, {"segments": segments})
+
+
+def test_load_path_shares_equal_coordinate_lists_within_one_document():
+    # two tracks that meet but do not merge, each held, over one point
+    obj = {"segments": [dict(_TRACK, h=["-1", "0"]), dict(_TRACK, dur="2", h=["0", "1"])]}
+    first, second = load_path(CIRCLE, obj).segments
+    assert first.c0 is first.c1 is second.c0 is second.c1
+    again = load_path(CIRCLE, obj).segments[0]
+    assert again == first and again.c0 is not first.c0 and again.h1 is not first.h1
 
 
 @pytest.mark.parametrize(
@@ -322,6 +342,7 @@ def test_load_path_names_the_segment_and_field_of_a_bad_rational(segments, messa
         (lambda o: o["segments"][0].pop("dur"), "dur"),
         (lambda o: o["segments"][0].update({"kind": "arc"}), "kind"),
         (lambda o: o["segments"][0].update({"cube": "ghost"}), "unknown cube"),
+        (lambda o: o["segments"][0].update({"cube": ["e"]}), "cube id must be a string"),
         (lambda o: o["segments"][0].update({"h": ["-1"]}), "height"),
         (lambda o: o["segments"][0].update({"c0": []}), "coordinates"),
         (lambda o: o["segments"][0].update({"dur": "0.5.1"}), "rational"),
