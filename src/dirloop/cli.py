@@ -32,7 +32,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .acceptance import run_acceptance
 from .cubical import RealizationPoint, suspension_model, validate
 from .homology import RATIONALS, FieldSpec, betti
 from .james import crossing_word
@@ -232,6 +231,9 @@ def cmd_path_truncate(args):
 
 
 def cmd_selftest(args):
+    # the acceptance suite and its corpus load only for this command
+    from .acceptance import run_acceptance
+
     results = run_acceptance(args.seed)
     width = max(len(r.name) for r in results)
     for r in results:

@@ -19,7 +19,11 @@ a presentation: structure (names, missing faces, normal form, dimensions,
 degeneracy bounds) and the interchange relations, read off each row once.
 Its lazy form :func:`iter_violations` lets ``serialize.load_complex`` stop
 at the first violation; the work grows with the face entries present, never
-with a declared dimension.  Code past the loader takes a complex as well
+with a declared dimension.  The relations of a cube are compared at once:
+its grid of faces of faces is flattened into one tuple, and two
+``operator.itemgetter`` objects, built once per cube dimension, pick the
+two sides of every relation; only a cube where they differ is listed
+relation by relation.  Code past the loader takes a complex as well
 formed.
 
 All coordinates are ``fractions.Fraction``; no floats enter the kernel.
@@ -33,7 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -228,6 +233,18 @@ def _degenerate_faces(K: CubicalSet, ref: FaceRef, m: int, memo: dict) -> tuple:
     return memo[key]
 
 
+@cache
+def _relation_getters(m: int) -> tuple:
+    """The two sides of every relation of a cube with ``m + 2`` faces, as
+    getters of its flattened grid of ``m + 2`` rows of ``m``.
+
+    Index data only, the same for every complex, so it is kept for the
+    process: one entry per cube dimension met.
+    """
+    pairs = [(s * m + r, r * m + s - 2) for s in range(2, m + 2) for r in range(s & ~1)]
+    return tuple(itemgetter(*side) for side in zip(*pairs))
+
+
 def iter_violations(K: CubicalSet) -> Iterator[Violation]:
     """The defects :func:`validate` reports, one at a time and in its order.
 
@@ -283,12 +300,15 @@ def iter_violations(K: CubicalSet) -> Iterator[Violation]:
             continue
         # grid[s] lists the faces of face s by slot.  Relation (i, j, eps, eta)
         # is grid[s][r] == grid[r][s - 2] with s = 2*(j-1)+eta and
-        # r = 2*(i-1)+eps < s & ~1: a row of the grid against a column
+        # r = 2*(i-1)+eps < s & ~1: a row of the grid against a column,
+        # compared at once on the flattened grid
         holes = (None,) * m
         grid = [_degenerate_faces(K, f, m, memo) if f[1] else full.get(f[0], holes) for f in fs]
-        cols = list(zip(*grid))
-        if [grid[s][: s & ~1] for s in range(2, m + 2)] == [cols[s - 2][: s & ~1] for s in range(2, m + 2)]:
+        rows_side, cols_side = _relation_getters(m)
+        flat = tuple(chain.from_iterable(grid))
+        if rows_side(flat) == cols_side(flat):
             continue
+        cols = list(zip(*grid))
         for j, i, eps, eta in sorted(
             (s // 2 + 1, r // 2 + 1, r % 2, s % 2)
             for s in range(2, m + 2)

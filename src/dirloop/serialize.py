@@ -30,7 +30,11 @@ faces once, into its row in slot order ``2*(i-1)+eps`` (the layout that
 ``validate`` and ``chain_complex`` read), with one ``FaceRef`` per plain
 base, and checks only what building a ``CubicalSet`` needs: types, face
 keys (exactly ``d<eps>_<i>``, so distinct keys name distinct slots),
-distinct ids and a vertex as basepoint.  :func:`load_complex` then runs
+distinct ids and a vertex as basepoint.  Its type checks are cheap
+``type(x) is`` tests; an entry that fails one is checked again by
+``_cube_entry`` or ``_face_entry``, which raise the first error in the
+documented order, or pass a ``dict``, ``str`` or ``int`` subclass that
+the full checks accept.  :func:`load_complex` then runs
 :func:`~dirloop.cubical.validate` and raises its first violation as a
 ``FormatError`` of the form ``cube '<id>': face d<eps>_<i> ...``.  Every
 computing command loads; the ``validate`` command only parses.
@@ -136,10 +140,52 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# the word of a face entry without "degens"; read, never written to
+_NO_DEGENS: list = []
+
+
+def _cube_entry(entry, cubes: dict):
+    """``(id, dim, faces)`` of a cube entry, each check with its own text.
+
+    The reader calls this only when its cheap type tests fail, so the first
+    error is reported in this order; a dict, str or int subclass that
+    passes these checks is read through here.
+    """
+    name = _require(entry, "id", "cube entry")
+    if not isinstance(name, str):
+        raise FormatError(f"cube id must be a string, got {name!r}")
+    dim = _require(entry, "dim", "cube {!r}", name)
+    if not _is_int(dim):
+        raise FormatError(f"cube {name!r} has malformed dimension {dim!r}")
+    if name in cubes:
+        raise FormatError(f"duplicate cube id {name!r}")
+    raw_faces = entry.get("faces", {})
+    if not isinstance(raw_faces, dict):
+        raise FormatError(f"cube {name!r} faces must be an object")
+    return name, dim, raw_faces
+
+
+def _face_entry(ref, key, name):
+    """``(base, degens)`` of a face entry, as :func:`_cube_entry` for cubes."""
+    if not isinstance(ref, dict) or "base" not in ref:
+        raise FormatError(f"face {key!r} of {name!r} is missing 'base'")
+    base, degens = ref["base"], ref.get("degens", _NO_DEGENS)
+    if not isinstance(base, str):
+        raise FormatError(f"face {key!r} of {name!r} has malformed base")
+    if not isinstance(degens, list) or degens and not all(map(_is_int, degens)):
+        raise FormatError(f"face {key!r} of {name!r} has malformed degeneracies")
+    return base, degens
+
+
 def parse_complex(obj) -> CubicalSet:
     """The cubes and faces of a complex object, checked only as far as
     building a :class:`CubicalSet` needs: types, face keys, distinct ids,
-    a vertex as basepoint.  :func:`load_complex` also validates."""
+    a vertex as basepoint.  :func:`load_complex` also validates.
+
+    Each entry is read with ``type(x) is`` tests; one that fails them goes
+    through :func:`_cube_entry` or :func:`_face_entry`, which check in the
+    documented order and build the error text.
+    """
     basepoint = _require(obj, "basepoint", "complex")
     raw_cubes = _require(obj, "cubes", "complex")
     if not isinstance(basepoint, str):
@@ -152,18 +198,12 @@ def parse_complex(obj) -> CubicalSet:
     slot_of: dict[str, int] = {}  # face key -> its slot 2*(i-1)+eps, parsed once
     plain: dict[str, FaceRef] = {}  # base -> its one plain FaceRef
     for entry in raw_cubes:
-        name = _require(entry, "id", "cube entry")
-        if not isinstance(name, str):
-            raise FormatError(f"cube id must be a string, got {name!r}")
-        dim = _require(entry, "dim", "cube {!r}", name)
-        if not _is_int(dim):
-            raise FormatError(f"cube {name!r} has malformed dimension {dim!r}")
-        if name in cubes:
-            raise FormatError(f"duplicate cube id {name!r}")
+        name = None  # so that an entry that is no dict fails the test below
+        if type(entry) is dict:
+            name, dim, raw_faces = entry.get("id"), entry.get("dim"), entry.get("faces")
+        if type(name) is not str or type(dim) is not int or type(raw_faces) is not dict or name in cubes:
+            name, dim, raw_faces = _cube_entry(entry, cubes)
         cubes[name] = dim
-        raw_faces = entry.get("faces", {})
-        if not isinstance(raw_faces, dict):
-            raise FormatError(f"cube {name!r} faces must be an object")
         width = 2 * dim
         # never longer than the entries present: a dict when some must be missing
         row = [None] * width if len(raw_faces) >= width else {}
@@ -174,17 +214,17 @@ def parse_complex(obj) -> CubicalSet:
                 if not m:
                     raise FormatError(f"cube {name!r} has malformed face key {key!r}")
                 s = slot_of[key] = 2 * int(m[2]) - 2 + int(m[1])
-            if not isinstance(ref, dict) or "base" not in ref:
-                raise FormatError(f"face {key!r} of {name!r} is missing 'base'")
-            base, degens = ref["base"], ref.get("degens", [])
-            if not isinstance(base, str):
-                raise FormatError(f"face {key!r} of {name!r} has malformed base")
-            if not isinstance(degens, list) or degens and not all(map(_is_int, degens)):
-                raise FormatError(f"face {key!r} of {name!r} has malformed degeneracies")
-            if degens:
-                face = FaceRef(base, tuple(degens))
-            else:
+            base = None  # so that a face entry that is no dict fails the test below
+            if type(ref) is dict:
+                base, degens = ref.get("base"), ref.get("degens", _NO_DEGENS)
+            if type(base) is not str or type(degens) is not list:
+                base, degens = _face_entry(ref, key, name)
+            if not degens:
                 face = plain.get(base) or plain.setdefault(base, FaceRef(base))
+            else:
+                if not all(type(j) is int for j in degens):
+                    base, degens = _face_entry(ref, key, name)
+                face = FaceRef(base, tuple(degens))
             if s < width:
                 row[s] = face
             else:

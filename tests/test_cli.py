@@ -240,6 +240,23 @@ def test_selftest_table(capsys):
     assert lines[-1] == "10/10 criteria passed"
 
 
+def test_importing_the_cli_leaves_the_acceptance_suite_unloaded():
+    # only selftest needs the acceptance suite, its corpus and random;
+    # modules the interpreter loaded before the import do not count
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import json, sys; before = set(sys.modules); import dirloop.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=120
+    ).stdout
+    loaded = json.loads(out)
+    assert "dirloop.cli" in loaded
+    assert {"dirloop.acceptance", "dirloop.corpus", "random"}.isdisjoint(loaded)
+
+
 def test_exit_codes_for_bad_input(capsys, tmp_path, circle_file, loop_file):
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")

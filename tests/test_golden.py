@@ -26,6 +26,12 @@ default five samples and with nine, its ``sec`` word and its ``path eval``
 points at five times k/64 of its duration 215 are pinned; CI hashes the
 console script's ``contract``, ``straighten``, ``sec`` and ``path eval``
 stdout on the same files.
+
+``tests/data/sus_torus.json`` is ``dump_complex`` of
+``suspension_model(torus_complex()).complex``, a document with degenerate
+faces.  Its ``validate``, ``homology`` over Q and Z/3 and ``loop-homology
+--degree 6`` outputs are pinned, and CI hashes the console script's
+stdout of the same four commands.
 """
 
 import hashlib
@@ -586,3 +592,23 @@ def test_long_eval_is_unchanged(capsys):
     argv = ["path", "eval", str(DATA / "wedge3_loop47.json"), "--complex", str(DATA / "wedge3.json")]
     got = {k: _digest(capsys, [*argv, "--t", str(Fraction(215 * k, 64))]) for k in LONG_EVAL}
     assert got == LONG_EVAL
+
+
+# the commands CI also runs on the committed suspended torus, whose
+# document has degenerate faces
+SUS_TORUS = {
+    ("validate",): "0 e795da9310ff18b6f32deea6113460f7918b3ef64151f4ea555fb2c6c9558996",
+    ("homology", "--field", "q"): "0 eb796a6470db20ad8d0ea37e3245cb41b5209779e7f95e8ac29a412edc95c951",
+    ("homology", "--field", "zp:3"): "0 eb796a6470db20ad8d0ea37e3245cb41b5209779e7f95e8ac29a412edc95c951",
+    ("loop-homology", "--degree", "6"): "0 d921df50a4902638479b31a95b649cc931c65094a044297f176d713cb72a8ffd",
+}
+
+
+def test_sus_torus_fixture_is_unchanged(capsys):
+    complex_file = DATA / "sus_torus.json"
+    assert json.loads(complex_file.read_text()) == dump_complex(_sus(torus_complex)())
+    got = {
+        (head, *rest): _full_digest(capsys, [head, str(complex_file), *rest])
+        for head, *rest in SUS_TORUS
+    }
+    assert got == SUS_TORUS

@@ -4,6 +4,7 @@ import json
 import random
 import re
 import sys
+from collections import OrderedDict
 from fractions import Fraction as F
 
 import pytest
@@ -17,7 +18,7 @@ from dirloop.corpus import (
     torus_complex,
     wedge_of_circles,
 )
-from dirloop.cubical import RealizationPoint
+from dirloop.cubical import CubicalSet, FaceRef, RealizationPoint, suspension_model, tensor_product
 from dirloop.paths import STAR, MoorePath, StarSeg, Suspension, TrackSeg
 from dirloop.serialize import (
     FormatError,
@@ -27,6 +28,7 @@ from dirloop.serialize import (
     load_complex,
     load_path,
     load_word,
+    parse_complex,
     parse_rational,
     path_text,
     rational_str,
@@ -176,6 +178,221 @@ def test_load_complex_rejects_mangled_input(mangle, message):
     mangle(obj)
     with pytest.raises((FormatError, ValueError), match=message):
         load_complex(obj)
+
+
+# ----------------------------------------------------------------------
+# parse_complex against the reader it replaced, on edited documents
+
+_FACE_KEY = re.compile(r"d([01])_([1-9][0-9]*)")
+
+
+def _require(obj, key, where, *args):
+    if not isinstance(obj, dict) or key not in obj:
+        raise FormatError(f"{where.format(*args)} is missing {key!r}")
+    return obj[key]
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _reference_parse_complex(obj):
+    # the reader before its type tests, kept as it was: every check in
+    # order, each with its own error text
+    basepoint = _require(obj, "basepoint", "complex")
+    raw_cubes = _require(obj, "cubes", "complex")
+    if not isinstance(basepoint, str):
+        raise FormatError("basepoint must be a cube id string")
+    if not isinstance(raw_cubes, list):
+        raise FormatError("cubes must be a list")
+    cubes = {}
+    rows = {}
+    stray = {}
+    slot_of = {}
+    plain = {}
+    for entry in raw_cubes:
+        name = _require(entry, "id", "cube entry")
+        if not isinstance(name, str):
+            raise FormatError(f"cube id must be a string, got {name!r}")
+        dim = _require(entry, "dim", "cube {!r}", name)
+        if not _is_int(dim):
+            raise FormatError(f"cube {name!r} has malformed dimension {dim!r}")
+        if name in cubes:
+            raise FormatError(f"duplicate cube id {name!r}")
+        cubes[name] = dim
+        raw_faces = entry.get("faces", {})
+        if not isinstance(raw_faces, dict):
+            raise FormatError(f"cube {name!r} faces must be an object")
+        width = 2 * dim
+        row = [None] * width if len(raw_faces) >= width else {}
+        for key, ref in raw_faces.items():
+            s = slot_of.get(key)
+            if s is None:
+                m = _FACE_KEY.fullmatch(key)
+                if not m:
+                    raise FormatError(f"cube {name!r} has malformed face key {key!r}")
+                s = slot_of[key] = 2 * int(m[2]) - 2 + int(m[1])
+            if not isinstance(ref, dict) or "base" not in ref:
+                raise FormatError(f"face {key!r} of {name!r} is missing 'base'")
+            base, degens = ref["base"], ref.get("degens", [])
+            if not isinstance(base, str):
+                raise FormatError(f"face {key!r} of {name!r} has malformed base")
+            if not isinstance(degens, list) or degens and not all(map(_is_int, degens)):
+                raise FormatError(f"face {key!r} of {name!r} has malformed degeneracies")
+            if degens:
+                face = FaceRef(base, tuple(degens))
+            else:
+                face = plain.get(base) or plain.setdefault(base, FaceRef(base))
+            if s < width:
+                row[s] = face
+            else:
+                stray[(name, s // 2 + 1, s % 2)] = face
+        if type(row) is list:
+            row = tuple(row) if all(row) else {s: f for s, f in enumerate(row) if f}
+        rows[name] = row
+    try:
+        return CubicalSet.from_rows(cubes, rows, stray, basepoint)
+    except ValueError as err:
+        raise FormatError(str(err)) from None
+
+
+class _Dict(dict):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+def _sus(make):
+    return lambda: suspension_model(make()).complex
+
+
+# the second half carries degenerate faces
+_PARSE_BASES = {
+    "interval": interval_complex,
+    "circle": circle_complex,
+    "wedge2": lambda: wedge_of_circles(2),
+    "torus": torus_complex,
+    "sus-circle": _sus(circle_complex),
+    "sus-torus": _sus(torus_complex),
+    "sus-circle*interval": lambda: tensor_product(_sus(circle_complex)(), interval_complex()),
+}
+_NOT_A_DICT = [None, 3, True, 1.5, "v", ["v"], [], ("v",)]
+_VALUES = [None, True, False, 0, 1, 2, -1, 1.0, "1", "", "v", [], [1], {}, _Int(1)]
+
+
+def _edit(data, obj):
+    """One random edit of a dumped complex, in place."""
+    cubes = obj["cubes"]
+    k = data.draw(st.integers(0, len(cubes) - 1))
+    entry = cubes[k]
+    kind = data.draw(st.sampled_from([
+        "entry", "dim", "id", "duplicate", "faces", "ordered",
+        "face", "base", "word", "no-word", "extra", "stray", "key", "reverse", "subclass",
+    ]))
+    if kind == "entry":
+        cubes[k] = data.draw(st.sampled_from(_NOT_A_DICT))
+        return
+    if type(entry) not in (dict, OrderedDict, _Dict):
+        return
+    if kind == "dim":
+        if data.draw(st.booleans()):
+            entry.pop("dim", None)
+        else:
+            entry["dim"] = data.draw(st.sampled_from(_VALUES + [3]))
+    elif kind == "id":
+        other = cubes[data.draw(st.integers(0, len(cubes) - 1))]
+        choices = [7, None, ["v"], "", _Str(entry.get("id", "v"))]
+        if isinstance(other, dict) and "id" in other:
+            choices.append(other["id"])
+        if data.draw(st.booleans()):
+            entry.pop("id", None)
+        else:
+            entry["id"] = data.draw(st.sampled_from(choices))
+    elif kind == "duplicate":
+        cubes.insert(data.draw(st.integers(0, len(cubes))), json.loads(json.dumps(entry)))
+    elif kind == "faces":
+        if data.draw(st.booleans()):
+            entry.pop("faces", None)
+        else:
+            entry["faces"] = data.draw(st.sampled_from([None, [], "x", 0]))
+    elif kind == "ordered":
+        cubes[k] = data.draw(st.sampled_from([OrderedDict, _Dict]))(entry)
+        if isinstance(entry.get("faces"), dict):
+            cubes[k]["faces"] = data.draw(st.sampled_from([OrderedDict, _Dict]))(entry["faces"])
+    else:
+        faces = entry.get("faces")
+        if not isinstance(faces, dict):
+            return
+        if kind == "stray":
+            i = data.draw(st.sampled_from([entry.get("dim", 0) + 1, 9])) if _is_int(entry.get("dim")) else 9
+            faces[f"d{data.draw(st.integers(0, 1))}_{i}"] = {"base": "v", "degens": []}
+            return
+        if kind == "key":
+            bad = data.draw(st.sampled_from(["dx_1", "d0_0", "d0_01", "d2_1", "d0_1\n", "d_1", "D0_1", "d0_1 "]))
+            if faces and data.draw(st.booleans()):
+                key = data.draw(st.sampled_from(sorted(faces)))
+                faces[bad] = faces.pop(key)
+            else:
+                faces[bad] = {"base": "v", "degens": []}
+            return
+        if kind == "reverse":
+            entry["faces"] = type(faces)(reversed(list(faces.items())))
+            return
+        if not faces:
+            return
+        key = data.draw(st.sampled_from(sorted(faces)))
+        ref = faces[key]
+        if kind == "face":
+            faces[key] = data.draw(st.sampled_from(_NOT_A_DICT + [{}, {"degens": []}]))
+            return
+        if not isinstance(ref, dict):
+            return
+        if kind == "subclass":
+            faces[key] = data.draw(st.sampled_from([OrderedDict, _Dict]))(ref)
+        elif kind == "base":
+            if data.draw(st.booleans()):
+                ref.pop("base", None)
+            else:
+                ref["base"] = data.draw(st.sampled_from([1, None, ["v"], "ghost", _Str(ref.get("base", "v"))]))
+        elif kind == "word":
+            ref["degens"] = data.draw(st.sampled_from(
+                [[True], [1.0], ["1"], [1, True], [0], [2, 1], [1], [1, 1], [_Int(1)], None, "1", (1,), {}]
+            ))
+        elif kind == "no-word":
+            ref.pop("degens", None)
+        elif kind == "extra":
+            ref[data.draw(st.sampled_from(["x", "Base", "degens "]))] = data.draw(st.sampled_from(_VALUES))
+
+
+def _parse_outcome(parse, obj):
+    try:
+        K = parse(obj)
+    except (FormatError, ValueError, TypeError) as err:
+        return type(err), str(err)
+    return K.cubes, K.rows, K._stray, K.basepoint
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_PARSE_BASES)), st.integers(0, 3), st.data())
+def test_parse_complex_matches_the_reference_reader(which, edits, data):
+    obj = dump_complex(_PARSE_BASES[which]())
+    for _ in range(edits):
+        _edit(data, obj)
+    assert _parse_outcome(parse_complex, obj) == _parse_outcome(_reference_parse_complex, obj)
+
+
+@pytest.mark.parametrize("which", sorted(_PARSE_BASES))
+def test_parse_complex_matches_the_reference_reader_on_stock_complexes(which):
+    obj = dump_complex(_PARSE_BASES[which]())
+    K = parse_complex(obj)
+    assert _parse_outcome(parse_complex, obj) == _parse_outcome(_reference_parse_complex, obj)
+    assert K.rows == _PARSE_BASES[which]().rows
 
 
 def test_path_round_trip_frozen():
