@@ -42,8 +42,9 @@ from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-ONE_THIRD = Fraction(1, 3)
-TWO_THIRDS = Fraction(2, 3)
+# the ends of the coordinate retraction: shared, so a caller can tell a
+# snapped end by identity
+ZERO, ONE = Fraction(0), Fraction(1)
 
 
 class FormatError(ValueError):
@@ -255,8 +256,11 @@ def iter_violations(K: CubicalSet) -> Iterator[Violation]:
     the others.  Each cube's faces are read from its row, the one face
     layout; only faces that are not a plain (n-1)-cube are checked one by
     one.  Relations are checked on cubes whose faces are all present and
-    well formed, and one that needs a face of a cube with missing faces is
-    skipped.
+    well formed.  A plain face whose cube misses faces contributes no faces
+    at all, so every relation that reads one of its faces is skipped.  The
+    faces of a degenerate face are worked out through ``apply_face``, and
+    only those that reach a missing face are skipped: the relations that
+    read its present faces are still compared.
     """
     cubes = K.cubes
     rows = K.rows
@@ -514,14 +518,24 @@ def normalize_point(K: CubicalSet, cube: str, coords) -> RealizationPoint:
     return RealizationPoint(carrier, cs)
 
 
+def snap_thirds(n: int, m: int) -> Fraction:
+    """The coordinate retraction at n/m (m > 0), on the integers.
+
+    The outer thirds land on the ends exactly: 3n <= m gives ``ZERO`` and
+    3n >= 2m gives ``ONE``, the shared constants; the middle third is
+    stretched onto (0, 1) as (3n - m)/m, the one value built.
+    """
+    if 3 * n <= m:
+        return ZERO
+    if 3 * n >= 2 * m:
+        return ONE
+    return Fraction(3 * n - m, m)
+
+
 def snap_coordinate(s: Fraction) -> Fraction:
     """Retract one coordinate: the outer thirds land on the ends exactly."""
-    s = Fraction(s)
-    if s <= ONE_THIRD:
-        return Fraction(0)
-    if s >= TWO_THIRDS:
-        return Fraction(1)
-    return 3 * (s - Fraction(1, 2)) + Fraction(1, 2)
+    s = as_fraction(s)
+    return snap_thirds(s.numerator, s.denominator)
 
 
 def boundary_snap(K: CubicalSet, p: RealizationPoint) -> RealizationPoint:

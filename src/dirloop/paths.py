@@ -28,11 +28,12 @@ Each concept has one mechanism underneath.  Every height deformation
 ``shrink_cone``) is one clamped map h -> a*h + b + c*t.  Every change of
 clock (``scale_time``, ``reparam`` and the straightening frames) is
 ``_shifted`` with its duration factor.  One pole clamp, ``_clamped_track``,
-serves them all and the ramps, and cuts a track once per pole it crosses;
-the collar truncation cuts at the collar levels.  Every point inside a
-segment comes from one integer interpolator, ``_lerp``.  The passages
-through the middle slice come from one scan, ``Suspension._crossings``,
-which ``middle_crossings`` and the straightening both read.
+serves them all and the ramps, and cuts a track once per pole it crosses.
+Every point inside a segment comes from one integer interpolator,
+``_lerp``, save the collar truncation's cut points, which are snapped
+straight from the integers (below).  The passages through the middle slice
+come from one scan, ``Suspension._crossings``, which ``middle_crossings``
+and the straightening both read.
 
 The kernel stays exact and cheap per segment.  Range and pole tests on
 durations and heights read the integers of a ``Fraction`` rather than
@@ -51,6 +52,14 @@ at a pole, so ``pauses_and_runs`` normalizes only the other ends.  A track
 that stays within the poles is clamped without computing cuts; one that
 crosses a pole is cut there on the integers of its end heights, with the
 pole as the height at the cut and only moving coordinates interpolated.
+The collar truncation works on the same integers.  A value from n0/d0 to
+n1/d1 meets the level l/3 at s = (l*d0 - 3*n0)*d1 / (3*(n1*d0 - n0*d1)),
+and only a cut with 0 < s < 1 is built.  Each piece between cuts lies in
+one third of every value, so its ends decide it: it is silenced when both
+ends snap to the same pole, or when the slots where both snap to the same
+0 or 1 strip it onto the basepoint, worked out once per cube and pattern of
+slots in a call.  The snap of n/d is 0 when 3n <= d, 1 when 3n >= 2d, and
+(3n - d)/d between, with shared constants for the ends.
 A path keeps its breakpoint times (``MoorePath.times``, computed once and
 summed on integers over the running lcm of the denominators), so
 ``evaluate``, ``slice_path`` and ``reparam`` find segments by bisection.
@@ -66,19 +75,21 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .cubical import (
+    ONE as _ONE,
+    ZERO as _ZERO,
     CubicalSet,
     RealizationPoint,
     as_fraction,
     boundary_snap,
     normalize_point,
-    snap_coordinate,
+    snap_thirds,
     strip_boundary,
 )
 
-_THIRD = Fraction(1, 3)
-_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
-_COLLAR_HEIGHTS = (-2 * _THIRD, -_THIRD, _THIRD, 2 * _THIRD)
-_COLLAR_COORDS = (_THIRD, 2 * _THIRD)
+_MINUS_ONE, _HALF = Fraction(-1), Fraction(1, 2)
+# the collar levels l/3 of a height and of a base coordinate, by l
+_HEIGHT_LEVELS = (-2, -1, 1, 2)
+_COORD_LEVELS = (1, 2)
 
 
 class _StarType:
@@ -249,20 +260,6 @@ def _slice(path: MoorePath, a: Fraction, b: Fraction) -> list:
     return segs
 
 
-def _collar_cuts(seg: TrackSeg) -> list:
-    """Sorted parameters in [0, 1]: both ends and every collar level crossed inside."""
-    cuts = {Fraction(0), Fraction(1)}
-    moves = [(seg.h0, seg.h1, _COLLAR_HEIGHTS)]
-    moves += [(a0, a1, _COLLAR_COORDS) for a0, a1 in zip(seg.c0, seg.c1)]
-    for a0, a1, levels in moves:
-        if a0 != a1:
-            for level in levels:
-                s = (level - a0) / (a1 - a0)
-                if 0 < s < 1:
-                    cuts.add(s)
-    return sorted(cuts)
-
-
 def _same_rate(x0, x1, dx, y0, y1, dy) -> bool:
     """``(x1 - x0) / dx == (y1 - y0) / dy`` on the integers of the fractions.
 
@@ -388,9 +385,56 @@ def _ramp_segments(x: RealizationPoint, a: Fraction, b: Fraction) -> list:
     return _clamped_track(TrackSeg(b - a, a, b, x.cube, x.coords, x.coords))
 
 
-def _snap_height(h: Fraction) -> Fraction:
-    # the thirds retraction of each half cone, reflected through 0
-    return snap_coordinate(h) if h >= 0 else -snap_coordinate(-h)
+def _snap_height(n: int, m: int) -> Fraction:
+    # the thirds retraction of each half cone at n/m (m > 0), reflected
+    # through 0; the poles are the shared constants
+    if n >= 0:
+        return snap_thirds(n, m)
+    s = snap_thirds(-n, m)
+    return s if s is _ZERO else _MINUS_ONE if s is _ONE else -s
+
+
+def _collar_points(seg: TrackSeg) -> list:
+    """The track cut at every collar level crossed inside, snapped.
+
+    One ``(p, q, height, coords)`` per cut at parameter p/q, both ends
+    included, with the snapped height and coordinates there.  A value from
+    n0/d0 to n1/d1 is (n0*d1 + rise*s) / (d0*d1) at parameter s, with rise
+    = n1*d0 - n0*d1, so it meets the level l/3 at s = (l*d0 - 3*n0)*d1 /
+    (3*rise); the test 0 < s < 1 and every snap are made on these integers,
+    and only a cut strictly inside and a snapped value strictly inside a
+    third are built as a ``Fraction``.  A value held along the track is
+    snapped once.
+    """
+    lines = []  # (slot, base, rise, den) per moving value, slot -1 the height
+    cuts = set()
+    for k, a, b in ((-1, seg.h0, seg.h1), *zip(range(len(seg.c0)), seg.c0, seg.c1)):
+        n0, d0, n1, d1 = a.numerator, a.denominator, b.numerator, b.denominator
+        rise = n1 * d0 - n0 * d1
+        if rise:
+            lines.append((k, n0 * d1, rise, d0 * d1))
+            q = 3 * rise
+            for level in _HEIGHT_LEVELS if k < 0 else _COORD_LEVELS:
+                p = (level * d0 - 3 * n0) * d1
+                if 0 < p < q or q < p < 0:
+                    cuts.add(Fraction(p, q))
+    h = seg.h0
+    height = _snap_height(h.numerator, h.denominator)
+    coords = [snap_thirds(c.numerator, c.denominator) for c in seg.c0]
+    held = tuple(coords)
+    if not lines:
+        return [(0, 1, height, held), (1, 1, height, held)]
+    # the height comes first in ``lines``, so a coordinate moves when the last does
+    moving = lines[-1][0] >= 0
+    out = []
+    for p, q in [(0, 1), *((s.numerator, s.denominator) for s in sorted(cuts)), (1, 1)]:
+        for k, base, rise, den in lines:
+            if k < 0:
+                height = _snap_height(base * q + rise * p, den * q)
+            else:
+                coords[k] = snap_thirds(base * q + rise * p, den * q)
+        out.append((p, q, height, tuple(coords) if moving else held))
+    return out
 
 
 class Suspension:
@@ -898,34 +942,63 @@ class Suspension:
         if p is STAR:
             return STAR
         snapped = boundary_snap(self.base, p.point)
-        h = _snap_height(p.height)
+        h = _snap_height(p.height.numerator, p.height.denominator)
         if h == -1 or h == 1 or snapped == self.origin:
             return STAR
         return Interior(h, snapped)
 
     def _truncate_collar(self, path: MoorePath) -> MoorePath:
+        """The thirds retraction, piece by piece between the collar levels.
+
+        Each piece lies in one third of every value, so its ends decide it.
+        Its midpoint height is in an outer third exactly when both ends snap
+        to the same pole, and its snapped midpoint has a coordinate at 0 or
+        1 exactly where both ends snap to it.  ``strip_boundary`` strips by
+        the positions of those slots alone, so whether the piece lands on
+        the basepoint is worked out once per cube and pattern in a call, and
+        only a piece with such a slot that stays off it is stripped.  The
+        pieces then sit in their carriers and go to the join directly.
+        """
+        K, basepoint = self.base, self.base.basepoint
+        silent: dict = {}  # (cube, snapped 0/1 slots) -> lands on the basepoint
+
+        def carried(cube, ca, cb):
+            # the piece's carrier and ends, or None when it is silenced
+            held = tuple([x if x is y and (x is _ZERO or x is _ONE) else None for x, y in zip(ca, cb)])
+            if held.count(None) == len(held):
+                return cube, ca, cb
+            key = (cube, held)
+            if key not in silent:
+                mid = tuple(_HALF if x is None else x for x in held)
+                silent[key] = normalize_point(K, cube, mid).cube == basepoint
+            if silent[key]:
+                return None
+            carrier, (a, b) = strip_boundary(K, cube, (ca, cb))
+            return carrier, a, b
+
         segs = []
         for seg in path.segments:
             if isinstance(seg, StarSeg):
                 segs.append(seg)
                 continue
-            cuts = _collar_cuts(seg)
-            for sa, sb in zip(cuts, cuts[1:]):
-                piece = _sub_segment(seg, sa, sb)
-                hm = (piece.h0 + piece.h1) / 2
-                cm = _lerp_coords(piece.c0, piece.c1, 1, 2)
-                snapped_mid = boundary_snap(self.base, RealizationPoint(seg.cube, cm))
-                if hm <= -2 * _THIRD or hm >= 2 * _THIRD or snapped_mid == self.origin:
-                    segs.append(StarSeg(piece.duration))
+            fixed = None
+            if seg.c0 == seg.c1:
+                # a base point held along the track: one carrier for every
+                # piece, or silence for all of it
+                c = tuple([snap_thirds(x.numerator, x.denominator) for x in seg.c0])
+                fixed = carried(seg.cube, c, c)
+                if fixed is None:
+                    segs.append(StarSeg(seg.duration))
+                    continue
+            points = _collar_points(seg)
+            dn, dd = seg.duration.numerator, seg.duration.denominator
+            for (pa, qa, ha, ca), (pb, qb, hb, cb) in zip(points, points[1:]):
+                if len(points) == 2:
+                    d = seg.duration
                 else:
-                    segs.append(
-                        TrackSeg(
-                            piece.duration,
-                            _snap_height(piece.h0),
-                            _snap_height(piece.h1),
-                            seg.cube,
-                            tuple(snap_coordinate(c) for c in piece.c0),
-                            tuple(snap_coordinate(c) for c in piece.c1),
-                        )
-                    )
-        return self.path(segs, empty_at=self._snap_suspension_point(path.empty_at))
+                    d = Fraction(dn * (pb * qa - pa * qb), dd * qa * qb)
+                piece = None
+                if not (ha is hb and (ha is _ONE or ha is _MINUS_ONE)):
+                    piece = fixed or carried(seg.cube, ca, cb)
+                segs.append(StarSeg(d) if piece is None else TrackSeg(d, ha, hb, *piece))
+        return self._join(segs, empty_at=self._snap_suspension_point(path.empty_at))

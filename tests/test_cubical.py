@@ -11,6 +11,8 @@ from dirloop.corpus import (
     wedge_of_circles,
 )
 from dirloop.cubical import (
+    ONE,
+    ZERO,
     CubicalSet,
     FaceRef,
     RealizationPoint,
@@ -23,6 +25,7 @@ from dirloop.cubical import (
     normalize_point,
     quotient_collapse,
     snap_coordinate,
+    snap_thirds,
     strip_boundary,
     suspension_model,
     tensor_product,
@@ -215,6 +218,35 @@ def test_snap_coordinate_breakpoints():
     assert snap_coordinate(F(7, 12)) == F(3, 4)
 
 
+def _snap_by_formula(s):
+    # the retraction as first written, on Fraction arithmetic
+    if s <= F(1, 3):
+        return F(0)
+    if s >= F(2, 3):
+        return F(1)
+    return 3 * (s - F(1, 2)) + F(1, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.fractions(0, 1), st.sampled_from([F(0), F(1), F(1, 3), F(2, 3)])))
+def test_snap_coordinate_matches_the_formula(s):
+    got = snap_coordinate(s)
+    assert type(got) is Fraction
+    assert got == _snap_by_formula(s)
+    assert snap_thirds(s.numerator, s.denominator) == got
+    # the ends are the shared constants, also on unreduced integers
+    assert snap_thirds(7 * s.numerator, 7 * s.denominator) == got
+    if got == 0 or got == 1:
+        assert got is (ZERO if got == 0 else ONE)
+
+
+def test_snap_coordinate_of_other_number_types():
+    assert snap_coordinate(0) is ZERO
+    assert snap_coordinate(1) is ONE
+    assert snap_coordinate("1/2") == F(1, 2)
+    assert type(snap_coordinate(0.5)) is Fraction
+
+
 def test_boundary_snap_and_collar():
     K = interval_complex()
     p = RealizationPoint("e", (F(1, 4),))
@@ -276,6 +308,29 @@ def test_missing_face_under_a_degenerate_face_is_one_defect():
     # the cubes whose degenerate faces need the missing one compare a hole
     # there, which is no relation defect of theirs
     assert validate(broken) == [Violation("structure", "(*|e)", "missing face d0_1")]
+
+
+def test_relations_read_the_present_faces_of_a_degenerate_face():
+    # d1_1 of '(*|e)' is bad and d0_1 missing.  The plain face '(*|e)' of
+    # '((mid|e)|e)' contributes no faces, so none of its relations is
+    # compared; the degenerate faces of '((hi|e)|e)' and '((lo|e)|e)' that
+    # pass through '(*|e)' still read its present faces, and the bad one
+    # shows up in their relations
+    P = tensor_product(_suspended_circle(), interval_complex())
+    faces = dict(P.faces)
+    del faces[("(*|e)", 1, 0)]
+    faces[("(*|e)", 1, 1)] = FaceRef("(*|a)")
+    broken = CubicalSet(P.cubes, faces, P.basepoint)
+    assert [(v.kind, v.cube, v.indices) for v in validate(broken)] == [
+        ("structure", "(*|e)", ()),
+        ("relation", "((hi|e)|e)", (1, 3, 1, 1)),
+        ("relation", "((hi|e)|e)", (2, 3, 0, 1)),
+        ("relation", "((hi|e)|e)", (2, 3, 1, 1)),
+        ("relation", "((lo|e)|e)", (1, 3, 0, 1)),
+        ("relation", "((lo|e)|e)", (2, 3, 0, 1)),
+        ("relation", "((lo|e)|e)", (2, 3, 1, 1)),
+    ]
+    assert validate(broken)[1].detail == "face d1_1 of d1_3 and face d1_2 of d1_1 disagree"
 
 
 # ----------------------------------------------------------------------

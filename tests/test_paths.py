@@ -1453,3 +1453,255 @@ def test_times_over_pairwise_coprime_denominators():
     assert list(times) == _breaks(MoorePath(segs))
     assert all(type(t) is F for t in times)
     assert MoorePath().times == (0,) and type(MoorePath().times[0]) is F
+
+
+# ----------------------------------------------------------------------
+# the collar truncation against the Fraction reference it replaced
+
+
+def _reference_snap(s):
+    if s <= F(1, 3):
+        return F(0)
+    if s >= F(2, 3):
+        return F(1)
+    return 3 * (s - F(1, 2)) + F(1, 2)
+
+
+def _reference_snap_height(h):
+    return _reference_snap(h) if h >= 0 else -_reference_snap(-h)
+
+
+def _reference_snap_point(s, p):
+    # boundary_snap on Fraction arithmetic
+    return normalize_point(s.base, p.cube, tuple(_reference_snap(c) for c in p.coords))
+
+
+def _reference_truncate_collar(s, path):
+    """The collar truncation on Fraction arithmetic: cut every track at each
+    collar level crossed inside, then classify each piece by its snapped
+    midpoint and snap its ends, and canonicalize the whole."""
+    heights = (F(-2, 3), F(-1, 3), F(1, 3), F(2, 3))
+    coords = (F(1, 3), F(2, 3))
+    segs = []
+    for seg in path.segments:
+        if isinstance(seg, StarSeg):
+            segs.append(seg)
+            continue
+        cuts = {F(0), F(1)}
+        moves = [(seg.h0, seg.h1, heights)] + [(a, b, coords) for a, b in zip(seg.c0, seg.c1)]
+        for a, b, levels in moves:
+            if a != b:
+                for level in levels:
+                    u = (level - a) / (b - a)
+                    if 0 < u < 1:
+                        cuts.add(u)
+        cuts = sorted(cuts)
+        for sa, sb in zip(cuts, cuts[1:]):
+            d = seg.duration * (sb - sa)
+            h0, h1 = (seg.h0 + (seg.h1 - seg.h0) * u for u in (sa, sb))
+            c0, c1 = (tuple(a + (b - a) * u for a, b in zip(seg.c0, seg.c1)) for u in (sa, sb))
+            hm = (h0 + h1) / 2
+            mid = RealizationPoint(seg.cube, tuple((a + b) / 2 for a, b in zip(c0, c1)))
+            if hm <= F(-2, 3) or hm >= F(2, 3) or _reference_snap_point(s, mid) == s.origin:
+                segs.append(StarSeg(d))
+            else:
+                segs.append(
+                    TrackSeg(
+                        d,
+                        _reference_snap_height(h0),
+                        _reference_snap_height(h1),
+                        seg.cube,
+                        tuple(map(_reference_snap, c0)),
+                        tuple(map(_reference_snap, c1)),
+                    )
+                )
+    p = path.empty_at
+    if p is not STAR:
+        h, snapped = _reference_snap_height(p.height), _reference_snap_point(s, p.point)
+        p = STAR if h in (-1, 1) or snapped == s.origin else Interior(h, snapped)
+    return s.path(segs, empty_at=p)
+
+
+def _cube3():
+    interval = interval_complex()
+    return tensor_product(tensor_product(interval, interval), interval)
+
+
+_COLLAR_BASES = {
+    "circle": circle_complex,
+    "wedge2": lambda: wedge_of_circles(2),
+    "torus": torus_complex,
+    "cube3": _cube3,
+    "sus-circle": lambda: suspension_model(circle_complex()).complex,
+}
+# the collar levels, the ends, and values next to the levels on large
+# denominators that differ from each other
+_COLLAR_HEIGHTS = sorted(
+    {F(k, 3) for k in (-2, -1, 0, 1, 2)}
+    | {F(k, 12) for k in range(-11, 12)}
+    | {F(-666667, 1000000), F(-333333, 1000001), F(333334, 999999), F(2001, 3001), F(-1, 7)}
+)
+_COLLAR_COORDS = sorted(
+    {F(0), F(1), F(1, 3), F(2, 3), F(1, 2)}
+    | {F(k, 12) for k in range(1, 12)}
+    | {F(1000, 3001), F(333334, 1000001), F(2000, 2999), F(666667, 1000003), F(5, 7)}
+)
+
+
+@st.composite
+def _collar_loops(draw):
+    """A loop of excursions, each through waypoints inside one cube.
+
+    An excursion starts at the lower pole and ends at either pole; between
+    waypoints a height may rise or fall, and a coordinate may move or be
+    held at its last value (a collar level, 0 or 1 among them).
+    """
+    K = _COLLAR_BASES[draw(st.sampled_from(sorted(_COLLAR_BASES)))]()
+    s = Suspension(K)
+    cubes = sorted(K.cubes)
+    height, coord = st.sampled_from(_COLLAR_HEIGHTS), st.sampled_from(_COLLAR_COORDS)
+    duration = st.sampled_from([F(1, 2), F(1), F(3), F(7, 5), F(1000, 999)])
+    segs = []
+    for _ in range(draw(st.integers(1, 3))):
+        segs.append(StarSeg(draw(st.sampled_from([F(0), F(1, 2), F(1)]))))
+        cube = draw(st.sampled_from(cubes))
+        c = tuple(draw(coord) for _ in range(K.cubes[cube]))
+        h = F(-1)
+        for k in range(draw(st.integers(1, 4)), -1, -1):
+            h1 = draw(height) if k else draw(st.sampled_from([F(-1), F(1)]))
+            c1 = tuple(x if draw(st.booleans()) else draw(coord) for x in c)
+            segs.append(TrackSeg(draw(duration), h, h1, cube, c, c1))
+            h, c = h1, c1
+    return s, s.path(segs)
+
+
+def _collar_image(s):
+    # the thirds retraction of a suspension point, by its definition
+    def image(p, t):
+        if p is STAR:
+            return STAR
+        snapped = boundary_snap(s.base, p.point)
+        return STAR if snapped == s.origin else _clamped(_thirds(p.height), snapped)
+
+    return image
+
+
+def _check_collar_truncation(s, loop):
+    out = s.truncate_near_basepoint(loop)
+    assert out == _reference_truncate_collar(s, loop)
+    _check_pointwise(s, loop, out, lambda t: t, _collar_image(s), _breaks(loop))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_collar_loops())
+def test_collar_truncation_matches_the_fraction_reference(drawn):
+    _check_collar_truncation(*drawn)
+
+
+def _held(dur, h0, h1, cube, c):
+    return TrackSeg(F(dur), F(h0), F(h1), cube, c, c)
+
+
+_COLLAR_CASES = {
+    # ends exactly on the height levels, rising and falling
+    "height-levels": (
+        "circle",
+        [
+            _held(1, -1, F(-2, 3), "e", (F(1, 2),)),
+            _held(1, F(-2, 3), F(-1, 3), "e", (F(1, 2),)),
+            _held(1, F(-1, 3), F(1, 3), "e", (F(1, 2),)),
+            _held(1, F(1, 3), F(-1, 3), "e", (F(1, 2),)),
+            _held(1, F(-1, 3), F(2, 3), "e", (F(1, 2),)),
+            _held(1, F(2, 3), F(1, 3), "e", (F(1, 2),)),
+            _held(1, F(1, 3), 1, "e", (F(1, 2),)),
+        ],
+    ),
+    # coordinates held at the collar levels and at the ends of a square
+    "held-coordinates": (
+        "torus",
+        [
+            _held(1, -1, 1, "(e|e)", (F(1, 3), F(1, 2))),
+            _held(1, -1, 1, "(e|e)", (F(2, 3), F(1, 2))),
+            _held(1, -1, 1, "(e|e)", (F(1, 2), F(1, 3))),
+            _held(1, -1, 1, "(e|e)", (F(1, 3), F(2, 3))),
+            _held(1, -1, 1, "(e|e)", (F(1, 2), F(1, 2))),
+        ],
+    ),
+    "held-faces": (
+        "cube3",
+        [
+            TrackSeg(F(2), F(-1), F(1, 2), "((e|e)|e)", (F(0), F(1, 2), F(1)), (F(0), F(3, 4), F(1))),
+            TrackSeg(F(1), F(1, 2), F(1), "((e|e)|e)", (F(0), F(3, 4), F(1)), (F(0), F(3, 4), F(2, 3))),
+        ],
+    ),
+    # one track across all four height levels and both coordinate levels,
+    # at cuts that coincide and at cuts that do not
+    "all-levels": (
+        "circle",
+        [
+            TrackSeg(F(2), F(-1), F(1), "e", (F(0),), (F(1),)),
+            TrackSeg(F(3), F(-1), F(1), "e", (F(1, 10),), (F(9, 10),)),
+            TrackSeg(F(3), F(-1), F(1), "e", (F(19, 20),), (F(1, 20),)),
+        ],
+    ),
+    "falling": (
+        "wedge2",
+        [
+            TrackSeg(F(1), F(-1), F(5, 6), "e1", (F(1, 2),), (F(1, 4),)),
+            TrackSeg(F(1), F(5, 6), F(-5, 6), "e1", (F(1, 4),), (F(5, 6),)),
+            TrackSeg(F(1), F(-5, 6), F(-1), "e1", (F(5, 6),), (F(5, 6),)),
+        ],
+    ),
+    "large-denominators": (
+        "sus-circle",
+        [
+            TrackSeg(
+                F(1000, 999),
+                F(-1),
+                F(2001, 3001),
+                "(hi|e)",
+                (F(1000, 3001), F(666667, 1000003)),
+                (F(333334, 1000001), F(1, 7)),
+            ),
+            TrackSeg(
+                F(7, 1000003),
+                F(2001, 3001),
+                F(1),
+                "(hi|e)",
+                (F(333334, 1000001), F(1, 7)),
+                (F(2000, 2999), F(1, 7)),
+            ),
+        ],
+    ),
+    # a track on the collapsed column and one on the middle slice
+    "degenerate-faces": (
+        "sus-circle",
+        [
+            TrackSeg(F(1), F(-1), F(1), "(mid|e)", (F(1, 5),), (F(4, 5),)),
+            TrackSeg(F(1), F(-1), F(1, 2), "(lo|e)", (F(1), F(1, 2)), (F(1, 2), F(1, 2))),
+            TrackSeg(F(1), F(1, 2), F(1), "(lo|e)", (F(1, 2), F(1, 2)), (F(1, 2), F(1))),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COLLAR_CASES))
+def test_collar_truncation_matches_the_fraction_reference_on_edge_cases(case):
+    which, segs = _COLLAR_CASES[case]
+    s = Suspension(_COLLAR_BASES[which]())
+    _check_collar_truncation(s, s.path(segs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_collar_loops())
+def test_collar_truncation_is_canonical(drawn):
+    # the truncation joins its pieces without the boundary canonicalizer,
+    # so its output must already be what that canonicalizer makes of it
+    s, loop = drawn
+    out = s.truncate_near_basepoint(loop)
+    assert out == s.path(out.segments, empty_at=out.empty_at)
+    for seg in out.segments:
+        assert type(seg.duration) is F
+        if isinstance(seg, TrackSeg):
+            assert all(type(x) is F for x in (seg.h0, seg.h1, *seg.c0, *seg.c1))
