@@ -442,7 +442,7 @@ def suspension_model(B: CubicalSet) -> SuspensionModel:
     return SuspensionModel(K, K.basepoint, lower, upper)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RealizationPoint:
     """A point of the realization in canonical form.
 

@@ -11,7 +11,12 @@ it checks each segment and strips its constant boundary coordinates through
 empty pieces, converts tracks stuck at the cone point into pauses, merges
 collinear neighbours and rejects discontinuous junctions, naming the
 offending input segment.  Two paths are therefore equal as maps exactly
-when they are equal as values.
+when they are equal as values.  The value objects (``TrackSeg``,
+``StarSeg``, ``Interior`` and ``RealizationPoint``) are slotted dataclasses
+with structural equality and hash, cheap to build.  They are mutable only
+in principle: segments are shared by identity across paths, frames and
+trails, so no code assigns to one, which a test checks by walking the AST
+of every module of the package.
 
 Raw segments inside, one :meth:`Suspension.path` per public transform: the
 module level builders (``_slice``, ``_shifted``, ``_map_heights``) return
@@ -109,7 +114,7 @@ class _StarType:
 STAR = _StarType()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Interior:
     """A suspension point away from the cone point: height plus base point."""
 
@@ -128,14 +133,14 @@ def classify_point(p) -> str:
     return "middle"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StarSeg:
     """A pause at the cone point."""
 
     duration: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TrackSeg:
     """An affine stretch inside one base cube.
 

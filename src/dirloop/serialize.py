@@ -267,11 +267,6 @@ def dump_path(path: MoorePath) -> dict:
     return {"segments": [_dump_segment(seg) for seg in path.segments]}
 
 
-def _array_text(values) -> str:
-    # a JSON list of rational strings; these need no escaping
-    return '["' + '", "'.join(map(rational_str, values)) + '"]' if values else "[]"
-
-
 def segment_texts(paths) -> dict:
     """``{id(seg): text}`` for the segments of the paths, each distinct
     segment object encoded once.
@@ -280,24 +275,37 @@ def segment_texts(paths) -> dict:
     ``json.dumps``.  This is the one step of writing a path that can fail
     (a value past the interpreter's integer digit limit), so a caller
     encodes every segment before it writes anything.  The ids stay valid
-    only while the paths are alive.
+    only while the paths are alive.  Segments share their value objects
+    and coordinate tuples, so each of those is written once too, by id.
     """
     texts: dict[int, str] = {}
     cubes: dict = {}
+    values: dict[int, str] = {}
+    arrays: dict[int, str] = {}
+
+    def value(x) -> str:
+        return values.get(id(x)) or values.setdefault(id(x), rational_str(x))
+
+    def array(xs) -> str:
+        # a JSON list of rational strings; these need no escaping
+        return arrays.get(id(xs)) or arrays.setdefault(
+            id(xs), '["' + '", "'.join(map(value, xs)) + '"]' if xs else "[]"
+        )
+
     for path in paths:
         for seg in path.segments:
             if id(seg) in texts:
                 continue
             if isinstance(seg, StarSeg):
-                text = f'{{"kind": "star", "dur": "{rational_str(seg.duration)}"}}'
+                text = f'{{"kind": "star", "dur": "{value(seg.duration)}"}}'
             else:
                 cube = cubes.get(seg.cube)
                 if cube is None:
                     cube = cubes[seg.cube] = json.dumps(seg.cube)
                 text = (
-                    f'{{"kind": "track", "dur": "{rational_str(seg.duration)}", '
-                    f'"h": ["{rational_str(seg.h0)}", "{rational_str(seg.h1)}"], '
-                    f'"cube": {cube}, "c0": {_array_text(seg.c0)}, "c1": {_array_text(seg.c1)}}}'
+                    f'{{"kind": "track", "dur": "{value(seg.duration)}", '
+                    f'"h": ["{value(seg.h0)}", "{value(seg.h1)}"], '
+                    f'"cube": {cube}, "c0": {array(seg.c0)}, "c1": {array(seg.c1)}}}'
                 )
             texts[id(seg)] = text
     return texts

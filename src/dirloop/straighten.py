@@ -18,11 +18,17 @@ below 1/2 shift, clamp and rescale the loop's pieces, each in one pass.
 From stage 1/2 on, every excursion is a pause, a climb from -1 to the
 middle slice over its crossing point, a climb on to the top and a pause,
 so those frames are built in closed form from each excursion's crossing
-time, crossing point and duration, and the result (stage 1) is one full
-climb per letter.  Stage 1/2 is the closed form at its start: at 2t = 1
-the heights before the crossing, which never exceed 0, are pushed down to
--1 or below and those after it up to 1 or above, so the shifted pieces
-all clamp into pauses.  :func:`full_straighten` builds each distinct stage
+time b, crossing point and duration a, and the result (stage 1) is one
+full climb per letter.  At stage t the two climbs last (1 - t)*b +
+(t - 1/2)*a and a/2 - (1 - t)*b.  With letters 1 to n, pause_0 before
+letter 1 and pause_i after letter i, the frame pauses (1 - t)*g_0 before
+letter 1 and (1 - t)*g_i after letter i, for the stage-free gaps g_0 =
+pause_0 + b_1, g_i = (a_i - b_i) + pause_i + b_(i+1) and g_n = a_n - b_n +
+pause_n.  The gaps are worked out once per loop, so the join merges no
+pauses there.  Stage 1/2 is the closed form at its start: at 2t = 1 the
+heights before the crossing, which never exceed 0, are pushed down to -1
+or below and those after it up to 1 or above, so the shifted pieces all
+clamp into pauses.  :func:`full_straighten` builds each distinct stage
 once: the result and a stage 1 sample are one frame, and stage 0 is the
 input loop itself.  A contraction frame differs from the
 word only around the letter walking home, so only that head is joined and
@@ -136,33 +142,6 @@ def straighten_step(sus: Suspension, run: MoorePath, t) -> MoorePath:
     return sus.path(_early_frames([_legs(sus, run)], tt)[0])
 
 
-def _late_frames(legs, u: Fraction) -> list:
-    """The raw segments of each excursion at stage ``u`` in [0, 1] of the
-    second half of the clock, from its crossing (b, xb) and duration a alone.
-
-    From the half straightened shape to the single full climb the three
-    breakpoints p < q < r move affinely while the profile stays -1, 0, 1:
-    p = (1-u)*b/2, q = (1-u)*b + u*a/2, r = (1-u)*(a+b)/2 + u*a.  So the
-    four lengths p, q - p, r - q and a - r share p and u*a/2, and the
-    stage's factors (1-u)/2 and u/2 are worked out once for all legs.
-    """
-    v, w = (1 - u) / 2, u / 2
-    frames = []
-    for b, xb, a, _, _ in legs:
-        p, ua = v * b, w * a
-        climb = a / 2 - p  # r - q
-        cube, x = xb.cube, xb.coords
-        frames.append(
-            [
-                StarSeg(p),
-                TrackSeg(p + ua, _MINUS_ONE, _ZERO, cube, x, x),
-                TrackSeg(climb, _ZERO, _ONE, cube, x, x),
-                StarSeg(climb - ua),
-            ]
-        )
-    return frames
-
-
 def full_straighten(sus: Suspension, loop: MoorePath, samples=DEFAULT_SAMPLES):
     """Deform a directed loop into the word loop of its crossing word.
 
@@ -172,11 +151,17 @@ def full_straighten(sus: Suspension, loop: MoorePath, samples=DEFAULT_SAMPLES):
     while the pauses shrink away.
 
     Stages below 1/2 shift each excursion's pieces away from the middle
-    slice (:func:`_early_frames`).  Stage 1/2 and later come in closed form
-    from each excursion's crossing and duration (:func:`_late_frames`):
-    at stage 1/2 the shifted pieces would all clamp into pauses, which is
-    the closed form at its start.  Stage 1 is one full climb per letter.
-    Every frame goes through the join once.
+    slice (:func:`_early_frames`).  Stage t >= 1/2 comes in closed form from
+    each excursion's crossing time b, crossing point xb and duration a: a
+    pause of (1 - t)*g_0, then for each letter i a climb from -1 to 0 over
+    xb for (1 - t)*b + (t - 1/2)*a, one on to 1 for a/2 - (1 - t)*b and a
+    pause of (1 - t)*g_i.  The gaps do not depend on the stage and are
+    worked out once: g_0 = pause_0 + b_1, g_i = a_i - b_i + pause_i +
+    b_(i+1), and g_n = a_n - b_n + pause_n after the last letter.  At
+    stage 1/2 the shifted pieces would all clamp into pauses, which is the
+    closed form at its start; stage 1 is one full climb per letter.  Every
+    frame goes through the join once, which drops the empty pieces and
+    merges the two climbs where b = a/2.
     """
     if not sus.is_loop(loop):
         raise ValueError("straightening needs a loop at the cone point")
@@ -188,6 +173,12 @@ def full_straighten(sus: Suspension, loop: MoorePath, samples=DEFAULT_SAMPLES):
         raise ValueError("samples must lie in [0, 1]")
     chain = chain_split(sus, loop)
     legs = [_legs(sus, exc) for exc in chain.excursions]
+    pauses = chain.pauses
+    # the stage-free gaps g_0 .. g_n of the late frames
+    gaps = [pauses[0]]
+    for (b, _, a, _, _), pause in zip(legs, pauses[1:]):
+        gaps[-1] += b
+        gaps.append(a - b + pause)
     # one frame per distinct stage; stage 0 is the loop itself
     built = {_ZERO: loop}
     # stage 1 is one full climb over each crossing point
@@ -198,15 +189,20 @@ def full_straighten(sus: Suspension, loop: MoorePath, samples=DEFAULT_SAMPLES):
     def frame(t: Fraction) -> MoorePath:
         if t in built:
             return built[t]
-        if t < _HALF:
-            pieces = _early_frames(legs, 2 * t)
-        else:
-            pieces = _late_frames(legs, 2 * t - 1)
         rest = 1 - t
-        segs: list = [StarSeg(chain.pauses[0] * rest)]
-        for piece, pause in zip(pieces, chain.pauses[1:]):
-            segs.extend(piece)
-            segs.append(StarSeg(pause * rest))
+        if t < _HALF:
+            segs: list = [StarSeg(pauses[0] * rest)]
+            for piece, pause in zip(_early_frames(legs, 2 * t), pauses[1:]):
+                segs.extend(piece)
+                segs.append(StarSeg(pause * rest))
+        else:
+            late = t - _HALF
+            segs = [StarSeg(rest * gaps[0])]
+            for (b, xb, a, _, _), gap in zip(legs, gaps[1:]):
+                p, cube, x = rest * b, xb.cube, xb.coords
+                segs.append(TrackSeg(p + late * a, _MINUS_ONE, _ZERO, cube, x, x))
+                segs.append(TrackSeg(a / 2 - p, _ZERO, _ONE, cube, x, x))
+                segs.append(StarSeg(rest * gap))
         built[t] = sus._join(segs)
         return built[t]
 

@@ -3,8 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import ast
 import dataclasses
+import pathlib
 import random
+
+import dirloop
 
 from dirloop.corpus import (
     circle_complex,
@@ -1705,3 +1709,84 @@ def test_collar_truncation_is_canonical(drawn):
         assert type(seg.duration) is F
         if isinstance(seg, TrackSeg):
             assert all(type(x) is F for x in (seg.h0, seg.h1, *seg.c0, *seg.c1))
+
+
+# the value objects are slotted rather than frozen: no module of the package
+# writes to one, and they keep structural equality, hash, replace and fields
+
+_VALUE_CLASSES = (TrackSeg, StarSeg, Interior, RealizationPoint)
+_VALUE_FIELDS = {"duration", "h0", "h1", "cube", "c0", "c1", "height", "point", "coords"}
+
+
+def _value_writes(source: str, name: str = "<source>") -> list:
+    # every setattr/delattr call, every call of an attribute's
+    # __setattr__/__delattr__, and every assignment, augmented assignment or
+    # del whose target is an attribute named after a field of a value object
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if called in ("setattr", "delattr", "__setattr__", "__delattr__"):
+                out.append((name, node.lineno, called))
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, (ast.Store, ast.Del))
+            and node.attr in _VALUE_FIELDS
+        ):
+            out.append((name, node.lineno, "." + node.attr))
+    return sorted(out)
+
+
+def test_no_module_writes_to_a_value_object():
+    assert _VALUE_FIELDS == {f.name for cls in _VALUE_CLASSES for f in dataclasses.fields(cls)}
+    # the walk sees each kind of write
+    writes = (
+        "seg.duration = 1\nx.c0 += (1,)\ndel p.point\nobject.__setattr__(s, 'h0', 0)\n"
+        "setattr(s, 'h1', 0)\na.cube, b = 1, 2\nfor q.coords in []: pass\n"
+        "x.height: int = 0\nrows.cube_count = 0\nseg.cubes = {}\n"
+    )
+    assert [what for _, _, what in _value_writes(writes)] == [
+        ".duration", ".c0", ".point", "__setattr__", "setattr", ".cube", ".coords", ".height"
+    ]
+    package = pathlib.Path(dirloop.__file__).parent
+    modules = sorted(package.rglob("*.py"))
+    assert len(modules) > 10
+    found = [w for m in modules for w in _value_writes(m.read_text(encoding="utf-8"), m.name)]
+    assert found == []
+
+
+def test_slotted_value_objects_keep_equality_hash_replace_and_fields():
+    def build(k):
+        # the same values from fresh objects for each k
+        c = (F(k, 4 * k), F(2 * k, 6 * k))
+        x = RealizationPoint("(e|e)", c)
+        return (
+            TrackSeg(F(k, k), F(-k, k), F(k, 2 * k), "(e|e)", c, tuple(list(c))),
+            StarSeg(F(2 * k, 3 * k)),
+            Interior(F(k, 2 * k), x),
+            x,
+        )
+
+    names = {
+        TrackSeg: ["duration", "h0", "h1", "cube", "c0", "c1"],
+        StarSeg: ["duration"],
+        Interior: ["height", "point"],
+        RealizationPoint: ["cube", "coords"],
+    }
+    for a, b in zip(build(1), build(3)):
+        cls = type(a)
+        assert a == b and a is not b and hash(a) == hash(b) and len({a, b}) == 1
+        assert [f.name for f in dataclasses.fields(cls)] == names[cls]
+        assert cls.__slots__ == tuple(names[cls]) and not hasattr(a, "__dict__")
+        first = names[cls][0]
+        changed = dataclasses.replace(a, **{first: F(7)})
+        assert changed != a and getattr(changed, first) == 7
+        assert dataclasses.replace(changed, **{first: getattr(a, first)}) == a
+        assert dataclasses.astuple(a) == dataclasses.astuple(b)
+    assert TrackSeg(F(1), F(0), F(1), "e", (F(1, 2),), (F(1, 2),)) != StarSeg(F(1))
+    # a path stays frozen: its cached times live in its instance dict
+    loop = MoorePath((StarSeg(F(1)),))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        loop.empty_at = None
+    assert loop.duration == 1 and "times" in vars(loop)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dirloop.cli import _sample_grid
 from dirloop.corpus import (
     circle_complex,
     interval_complex,
@@ -462,6 +463,100 @@ def test_closed_form_stages_match_the_shifting_construction(seed):
             result, frames = full_straighten(sus, loop, samples)
             assert result == _stage_by_stage(sus, loop, F(1))
             assert frames == [_stage_by_stage(sus, loop, t) for t in samples]
+
+
+_LATE_BASES = (wedge_of_circles(3), torus_complex(), suspension_model(circle_complex()).complex)
+# the frame counts of ``--samples`` the late frames are checked on
+_GRIDS = (2, 3, 5, 9, 17)
+
+
+def _excursion(cube, points, levels, durations):
+    # climbs through the height levels from -1 to 1 over the points in turn
+    return [
+        TrackSeg(d, h0, h1, cube, c0, c1)
+        for d, h0, h1, c0, c1 in zip(durations, levels, levels[1:], points, points[1:])
+    ]
+
+
+@st.composite
+def _late_loops(draw):
+    # excursions through random levels, some balanced (as long before the
+    # crossing as after it, so b = a/2), with pauses that may be 0 at the
+    # start, between excursions and at the end; no excursion at all leaves
+    # a loop of pauses
+    sus = Suspension(draw(st.sampled_from(_LATE_BASES)))
+    cubes = sorted(c for c, d in sus.base.cubes.items() if d > 0)
+    durations = st.integers(1, 6).map(lambda n: F(n, 3))
+    pauses = st.one_of(st.just(F(0)), durations)
+    segs = [StarSeg(draw(pauses))]
+    for _ in range(draw(st.integers(0, 4))):
+        cube = draw(st.sampled_from(cubes))
+        if draw(st.booleans()):
+            levels = [F(-1), F(0), F(1)]
+            d = draw(durations)
+            times = [d, d]
+        else:
+            inner = st.sampled_from([F(-2, 3), F(-1, 3), F(0), F(1, 4), F(1, 2)])
+            levels = [F(-1), *sorted(draw(st.sets(inner, max_size=3))), F(1)]
+            times = [draw(durations) for _ in levels[1:]]
+        coord = st.integers(1, 7).map(lambda n: F(n, 8))
+        n = sus.base.cubes[cube]
+        points = [tuple(draw(coord) for _ in range(n)) for _ in levels]
+        segs += _excursion(cube, points, levels, times)
+        segs.append(StarSeg(draw(pauses)))
+    return sus, sus.path(segs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_late_loops(), st.sampled_from(_GRIDS))
+def test_late_frames_from_gaps_match_the_stage_maps(drawn, count):
+    sus, loop = drawn
+    samples = _sample_grid(count)
+    result, frames = full_straighten(sus, loop, samples)
+    assert result == _stage_by_stage(sus, loop, F(1))
+    assert frames == [_stage_by_stage(sus, loop, t) for t in samples]
+
+
+def _late_edge_loop(case):
+    # one loop per edge case of the late frames, over the wedge of three circles
+    sus = Suspension(_LATE_BASES[0])
+    x, y = (F(1, 2),), (F(1, 4),)
+    if case == "track_first":
+        segs = [*_excursion("e0", [x, y, x], [F(-1), F(0), F(1)], [F(1), F(2)]), StarSeg(F(1))]
+    elif case == "pauses_only":
+        segs = [StarSeg(F(5, 2))]
+    elif case == "balanced":
+        segs = [StarSeg(F(1)), *_excursion("e1", [x, y, x], [F(-1), F(0), F(1)], [F(3, 2), F(3, 2)])]
+    else:  # "back_to_back": no pause between two excursions
+        segs = [
+            StarSeg(F(1, 3)),
+            *_excursion("e0", [x, y, y], [F(-1), F(-1, 3), F(1)], [F(1), F(2)]),
+            *_excursion("e2", [y, x, x], [F(-1), F(1, 2), F(1)], [F(2), F(1)]),
+            StarSeg(F(1)),
+        ]
+    return sus, sus.path(segs)
+
+
+@pytest.mark.parametrize("count", _GRIDS)
+@pytest.mark.parametrize("case", ["track_first", "pauses_only", "balanced", "back_to_back"])
+def test_late_frames_from_gaps_on_edge_cases(case, count):
+    sus, loop = _late_edge_loop(case)
+    chain = chain_split(sus, loop)
+    # each loop has the shape its case names
+    assert {
+        "track_first": lambda: chain.pauses[0] == 0,
+        "pauses_only": lambda: loop.segments == (StarSeg(F(5, 2)),) and not chain.excursions,
+        "balanced": lambda: [2 * b for b, _ in sus.middle_crossings(chain.excursions[0])] == [3],
+        "back_to_back": lambda: len(chain.excursions) == 2 and chain.pauses[1] == 0,
+    }[case]()
+    samples = _sample_grid(count)
+    result, frames = full_straighten(sus, loop, samples)
+    assert result == _stage_by_stage(sus, loop, F(1))
+    assert frames == [_stage_by_stage(sus, loop, t) for t in samples]
+    if case == "balanced" and F(1, 2) in samples:
+        # the two climbs of the half-way frame are one track from -1 to 1
+        half = frames[samples.index(F(1, 2))]
+        assert [s.h0 for s in half.segments if isinstance(s, TrackSeg)] == [F(-1)]
 
 
 def test_contract_trail_on_circle_basic_loop():
