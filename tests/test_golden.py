@@ -21,8 +21,9 @@ loader keeps the whole violation list, its order and its text.
 A long trail is pinned from committed files: ``tests/data/wedge3_loop47.json``
 is the 47-letter loop ``bench/gen.make_loop(wedge_of_circles(3),
 random.Random(47), 47, 3)["path"]`` and ``tests/data/wedge3.json`` its
-complex.  Its ``contract`` trail, its ``straighten`` output, with the
-default five samples and with nine, its ``sec`` word and its ``path eval``
+complex.  Its ``contract`` trail, with the default five samples and with
+seven, its ``straighten`` output, with five, seven and nine samples, its
+``sec`` word and its ``path eval``
 points at five times k/64 of its duration 215 are pinned; CI hashes the
 console script's ``contract``, ``straighten``, ``sec`` and ``path eval``
 stdout on the same files.
@@ -554,15 +555,27 @@ def test_long_trail_is_unchanged(capsys):
     assert _digest(capsys, argv) == LONG_TRAIL
 
 
+LONG_TRAIL_SEVEN = "0 570a0bc3d17f06ef9bbd6f2c9dfb6e56e27d4a78419f085eee56ae6032c28446"
+
+
+def test_long_trail_on_seven_samples_is_unchanged(capsys):
+    # the same walk after the non-dyadic early frames at 1/6 and 1/3
+    argv = ["contract", str(DATA / "wedge3_loop47.json"), "--complex", str(DATA / "wedge3.json")]
+    assert _digest(capsys, [*argv, "--samples", "7"]) == LONG_TRAIL_SEVEN
+
+
 LONG_STRAIGHTEN = {
     (): "0 00803d4e6038964479bfb3a731cc59e8e94a4e4d5cbc1b8c6e4fc38a7b498a65",
     ("--samples", "9"): "0 bdc680937425b93d2ed8bc301178ca8316f5bd4da4c792f6851c3c8ced93ae05",
+    ("--samples", "7"): "0 325b6b37f354e5806ad538859a0b1d5ddd42aad8656eff70b9cd2633c2ccac1f",
 }
 
 
 def test_long_straighten_is_unchanged(capsys):
     # every stage of the clock over a 47-letter word: the default five
-    # samples, and nine, which put four frames past the half-way stage
+    # samples, nine, which put four frames past the half-way stage, and
+    # seven, whose stages 1/6 and 1/3 shift by 1/3 and 2/3 and scale the
+    # clock by 3/4 and 3/5, which no dyadic grid does
     argv = ["straighten", str(DATA / "wedge3_loop47.json"), "--complex", str(DATA / "wedge3.json")]
     got = {extra: _digest(capsys, [*argv, *extra]) for extra in LONG_STRAIGHTEN}
     assert got == LONG_STRAIGHTEN

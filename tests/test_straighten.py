@@ -559,6 +559,111 @@ def test_late_frames_from_gaps_on_edge_cases(case, count):
         assert [s.h0 for s in half.segments if isinstance(s, TrackSeg)] == [F(-1)]
 
 
+def _reference_leg(sus, exc, u):
+    """One excursion at stage ``u`` of ``straighten_step``, on Fractions alone.
+
+    The excursion is cut at its crossing (time b over xb, from the oracle
+    scan); every piece before it is shifted down by u and every piece after
+    it up by u, each duration is scaled by 1/(1 + u), and the climbs over xb
+    from -u to 0 and from 0 to u fill the time the clock gained.  Heights may
+    overshoot the poles: ``_reference_at`` clamps them by definition.
+    """
+    ((b, xb),) = _crossings_by_oracle(sus, exc)
+    f = 1 / (1 + u)
+    pre, post, acc = [], [], F(0)
+    for seg in exc.segments:
+        end = acc + seg.duration
+        for lo, hi, shift, side in ((acc, min(end, b), -u, pre), (max(acc, b), end, u, post)):
+            if lo >= hi:
+                continue
+            if isinstance(seg, StarSeg):
+                side.append(StarSeg((hi - lo) * f))
+                continue
+            sa, sb = (lo - acc) / seg.duration, (hi - acc) / seg.duration
+            h0, h1 = (seg.h0 + (seg.h1 - seg.h0) * s + shift for s in (sa, sb))
+            c0, c1 = (tuple(p + (q - p) * s for p, q in zip(seg.c0, seg.c1)) for s in (sa, sb))
+            side.append(TrackSeg((hi - lo) * f, h0, h1, seg.cube, c0, c1))
+        acc = end
+    x = xb.coords
+    climbs = [TrackSeg(u * b * f, -u, F(0), xb.cube, x, x), TrackSeg(u * (acc - b) * f, F(0), u, xb.cube, x, x)]
+    return pre + climbs + post
+
+
+def _reference_at(sus, segs, t):
+    # the point of raw segments at time t, a height at or past a pole being
+    # the cone point
+    acc = F(0)
+    for seg in segs:
+        if seg.duration and t <= acc + seg.duration:
+            if isinstance(seg, StarSeg):
+                return STAR
+            s = (t - acc) / seg.duration
+            h = seg.h0 + (seg.h1 - seg.h0) * s
+            if h <= -1 or h >= 1:
+                return STAR
+            return sus.point(h, seg.cube, tuple(p + (q - p) * s for p, q in zip(seg.c0, seg.c1)))
+        acc += seg.duration
+    assert t == acc == 0, t  # only a loop of empty pauses ends up here
+    return STAR
+
+
+def _check_against_reference(sus, frame, segs):
+    # both are affine between the breakpoints of either and the times where
+    # a raw height meets a pole, so agreeing at those and at the midpoints
+    # between them means agreeing everywhere
+    times, acc = {F(0)}, F(0)
+    for seg in segs:
+        if isinstance(seg, TrackSeg) and seg.h0 != seg.h1:
+            for pole in (-1, 1):
+                s = (pole - seg.h0) / (seg.h1 - seg.h0)
+                if 0 < s < 1:
+                    times.add(acc + seg.duration * s)
+        acc += seg.duration
+        times.add(acc)
+    assert frame.duration == acc
+    times.update(frame.times)
+    ts = sorted(times)
+    for t in ts + [(p + q) / 2 for p, q in zip(ts, ts[1:])]:
+        assert sus.evaluate(frame, t) == _reference_at(sus, segs, t), t
+
+
+# the stages below 1/2 that ``--samples 5``, 7 and 9 put frames at, and 3/8
+_EARLY_STAGES = (F(1, 6), F(1, 4), F(1, 3), F(3, 8))
+
+
+def _check_early_frames(sus, loop):
+    # each full_straighten frame below 1/2 against the reference legs at 2t
+    # between pauses scaled by 1 - t, and straighten_step at each stage
+    chain = chain_split(sus, loop)
+    _, frames = full_straighten(sus, loop, _EARLY_STAGES)
+    for t, frame in zip(_EARLY_STAGES, frames):
+        segs = [StarSeg(chain.pauses[0] * (1 - t))]
+        for exc, pause in zip(chain.excursions, chain.pauses[1:]):
+            segs += _reference_leg(sus, exc, 2 * t)
+            segs.append(StarSeg(pause * (1 - t)))
+        _check_against_reference(sus, frame, segs)
+    for exc in chain.excursions:
+        for u in _EARLY_STAGES:
+            _check_against_reference(sus, straighten_step(sus, exc, u), _reference_leg(sus, exc, u))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_early_frames_match_a_fraction_reference(seed):
+    # the stages that shift, clamp and rescale pieces, including the
+    # non-dyadic shifts 1/3 and 2/3 and scales 3/4 and 3/5 of seven samples
+    rng = random.Random(seed)
+    for K in _LATE_BASES:
+        sus = Suspension(K)
+        for _ in range(4):
+            _check_early_frames(sus, _wandering_loop(sus, rng))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_late_loops())
+def test_early_frames_match_a_fraction_reference_on_random_levels(drawn):
+    _check_early_frames(*drawn)
+
+
 def test_contract_trail_on_circle_basic_loop():
     x = RealizationPoint("e", (F(1, 2),))
     loop = CIRCLE.basic_loop(x)
