@@ -32,8 +32,9 @@ Each concept has one mechanism underneath.  Every height deformation
 (``height_affine``, ``shift_heights``, ``make_increasing`` and through them
 ``shrink_cone``) is one clamped map h -> a*h + b + c*t.  Every change of
 clock (``scale_time``, ``reparam`` and the straightening frames) is
-``_shifted`` with its duration factor.  One pole clamp, ``_clamped_track``,
-serves them all and the ramps, and cuts a track once per pole it crosses.
+``_shifted`` with its duration factor.  One pole clamp, ``_clamp``, serves
+them all and, through ``_clamped_track``, the ramps, and cuts a track once
+per pole it crosses.
 Every point inside a segment comes from one integer interpolator,
 ``_lerp``, save the collar truncation's cut points, which are snapped
 straight from the integers (below).  The passages through the middle slice
@@ -50,7 +51,11 @@ before ``==``, and whether two tracks merge is one integer
 cross-multiplication on numerators and denominators per moving value; a
 coordinate held on both sides of a junction needs none.  A pure vertical
 shift (a = 1, c = 0) adds b to each height with no clock, or nothing at
-all when b = 0.  Two tracks that meet with the same data in the same
+all when b = 0.  ``_shifted`` works out the shifted heights and the scaled
+duration as integer pairs, not necessarily reduced, and the clamp builds a
+``Fraction`` only for a value that survives it, once: a pole height is the
+shared constant, b = 0 keeps the heights' objects and f = 1 the
+duration's.  Two tracks that meet with the same data in the same
 carrier are continuous without normalizing their end points, and a track
 end with every coordinate strictly inside (0, 1) is no cone point unless
 at a pole, so ``pauses_and_runs`` normalizes only the other ends.  A track
@@ -68,6 +73,8 @@ slots in a call.  The snap of n/d is 0 when 3n <= d, 1 when 3n >= 2d, and
 A path keeps its breakpoint times (``MoorePath.times``, computed once and
 summed on integers over the running lcm of the denominators), so
 ``evaluate``, ``slice_path`` and ``reparam`` find segments by bisection.
+The crossing scan sums the same way and builds only each crossing time and
+the duration.
 """
 
 from __future__ import annotations
@@ -76,7 +83,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import lcm
 from typing import Iterable, Sequence
 
 from .cubical import (
@@ -180,11 +187,10 @@ class MoorePath:
         num, den = 0, 1
         for seg in self.segments:
             n, q = seg.duration.numerator, seg.duration.denominator
-            if q == den:
-                num += n
-            else:
-                g = gcd(den, q)
-                num, den = num * (q // g) + n * (den // g), den // g * q
+            if den % q:
+                m = lcm(den, q)
+                num, den = num * (m // den), m
+            num += n * (den // q)
             out.append(Fraction(num, den))
         return tuple(out)
 
@@ -288,49 +294,63 @@ def _at_pole(h) -> bool:
     return h.denominator == 1 and (h.numerator == 1 or h.numerator == -1)
 
 
-def _clamped_track(seg: TrackSeg) -> list:
-    """Pieces of a track whose heights may overshoot the poles.
+def _height(n: int, m: int) -> Fraction:
+    # the height n/m (m > 0) as a Fraction, a pole as the shared constant
+    return _ONE if n == m else _MINUS_ONE if n == -m else Fraction(n, m)
 
-    The overshoot is clamped: stretches at or beyond a pole become pauses
-    at the cone point.  Each pole crossed inside the track is one exact cut,
-    found on the integers of the end heights; the height at a cut is the
-    pole itself, so only the moving coordinates are interpolated there.
+
+def _clamp(seg, dn: int, dd: int, n0: int, d0: int, n1: int, d1: int, keep_d: bool, keep_h: bool) -> list:
+    """Pieces of ``seg`` with duration dn/dd and heights n0/d0 to n1/d1,
+    which may overshoot the poles.
+
+    The overshoot is clamped: stretches at or beyond a pole become pauses at
+    the cone point.  Each pole crossed inside the track is one exact cut,
+    found on the integers, which need not be reduced (every denominator is
+    positive); the height at a cut is the pole itself, so only the moving
+    coordinates are interpolated there.  A value is built as a ``Fraction``
+    only when it survives the clamp, once: ``keep_d`` and ``keep_h`` say
+    that the duration and the heights are those of ``seg``, whose objects are
+    then kept, and ``seg`` itself comes back when nothing changes.
     """
-    h0, h1 = seg.h0, seg.h1
-    n0, d0, n1, d1 = h0.numerator, h0.denominator, h1.numerator, h1.denominator
-    if -d0 <= n0 <= d0 and -d1 <= n1 <= d1:
-        # no pole is crossed inside, so there is nothing to cut
-        if _at_pole(h0) and h0 == h1:
-            return [StarSeg(seg.duration)]
-        return [seg]
     # at parameter s the height is (n0*d1 + rise*s) / (d0*d1), so it meets
     # the pole L at s = (L*d0 - n0)*d1 / rise; with q = |rise| the track is
     # inside the poles for s strictly between pa/q and pb/q
     rise = n1 * d0 - n0 * d1
-    if rise > 0:
+    if -d0 <= n0 <= d0 and -d1 <= n1 <= d1 and (rise or -d0 < n0 < d0):
+        # within the poles and not flat at one: there is nothing to cut
+        if keep_d and keep_h:
+            return [seg]
+        q, pa, pb = 1, 0, 1
+    elif rise > 0:
         q, pa, pb, enter, leave = rise, (-d0 - n0) * d1, (d0 - n0) * d1, _MINUS_ONE, _ONE
     elif rise < 0:
         q, pa, pb, enter, leave = -rise, (n0 - d0) * d1, (n0 + d0) * d1, _ONE, _MINUS_ONE
     else:
-        return [StarSeg(seg.duration)]  # flat beyond a pole
+        q = pa = pb = 1  # flat at or beyond a pole
     pa, pb = max(pa, 0), min(pb, q)
     if pa >= pb:
-        return [StarSeg(seg.duration)]  # wholly at or beyond a pole
-    dn, dd = seg.duration.numerator, seg.duration.denominator * q
+        return [StarSeg(seg.duration if keep_d else Fraction(dn, dd))]  # wholly at or beyond a pole
+    c0, c1, dd = seg.c0, seg.c1, dd * q
     out = []
     if pa:
         out.append(StarSeg(Fraction(dn * pa, dd)))
         h0, c0 = enter, _lerp_coords(seg.c0, seg.c1, pa, q)
     else:
-        c0 = seg.c0
+        h0 = seg.h0 if keep_h else _height(n0, d0)
     if pb < q:
         h1, c1 = leave, _lerp_coords(seg.c0, seg.c1, pb, q)
     else:
-        c1 = seg.c1
-    out.append(TrackSeg(Fraction(dn * (pb - pa), dd), h0, h1, seg.cube, c0, c1))
+        h1 = seg.h1 if keep_h else _height(n1, d1)
+    d = seg.duration if keep_d and pb - pa == q else Fraction(dn * (pb - pa), dd)
+    out.append(TrackSeg(d, h0, h1, seg.cube, c0, c1))
     if pb < q:
         out.append(StarSeg(Fraction(dn * (q - pb), dd)))
     return out
+
+
+def _clamped_track(seg: TrackSeg) -> list:
+    """The pieces of a track whose heights may overshoot the poles (:func:`_clamp`)."""
+    return _shifted([seg], 0)
 
 
 def _map_heights(segments, a, b, c) -> list:
@@ -354,22 +374,21 @@ def _shifted(segments, b, f=1) -> list:
     """The segments with every height raised by ``b`` and every duration
     multiplied by ``f``, clamped at the poles.
 
-    The pure shift needs no clock, b = 0 and f = 1 need no arithmetic, and
-    each piece is built once: the clamp cuts at the same parameters on
-    either clock.  With b = 0 it is the one clock scaler; on canonical
-    pieces the clamp then changes nothing.
+    Worked out on integers, each piece built once: the clamp cuts at the
+    same parameters on either clock.  With b = 0 the height objects are
+    kept and with f = 1 the duration objects, so with both a canonical
+    piece comes back as it stands; with b = 0 it is the one clock scaler.
     """
-    scale = f != 1
+    bn, bd, fn, fd = b.numerator, b.denominator, f.numerator, f.denominator
+    keep_d = fn == fd
     segs = []
     for seg in segments:
+        dn, dd = seg.duration.numerator * fn, seg.duration.denominator * fd
         if isinstance(seg, StarSeg):
-            segs.append(StarSeg(seg.duration * f) if scale else seg)
+            segs.append(seg if keep_d else StarSeg(Fraction(dn, dd)))
             continue
-        if b or scale:
-            h0, h1 = (seg.h0 + b, seg.h1 + b) if b else (seg.h0, seg.h1)
-            d = seg.duration * f if scale else seg.duration
-            seg = TrackSeg(d, h0, h1, seg.cube, seg.c0, seg.c1)
-        segs.extend(_clamped_track(seg))
+        n0, d0, n1, d1 = seg.h0.numerator, seg.h0.denominator, seg.h1.numerator, seg.h1.denominator
+        segs.extend(_clamp(seg, dn, dd, n0 * bd + bn * d0, d0 * bd, n1 * bd + bn * d1, d1 * bd, keep_d, not bn))
     return segs
 
 
@@ -866,19 +885,24 @@ class Suspension:
             pauses.append(Fraction(0))
         return pauses, runs
 
-    def _crossings(self, path: MoorePath) -> list:
-        """Every upward passage through the middle slice, in time order.
+    def _crossings(self, path: MoorePath):
+        """Every upward passage through the middle slice, in time order, and
+        the path's duration.
 
-        Each is ``(k, s, d, t, point, coords)``: segment ``k`` is at height 0
-        at parameter ``s``, that is ``d`` into it and at time ``t``, over the
+        Each passage is ``(k, p, q, t, point, coords)``: segment ``k`` is at
+        height 0 at parameter p/q (0 <= p <= q), at time ``t``, over the
         normalized base ``point`` of the raw ``coords``.  A track level with
         the middle slice raises, a passage at the cone point does not count,
-        and the two ends of a junction at height 0 are one passage.
+        and the two ends of a junction at height 0 are one passage.  Times
+        are summed on integers over a running common denominator, as in
+        ``MoorePath.times``; each ``t`` and the duration are one ``Fraction``.
         """
         out = []
-        times, K, origin = path.times, self.base, self.origin
+        K, origin = self.base, self.origin
         last = None
+        num, den = 0, 1  # the time segment k starts at
         for k, seg in enumerate(path.segments):
+            dn, dd = seg.duration.numerator, seg.duration.denominator
             if isinstance(seg, TrackSeg):
                 h0, h1 = seg.h0, seg.h1
                 n0, n1 = h0.numerator, h1.numerator
@@ -890,15 +914,17 @@ class Suspension:
                         )
                     # s = -h0 / (h1 - h0) = p/q on the integers
                     p, q = -n0 * h1.denominator, n1 * h0.denominator - n0 * h1.denominator
-                    s = Fraction(p, q)
-                    d = seg.duration * s
-                    t = times[k] + d
+                    t = Fraction(num * dd * q + dn * p * den, den * dd * q)
                     coords = _lerp_coords(seg.c0, seg.c1, p, q)
                     pt = normalize_point(K, seg.cube, coords)
                     if pt != origin and t != last:
-                        out.append((k, s, d, t, pt, coords))
+                        out.append((k, p, q, t, pt, coords))
                         last = t
-        return out
+            if den % dd:
+                m = lcm(den, dd)
+                num, den = num * (m // den), m
+            num += dn * (den // dd)
+        return out, Fraction(num, den)
 
     def middle_crossings(self, path: MoorePath) -> list:
         """Upward passages through the middle slice, as (time, base point).
@@ -907,7 +933,7 @@ class Suspension:
         :meth:`make_increasing` first.  Passages that happen at the cone
         point do not count.
         """
-        return [(t, pt) for _, _, _, t, pt, _ in self._crossings(path)]
+        return [(t, pt) for _, _, _, t, pt, _ in self._crossings(path)[0]]
 
     # ------------------------------------------------------------------
     # truncation near the cone point

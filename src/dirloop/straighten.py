@@ -25,7 +25,15 @@ letter 1 and pause_i after letter i, the frame pauses (1 - t)*g_0 before
 letter 1 and (1 - t)*g_i after letter i, for the stage-free gaps g_0 =
 pause_0 + b_1, g_i = (a_i - b_i) + pause_i + b_(i+1) and g_n = a_n - b_n +
 pause_n.  The gaps are worked out once per loop, so the join merges no
-pauses there.  Stage 1/2 is the closed form at its start: at 2t = 1 the
+pauses there.  Every frame is built from integers.  The crossing time b
+and the duration a come from the scan's integer sums, and the cut piece's
+durations from the crossing parameter.  Below 1/2 the pieces are shifted,
+rescaled and clamped on integers (``paths._shifted``), and each climb and
+each pause (1 - t)*pause is one ``Fraction(n, d)``.  The pauses, b, a and
+the gaps are integers over one common denominator D of the loop, so at
+stage t = p/q every pause and closed-form climb is an integer over 2*q*D;
+one table per frame builds each distinct one once, so equal durations are
+one object.  Stage 1/2 is the closed form at its start: at 2t = 1 the
 heights before the crossing, which never exceed 0, are pushed down to -1
 or below and those after it up to 1 or above, so the shifted pieces all
 clamp into pauses.  :func:`full_straighten` builds each distinct stage
@@ -38,6 +46,8 @@ turns into the pause the letter leaves behind, so no separate pause frame
 is built and every frame the walk builds is kept.  Routes home come from one BFS tree
 per contraction, grown from the basepoint over the one skeleton; the same
 tree decides whether the base is connected, so no homology is computed.
+A letter's stops after the first depend only on its cube and are worked
+out once per cube, and the time walked is summed on integers.
 """
 
 from __future__ import annotations
@@ -45,6 +55,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import lcm
 
 from .cubical import CubicalSet, RealizationPoint, normalize_point
 from .paths import MoorePath, STAR, StarSeg, Suspension, TrackSeg, _shifted
@@ -87,25 +99,26 @@ def _legs(sus: Suspension, run: MoorePath):
 
     The crossings are those of ``Suspension._crossings``, the one scan
     behind ``Suspension.middle_crossings``; there must be exactly one, and
-    the segment that holds it is split at its parameter.
+    the segment that holds it is split at its parameter, on the integers.
     """
-    crossings = sus._crossings(run)
+    crossings, a = sus._crossings(run)
     if len(crossings) != 1:
         raise ValueError(
             f"excursion crosses the middle slice {len(crossings)} times; "
             "straightening needs exactly one"
         )
-    ((k, s, d, b, xb, coords),) = crossings
+    ((k, p, q, b, xb, coords),) = crossings
     segs = run.segments
-    if s == 0:
+    if p == 0:
         pre, post = list(segs[:k]), list(segs[k:])
-    elif s == 1:
+    elif p == q:
         pre, post = list(segs[: k + 1]), list(segs[k + 1 :])
     else:
         seg = segs[k]
-        pre = [*segs[:k], TrackSeg(d, seg.h0, _ZERO, seg.cube, seg.c0, coords)]
-        post = [TrackSeg(seg.duration - d, _ZERO, seg.h1, seg.cube, coords, seg.c1), *segs[k + 1 :]]
-    return b, xb, run.times[-1], pre, post
+        dn, dd = seg.duration.numerator, seg.duration.denominator * q
+        pre = [*segs[:k], TrackSeg(Fraction(dn * p, dd), seg.h0, _ZERO, seg.cube, seg.c0, coords)]
+        post = [TrackSeg(Fraction(dn * (q - p), dd), _ZERO, seg.h1, seg.cube, coords, seg.c1), *segs[k + 1 :]]
+    return b, xb, a, pre, post
 
 
 def _early_frames(legs, t: Fraction) -> list:
@@ -115,17 +128,20 @@ def _early_frames(legs, t: Fraction) -> list:
     below 0, so pushing each side away from the middle slice by t and
     refilling with climbs over the crossing point keeps both ends fixed.
     The clock is rescaled by 1/(1 + t) on the way, so each piece is built
-    once, and the stage's constants are worked out once for all legs.
+    once, and with t = p/q the climbs last p*b/(q + p) and p*(a - b)/(q +
+    p), each one ``Fraction`` built from the integers of a and b.
     :func:`full_straighten` builds its stages below 1/2 here (t < 1);
     :func:`straighten_step` uses it for every t.
     """
-    f = 1 / (1 + t)
-    tf, down = t * f, -t
+    p, q = t.numerator, t.denominator
+    f, down = Fraction(q, q + p), -t
     frames = []
     for b, xb, a, pre, post in legs:
+        bn, bd, an, ad = b.numerator, b.denominator, a.numerator, a.denominator
+        x = xb.coords
         segs = _shifted(pre, down, f)
-        segs.append(TrackSeg(tf * b, down, _ZERO, xb.cube, xb.coords, xb.coords))
-        segs.append(TrackSeg(tf * (a - b), _ZERO, t, xb.cube, xb.coords, xb.coords))
+        segs.append(TrackSeg(Fraction(p * bn, (q + p) * bd), down, _ZERO, xb.cube, x, x))
+        segs.append(TrackSeg(Fraction(p * (an * bd - bn * ad), (q + p) * ad * bd), _ZERO, t, xb.cube, x, x))
         segs.extend(_shifted(post, t, f))
         frames.append(segs)
     return frames
@@ -159,9 +175,14 @@ def full_straighten(sus: Suspension, loop: MoorePath, samples=DEFAULT_SAMPLES):
     worked out once: g_0 = pause_0 + b_1, g_i = a_i - b_i + pause_i +
     b_(i+1), and g_n = a_n - b_n + pause_n after the last letter.  At
     stage 1/2 the shifted pieces would all clamp into pauses, which is the
-    closed form at its start; stage 1 is one full climb per letter.  Every
-    frame goes through the join once, which drops the empty pieces and
-    merges the two climbs where b = a/2.
+    closed form at its start; stage 1 is one full climb per letter.
+
+    The pauses, b, a and the gaps are integers over one common denominator
+    D of the loop, so at stage t = p/q every pause and closed-form climb is
+    an integer over 2*q*D, and each frame builds each distinct one
+    as a ``Fraction`` once: equal durations are one object.  Every frame
+    goes through the join once, which drops the empty pieces and merges the
+    two climbs where b = a/2.
     """
     if not sus.is_loop(loop):
         raise ValueError("straightening needs a loop at the cone point")
@@ -173,12 +194,12 @@ def full_straighten(sus: Suspension, loop: MoorePath, samples=DEFAULT_SAMPLES):
         raise ValueError("samples must lie in [0, 1]")
     chain = chain_split(sus, loop)
     legs = [_legs(sus, exc) for exc in chain.excursions]
-    pauses = chain.pauses
-    # the stage-free gaps g_0 .. g_n of the late frames
-    gaps = [pauses[0]]
-    for (b, _, a, _, _), pause in zip(legs, pauses[1:]):
-        gaps[-1] += b
-        gaps.append(a - b + pause)
+    D = lcm(*(x.denominator for x in chain.pauses), *(x.denominator for b, _, a, _, _ in legs for x in (b, a)))
+    P = [x.numerator * (D // x.denominator) for x in chain.pauses]
+    BA = [(b.numerator * (D // b.denominator), a.numerator * (D // a.denominator)) for b, _, a, _, _ in legs]
+    # the stage-free gaps g_i = (a_i - b_i) + pause_i + b_(i+1) of the late
+    # frames times D, with no letter 0 or n + 1
+    G = [e + pause + s for e, pause, s in zip([0, *(A - B for B, A in BA)], P, [*(B for B, _ in BA), 0])]
     # one frame per distinct stage; stage 0 is the loop itself
     built = {_ZERO: loop}
     # stage 1 is one full climb over each crossing point
@@ -189,20 +210,22 @@ def full_straighten(sus: Suspension, loop: MoorePath, samples=DEFAULT_SAMPLES):
     def frame(t: Fraction) -> MoorePath:
         if t in built:
             return built[t]
-        rest = 1 - t
-        if t < _HALF:
-            segs: list = [StarSeg(pauses[0] * rest)]
-            for piece, pause in zip(_early_frames(legs, 2 * t), pauses[1:]):
+        p, q = t.numerator, t.denominator
+        r = q - p
+        # every pause and closed-form climb, an integer over 2*q*D, built once
+        dur = cache(lambda n: Fraction(n, 2 * q * D))
+        if 2 * p < q:
+            segs: list = [StarSeg(dur(2 * r * P[0]))]
+            for piece, pause in zip(_early_frames(legs, 2 * t), P[1:]):
                 segs.extend(piece)
-                segs.append(StarSeg(pause * rest))
+                segs.append(StarSeg(dur(2 * r * pause)))
         else:
-            late = t - _HALF
-            segs = [StarSeg(rest * gaps[0])]
-            for (b, xb, a, _, _), gap in zip(legs, gaps[1:]):
-                p, cube, x = rest * b, xb.cube, xb.coords
-                segs.append(TrackSeg(p + late * a, _MINUS_ONE, _ZERO, cube, x, x))
-                segs.append(TrackSeg(a / 2 - p, _ZERO, _ONE, cube, x, x))
-                segs.append(StarSeg(rest * gap))
+            segs = [StarSeg(dur(2 * r * G[0]))]
+            for (_, xb, _, _, _), (B, A), gap in zip(legs, BA, G[1:]):
+                cube, x = xb.cube, xb.coords
+                segs.append(TrackSeg(dur(2 * r * B + (2 * p - q) * A), _MINUS_ONE, _ZERO, cube, x, x))
+                segs.append(TrackSeg(dur(q * A - 2 * r * B), _ZERO, _ONE, cube, x, x))
+                segs.append(StarSeg(dur(2 * r * gap)))
         built[t] = sus._join(segs)
         return built[t]
 
@@ -289,23 +312,28 @@ def contract_straightened(sus: Suspension, result: MoorePath, frames) -> list:
     the rest of the word unchanged: a full climb ends at the cone point,
     where nothing merges.
     """
-    route = _routes_home(sus.base)
+    K = sus.base
+    route = _routes_home(K)
     word = word_climbs(sus, result)
     trail = list(frames)
-    K = sus.base
-    walked = _ZERO
+    # the stops after the first depend only on the cube: worked out once each
+    later: dict = {}
+    # the time walked so far, an integer over the common denominator D
+    D = lcm(*(tr.duration.denominator for tr in word))
+    walked = 0
     for k, tr in enumerate(word):
         after, tail = word[k + 1 : k + 2], word[k + 2 :]
-        stops = [normalize_point(K, tr.cube, tuple(c / 2 for c in tr.c0))]
-        stops.append(normalize_point(K, tr.cube, (_ZERO,) * len(tr.c0)))
-        for edge, far in route(stops[-1].cube):
-            stops.append(normalize_point(K, edge, (_HALF,)))
-            stops.append(RealizationPoint(far, ()))
-        for p in stops:
+        if tr.cube not in later:
+            corner = normalize_point(K, tr.cube, (_ZERO,) * len(tr.c0))
+            later[tr.cube] = [corner]
+            for edge, far in route(corner.cube):
+                later[tr.cube] += normalize_point(K, edge, (_HALF,)), RealizationPoint(far, ())
+        pause = StarSeg(Fraction(walked, D))
+        for p in [normalize_point(K, tr.cube, tuple(c / 2 for c in tr.c0)), *later[tr.cube]]:
             moving = TrackSeg(tr.duration, tr.h0, tr.h1, p.cube, p.coords, p.coords)
-            head = sus._join([StarSeg(walked), moving, *after])
+            head = sus._join([pause, moving, *after])
             trail.append(MoorePath(head.segments + tail))
-        walked += tr.duration
+        walked += tr.duration.numerator * (D // tr.duration.denominator)
 
     empty = MoorePath((), STAR)
     trail.append(empty)

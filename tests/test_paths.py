@@ -38,6 +38,7 @@ from dirloop.paths import (
     _lerp,
     _map_heights,
     _same_rate,
+    _shifted,
     _slice,
     classify_point,
     is_strictly_increasing,
@@ -1297,6 +1298,45 @@ def test_pure_shift_matches_pointwise_map(make_base, seed, delta):
             s, exc, out, lambda t: t, lambda p, t: None if p is STAR else image(p, t), _breaks(exc)
         )
         assert checked > 0
+
+
+@pytest.mark.parametrize("make_base", POINTWISE_BASES)
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    delta=st.sampled_from([F(-1, 3), F(1, 2), F(-3, 4), F(2, 3), F(7, 5)]),
+    factor=st.sampled_from([F(3, 4), F(3, 5), F(2), F(1, 3)]),
+)
+def test_shifted_keeps_the_objects_it_does_not_change(make_base, seed, delta, factor):
+    # the clamp builds a Fraction only for a value it changes: on a new clock
+    # (b = 0) a canonical piece is not cut and keeps its height and
+    # coordinate objects; under a pure shift (f = 1) a pause comes back as
+    # it is, and so does the duration object of every track left uncut
+    rng = random.Random(seed)
+    s = Suspension(make_base())
+    loop = random_loop(s, rng) if rng.random() < 0.5 else _wandering_loop(s, rng)
+    scaled = _shifted(loop.segments, 0, factor)
+    assert len(scaled) == len(loop.segments)
+    for new, old in zip(scaled, loop.segments):
+        assert type(new) is type(old) and new.duration == old.duration * factor
+        if isinstance(old, TrackSeg):
+            assert (new.h0, new.h1, new.c0, new.c1) == (old.h0, old.h1, old.c0, old.c1)
+            assert new.h0 is old.h0 and new.h1 is old.h1 and new.c0 is old.c0 and new.c1 is old.c1
+    for old in loop.segments:
+        pieces = _shifted([old], delta)
+        if isinstance(old, StarSeg):
+            assert pieces[0] is old
+        elif len(pieces) == 1:
+            assert pieces[0].duration is old.duration
+
+
+def test_shifted_keeps_the_duration_of_an_uncut_track():
+    x = (F(1, 2),)
+    for seg in (TrackSeg(F(5, 2), F(-1, 4), F(1, 8), "e", x, x), TrackSeg(F(1, 3), F(1, 2), F(1), "e", x, x)):
+        for delta in (F(-1, 3), F(-3, 4)):
+            (piece,) = _shifted([seg], delta)
+            assert piece.duration is seg.duration
+            assert (piece.h0, piece.h1) == (seg.h0 + delta, seg.h1 + delta)
 
 
 # ----------------------------------------------------------------------

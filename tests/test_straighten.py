@@ -559,6 +559,27 @@ def test_late_frames_from_gaps_on_edge_cases(case, count):
         assert [s.h0 for s in half.segments if isinstance(s, TrackSeg)] == [F(-1)]
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_equal_durations_in_a_late_frame_are_one_object(seed):
+    # the pauses and climbs past the half-way stage come from one table per
+    # frame, so two pieces of equal duration share the object; the loop
+    # repeats an excursion, so every frame has equal durations.  The join
+    # merges the two climbs of a balanced excursion (b = a/2) into a new
+    # track from -1 to 1, which is left out
+    rng = random.Random(seed)
+    for K in _LATE_BASES:
+        sus = Suspension(K)
+        once = [seg for seg in _wandering_loop(sus, rng).segments if isinstance(seg, TrackSeg)]
+        loop = sus.path([StarSeg(F(1)), *once, StarSeg(F(1)), *once, StarSeg(F(1))])
+        _, frames = full_straighten(sus, loop, [F(1, 2), F(5, 8), F(2, 3), F(3, 4), F(7, 8)])
+        for frame in frames:
+            seen = {}
+            table = [seg for seg in frame.segments if isinstance(seg, StarSeg) or seg.h0 != -1 or seg.h1 != 1]
+            for seg in table:
+                assert seen.setdefault(seg.duration, seg.duration) is seg.duration
+            assert len(seen) < len(table)
+
+
 def _reference_leg(sus, exc, u):
     """One excursion at stage ``u`` of ``straighten_step``, on Fractions alone.
 
