@@ -1444,11 +1444,19 @@ def test_join_matches_a_fraction_reference(make_base, seed, shifted):
     x = random_interior_point(s.base, rng)
     pole = F(rng.choice([-1, 1]))
     h0, h1 = sorted(F(rng.randint(-4, 4), 4) for _ in range(2))
+    # a run of pauses over equal and coprime denominators, with a track in
+    # the basepoint column and one flat at a pole inside it
+    run = [StarSeg(F(rng.randint(1, 5), q)) for q in (6, 6, 5, 7)] + [
+        TrackSeg(F(rng.randint(1, 4), 3), h0, h1, s.base.basepoint, (), ()),
+        TrackSeg(F(rng.randint(1, 4), 2), pole, pole, x.cube, x.coords, x.coords),
+    ]
+    rng.shuffle(run)
     blocks = [
         [TrackSeg(F(rng.randint(1, 4), 2), h0, h1, s.base.basepoint, (), ())],
         [TrackSeg(F(rng.randint(1, 4), 2), pole, pole, x.cube, x.coords, x.coords)],
         _face_excursion(s, rng),
         _bent_climb(s, rng),
+        run,
     ]
     for block in blocks:
         at_star = [
@@ -1466,6 +1474,12 @@ def test_join_matches_a_fraction_reference(make_base, seed, shifted):
     tracks = [k for k, p in enumerate(pieces) if isinstance(p, TrackSeg) and p.duration]
     if shifted and tracks:
         k = rng.choice(tracks)
+        # sometimes the track right after the run, so that the error names
+        # the last piece merged into it
+        end = next((i for i, p in enumerate(pieces) if p is run[-1]), len(pieces))
+        after = [i for i in tracks if i > end]
+        if after and rng.random() < 0.5:
+            k = after[0]
         p = pieces[k]
         pieces[k] = TrackSeg(p.duration, p.h0 / 2, p.h1 / 2 + F(1, 8), p.cube, p.c0, p.c1)
     want = _outcome(lambda p: _reference_join(s, p), pieces)
