@@ -46,10 +46,11 @@ durations and heights read the integers of a ``Fraction`` rather than
 comparing ``Fraction`` objects, and values that already are ``Fraction``
 are not rebuilt: a track that is canonical as given, with every value a
 ``Fraction``, comes back from the canonicalizer as the same object.  The
-join is one loop over the pieces.  It compares shared values by identity
-before ``==``, and whether two tracks merge is one integer
-cross-multiplication on numerators and denominators per moving value; a
-coordinate held on both sides of a junction needs none.  A pure vertical
+join is one loop that reads each piece's duration and heights as integers
+once.  A run of pauses is summed on integers and built as one pause when a
+track or the end closes it, the junction, pole and height-rate tests run
+on the last track's integers, and a coordinate rate is one integer
+cross-multiplication, none where the coordinate is held.  A pure vertical
 shift (a = 1, c = 0) adds b to each height with no clock, or nothing at
 all when b = 0.  ``_shifted`` works out the shifted heights and the scaled
 duration as integer pairs, not necessarily reduced, and the clamp builds a
@@ -551,51 +552,70 @@ class Suspension:
         so do collinear tracks, and a discontinuous junction raises
         ``ValueError`` naming the two piece indices.  Pieces are taken one
         at a time, so a junction is checked before a later piece is made.
+
+        Each piece's duration and heights are read as integers once.  A run
+        of pauses keeps its sum n/q over the running lcm of the denominators
+        and becomes one ``StarSeg`` when a track or the end closes it; a lone
+        pause keeps its object.  The junction, pole and height-rate tests
+        compare the integers carried from the last track, and an end is
+        normalized only where it is not at a pole.
         """
         out: list = []
-        prev = last = None  # the last piece out and its index
         basepoint = self.base.basepoint
+        # the index of the last piece taken, and the last piece out: a track,
+        # with its integers (en is None before the first), or the first
+        # pause of the open run
+        last = prev = en = None
+        # the open run of pauses: its object while it is one piece, and its
+        # sum pn/pq, with pq = 0 when no run is open
+        run, pn, pq = None, 0, 0
         for k, seg in enumerate(pieces):
             d = seg.duration
-            if d.numerator == 0:
+            dn, dd = d.numerator, d.denominator
+            if not dn:
                 continue
-            if isinstance(seg, StarSeg) or (
-                seg.cube == basepoint or (_at_pole(seg.h0) and seg.h0 == seg.h1)
-            ):
-                if isinstance(prev, StarSeg):
-                    prev = out[-1] = StarSeg(prev.duration + d)
-                    last = k
+            if type(seg) is TrackSeg:
+                n0, d0, n1, d1 = seg.h0.numerator, seg.h0.denominator, seg.h1.numerator, seg.h1.denominator
+                # an end at a pole is the cone point as it stands
+                a0, a1 = d0 == 1 and (n0 == 1 or n0 == -1), d1 == 1 and (n1 == 1 or n1 == -1)
+                if seg.cube != basepoint and not (a0 and a1 and n0 == n1):
+                    if not pq and en == n0 and ed == d0 and prev.cube == seg.cube and prev.c1 == seg.c0:
+                        # the same data in the same carrier meet: continuous, no
+                        # need to normalize the end points; merge when every rate
+                        # agrees, the heights' cross-multiplied over the shared d0
+                        if (n0 * sd - sn * d0) * d1 * dn * pdd == (n1 * d0 - n0 * d1) * sd * pdn * dd:
+                            for p0, p1, q0, q1 in zip(prev.c0, prev.c1, seg.c0, seg.c1):
+                                # a coordinate held on both sides has rate 0 on both
+                                if not (p0 is p1 and q0 is q1) and not _same_rate(p0, p1, prev.duration, q0, q1, d):
+                                    break
+                            else:
+                                pdn, pdd, en, ed, e1 = pdn * dd + dn * pdd, pdd * dd, n1, d1, a1
+                                d = Fraction(pdn, pdd)
+                                prev = out[-1] = TrackSeg(d, prev.h0, seg.h1, prev.cube, prev.c0, seg.c1)
+                                last = k
+                                continue
+                    elif prev is not None and not (e1 and a0) and self._seg_end(prev) != self._seg_start(seg):
+                        raise ValueError(f"discontinuous junction between segment {last} and segment {k}")
+                    if pq:
+                        out.append(run or StarSeg(Fraction(pn, pq)))
+                        pq = 0
+                    out.append(seg)
+                    prev, last = seg, k
+                    # its heights sn/sd to en/ed, whether it ends at a pole, and
+                    # its duration pdn/pdd, left unreduced by a merge
+                    sn, sd, en, ed, e1, pdn, pdd = n0, d0, n1, d1, a1, dn, dd
                     continue
-                if not isinstance(seg, StarSeg):
-                    seg = StarSeg(d)
-                meets = prev is None or self._seg_end(prev) is STAR
-            elif (
-                isinstance(prev, TrackSeg)
-                and (prev.cube is seg.cube or prev.cube == seg.cube)
-                and (prev.h1 is seg.h0 or prev.h1 == seg.h0)
-                and (prev.c1 is seg.c0 or prev.c1 == seg.c0)
-            ):
-                # the same data in the same carrier meet: continuous, no need
-                # to normalize the end points; merge when every rate agrees
-                d0 = prev.duration
-                if _same_rate(prev.h0, prev.h1, d0, seg.h0, seg.h1, d):
-                    for p0, p1, q0, q1 in zip(prev.c0, prev.c1, seg.c0, seg.c1):
-                        # a coordinate held on both sides has rate 0 on both
-                        if not (p0 is p1 and q0 is q1) and not _same_rate(p0, p1, d0, q0, q1, d):
-                            break
-                    else:
-                        prev = out[-1] = TrackSeg(
-                            d0 + d, prev.h0, seg.h1, prev.cube, prev.c0, seg.c1
-                        )
-                        last = k
-                        continue
-                meets = True
-            else:
-                meets = prev is None or self._seg_end(prev) == self._seg_start(seg)
-            if not meets:
+                seg = StarSeg(d)  # in the basepoint column or flat at a pole
+            if pq:
+                m = lcm(pq, dd)
+                pn, pq, run = pn * (m // pq) + dn * (m // dd), m, None
+            elif prev is not None and not e1 and self._seg_end(prev) is not STAR:
                 raise ValueError(f"discontinuous junction between segment {last} and segment {k}")
-            out.append(seg)
-            prev, last = seg, k
+            else:
+                run, pn, pq, prev, e1 = seg, dn, dd, seg, True
+            last = k
+        if pq:
+            out.append(run or StarSeg(Fraction(pn, pq)))
         if not out:
             if not (empty_at is STAR or isinstance(empty_at, Interior)):
                 raise ValueError("empty_at must be a suspension point")
@@ -868,17 +888,13 @@ class Suspension:
         runs = []
         cur: list = []
         for seg in path.segments:
+            if cur and (isinstance(seg, StarSeg) or self._ends_at_star(cur[-1])):
+                runs.append(tuple(cur))
+                cur = []
+                pauses.append(Fraction(0))
             if isinstance(seg, StarSeg):
-                if cur:
-                    runs.append(tuple(cur))
-                    cur = []
-                    pauses.append(Fraction(0))
                 pauses[-1] += seg.duration
             else:
-                if cur and self._ends_at_star(cur[-1]):
-                    runs.append(tuple(cur))
-                    cur = []
-                    pauses.append(Fraction(0))
                 cur.append(seg)
         if cur:
             runs.append(tuple(cur))
