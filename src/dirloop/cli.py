@@ -16,7 +16,10 @@ handler reads and argparse fully checks, ``--x-structure`` (default
 Each handler returns its output as pieces of text, formatted inside the
 same guarded block as the computation, so a payload that cannot be
 formatted (an integer past the interpreter's digit limit) exits 1 with an
-``error:`` line and no output, like any other domain failure.  Path
+``error:`` line and no output, like any other domain failure;
+``loop-homology`` formats each coefficient as it computes it, so such a
+coefficient ends it whatever the degree, and running out of memory is one
+``error:`` line with exit 1 too.  Path
 outputs join the texts of :func:`~dirloop.serialize.segment_texts`, each
 distinct segment encoded once; a contraction trail is encoded whole and
 then written one frame at a time, since joining cannot fail.
@@ -35,7 +38,7 @@ from fractions import Fraction
 from .cubical import RealizationPoint, suspension_model, validate
 from .homology import RATIONALS, FieldSpec, betti
 from .james import crossing_word
-from .loop_algebra import loop_space_homology
+from .loop_algebra import loop_space_generators, tensor_algebra_coefficients
 from .paths import STAR, Suspension
 from .serialize import (
     FormatError,
@@ -167,10 +170,11 @@ def cmd_suspension(args):
 
 def cmd_loop_homology(args):
     config = _config(args)
-    series = loop_space_homology(
-        _load_complex_file(args.complex), config.field, truncation=config.degree
-    )
-    return _json({"series": [series.get(k) for k in range(config.degree + 1)]}), 0
+    gens = loop_space_generators(_load_complex_file(args.complex), config.field)
+    # each coefficient is formatted as it is computed, so the first one past
+    # the digit limit ends the series, however large the degree asked for
+    texts = [str(c) for _, c in zip(range(config.degree + 1), tensor_algebra_coefficients(gens))]
+    return ('{"series": [' + ", ".join(texts) + "]}",), 0
 
 
 def cmd_sec(args):
@@ -366,6 +370,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     return code
 

@@ -9,8 +9,9 @@ recurrence (used for real computation).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .cubical import CubicalSet
 from .homology import FieldSpec, GradedDims, RATIONALS, betti
@@ -63,20 +64,32 @@ def count_words_by_enumeration(
     return go(total, 0)
 
 
-def tensor_algebra_dims(generators: GradedDims, truncation: int) -> HilbertSeries:
-    """Graded dimensions of the free associative algebra on ``generators``.
+def tensor_algebra_coefficients(generators: GradedDims) -> Iterator[int]:
+    """Graded dimensions of the free associative algebra on ``generators``,
+    degree 0 upward, one at a time and without end.
 
     Convolution: each degree counts words, split off by their last letter.
-    Only the degrees that hold generators are visited, so the work grows
-    with the truncation times the number of generator degrees.
+    Only the degrees that hold generators are visited, and only the last
+    coefficients that the recurrence reads are kept, so the work grows with
+    the degree reached times the number of generator degrees.
     """
     if generators.get(0) > 0:
         raise ValueError("generators in degree 0 are not allowed")
     gens = [(j, n) for j, n in generators.nonzero() if j > 0]
-    coeffs = [1]
-    for k in range(1, truncation + 1):
-        coeffs.append(sum(n * coeffs[k - j] for j, n in gens if j <= k))
-    return HilbertSeries(tuple(coeffs))
+    # the coefficients of the last ``top`` degrees, 0 below degree 0
+    top = max([j for j, _ in gens], default=1)
+    last = deque([0] * (top - 1) + [1], maxlen=top)
+    yield 1
+    while True:
+        c = sum(n * last[-j] for j, n in gens)
+        last.append(c)
+        yield c
+
+
+def tensor_algebra_dims(generators: GradedDims, truncation: int) -> HilbertSeries:
+    """The first ``truncation + 1`` of :func:`tensor_algebra_coefficients`."""
+    coeffs = tensor_algebra_coefficients(generators)
+    return HilbertSeries(tuple(c for _, c in zip(range(max(truncation, 0) + 1), coeffs)))
 
 
 def verify_tensor_characterization(series: HilbertSeries, generators: GradedDims) -> bool:
@@ -98,9 +111,15 @@ def loop_space_homology(
     The base must be connected; the generators of the answer are the
     reduced homology classes of the base, in their own degrees.
     """
+    return tensor_algebra_dims(loop_space_generators(base, field), truncation)
+
+
+def loop_space_generators(base: CubicalSet, field: FieldSpec = RATIONALS) -> GradedDims:
+    """The generators of :func:`loop_space_homology`: the reduced homology
+    of a connected base, in its own degrees."""
     b = betti(base, field)
     if b.get(0) != 1:
         raise ValueError(
             f"base must be connected, found {b.get(0)} components over {field}"
         )
-    return tensor_algebra_dims(b.reduced(), truncation)
+    return b.reduced()

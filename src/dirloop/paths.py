@@ -10,7 +10,9 @@ it checks each segment and strips its constant boundary coordinates through
 :func:`~dirloop.cubical.strip_boundary`, then joins them.  The join drops
 empty pieces, converts tracks stuck at the cone point into pauses, merges
 collinear neighbours and rejects discontinuous junctions, naming the
-offending input segment.  Two paths are therefore equal as maps exactly
+offending input segment.  A path document gets the same checks, strip and
+join from :func:`~dirloop.serialize.load_path`, in one pass over the
+document.  Two paths are therefore equal as maps exactly
 when they are equal as values.  The value objects (``TrackSeg``,
 ``StarSeg``, ``Interior`` and ``RealizationPoint``) are slotted dataclasses
 with structural equality and hash, cheap to build.  They are mutable only
@@ -204,13 +206,6 @@ def is_strictly_increasing(path: MoorePath) -> bool:
     """True when every track gains height; pauses at the cone point are fine."""
     return all(
         seg.h1 > seg.h0 for seg in path.segments if isinstance(seg, TrackSeg)
-    )
-
-
-def star_measure(path: MoorePath) -> Fraction:
-    """Total time the path spends parked at the cone point."""
-    return sum(
-        (s.duration for s in path.segments if isinstance(s, StarSeg)), Fraction(0)
     )
 
 

@@ -22,8 +22,19 @@ track are one object; nothing is kept from one document to the next.  A
 well formed path segment is read straight from its dict, and any other
 goes through the checks that name what is wrong.  A malformed rational is
 reported at its first occurrence as ``segment <k> field <name>: ...``
-(``letter <k>`` in a word), and each track is built once:
-``Suspension.path`` keeps a segment whose values already are canonical.
+(``letter <k>`` in a word).
+
+:func:`load_path` is the whole boundary for a path document, with the
+checks of :meth:`Suspension.path` and the same errors: each entry is read,
+its duration's sign and its heights' range are tested on the integers of
+the ``Fraction`` just read, its coordinates are range checked and stripped
+into their carrier, and the pieces go straight to ``Suspension._join``,
+with no list of segments walked a second time.  The strip runs once per
+distinct cube and pair of coordinate tuples in the document (the tracks of
+one excursion share one tuple), and each track is built once, in its
+carrier.  A format error anywhere in the document wins over a domain
+error, which the pass holds while it reads on; the pieces before a domain
+error are joined first, so a broken junction before it still wins.
 
 A complex is read in one walk: :func:`parse_complex` reads each cube's
 faces once, into its row in slot order ``2*(i-1)+eps`` (the layout that
@@ -56,6 +67,7 @@ from .cubical import (
     face_key,
     iter_violations,
     normalize_point,
+    strip_boundary,
 )
 from .paths import MoorePath, StarSeg, Suspension, TrackSeg
 
@@ -348,12 +360,38 @@ def _coords_reader(read):
     return coords
 
 
-def _segment(entry, k: int, cubes, read, coords):
-    # every check of one entry in order, each with its own error text
+def _carrier_reader(K: CubicalSet):
+    """``carrier(cube, c0, c1)``: the carriers of one document's tracks.
+
+    The range check and :func:`~dirloop.cubical.strip_boundary` run once
+    per distinct cube and pair of coordinate tuples, told apart by identity:
+    :func:`_coords_reader` shares the tuples of equal string lists, so the
+    tracks of one excursion strip once.  The memo holds every pair it has
+    seen, so no id in a key is reused while it lives; a list that is not
+    all strings loads as a fresh tuple and simply misses.  Make one reader
+    per document.
+    """
+    stripped: dict[tuple, tuple] = {}
+    seen: list = []
+
+    def carrier(cube: str, c0: tuple, c1: tuple) -> tuple:
+        key = (cube, id(c0), id(c1))
+        hit = stripped.get(key)
+        if hit is None:
+            hit = stripped[key] = strip_boundary(K, cube, (c0, c1))
+            seen.append((c0, c1))
+        return hit
+
+    return carrier
+
+
+def _segment(entry, k: int, cubes, read, coords) -> tuple:
+    # every check of one entry in order, each with its own error text;
+    # ``(dur,)`` for a pause, ``(dur, h0, h1, cube, c0, c1)`` for a track
     kind = _require(entry, "kind", "segment {}", k)
     dur = read(_require(entry, "dur", "segment {}", k), k, "dur")
     if kind == "star":
-        return StarSeg(dur)
+        return (dur,)
     if kind != "track":
         raise FormatError(f"segment {k} has unknown kind {kind!r}")
     cube = _require(entry, "cube", "segment {}", k)
@@ -372,23 +410,31 @@ def _segment(entry, k: int, cubes, read, coords):
             raise FormatError(
                 f"segment {k} field {label} needs {dim} coordinates for cube {cube!r}"
             )
-    return TrackSeg(
-        dur, read(h[0], k, "h"), read(h[1], k, "h"), cube, coords(c0, k, "c0"), coords(c1, k, "c1")
-    )
+    return dur, read(h[0], k, "h"), read(h[1], k, "h"), cube, coords(c0, k, "c0"), coords(c1, k, "c1")
 
 
 def load_path(sus: Suspension, obj) -> MoorePath:
+    """The path of a path document, equal to ``sus.path`` of its segments
+    and failing with the same first error, in one pass.
+
+    Past the first domain error (``ValueError``) the rest is only read, for
+    a format error (``FormatError``), which wins; then the pieces before it
+    are joined, for a broken junction, which wins too; then it is raised.
+    """
     raw = _require(obj, "segments", "path")
     if not isinstance(raw, list):
         raise FormatError("segments must be a list")
     read = _rational_reader("segment")
     coords = _coords_reader(read)
+    carrier = _carrier_reader(sus.base)
     cubes = sus.base.cubes
-    segs = []
+    pieces = []
+    error = None  # the first domain error, as ``segment <k>: ...``
     for k, entry in enumerate(raw):
         # a well formed entry is read straight from the dict; anything else
         # goes through ``_segment``, whose checks come first, so the first
         # error is the same either way
+        seg = None
         if type(entry) is dict and "dur" in entry:
             kind = entry.get("kind")
             if kind == "track":
@@ -402,22 +448,38 @@ def load_path(sus: Suspension, obj) -> MoorePath:
                     and type(c1) is list
                     and len(c0) == len(c1) == cubes.get(cube)
                 ):
-                    segs.append(
-                        TrackSeg(
-                            read(entry["dur"], k, "dur"),
-                            read(h[0], k, "h"),
-                            read(h[1], k, "h"),
-                            cube,
-                            coords(c0, k, "c0"),
-                            coords(c1, k, "c1"),
-                        )
-                    )
-                    continue
+                    seg = (read(entry["dur"], k, "dur"), read(h[0], k, "h"), read(h[1], k, "h"),
+                           cube, coords(c0, k, "c0"), coords(c1, k, "c1"))
             elif kind == "star":
-                segs.append(StarSeg(read(entry["dur"], k, "dur")))
-                continue
-        segs.append(_segment(entry, k, cubes, read, coords))
-    return sus.path(segs)
+                seg = (read(entry["dur"], k, "dur"),)
+        if seg is None:
+            seg = _segment(entry, k, cubes, read, coords)
+        if error:
+            continue
+        d = seg[0]
+        if d.numerator <= 0 or len(seg) == 1:
+            # a pause, or an empty track as a pause of duration 0, which the
+            # join drops but counts, so that its errors name document indices
+            if d.numerator < 0:
+                error = f"segment {k}: duration {d} is negative"
+            else:
+                pieces.append(StarSeg(d))
+            continue
+        _, h0, h1, cube, c0, c1 = seg
+        # -1 <= h <= 1 on the integers: a denominator is always positive
+        if abs(h0.numerator) > h0.denominator or abs(h1.numerator) > h1.denominator:
+            error = f"segment {k}: track heights must lie in [-1, 1]"
+            continue
+        try:
+            cube, (c0, c1) = carrier(cube, c0, c1)
+        except ValueError as err:
+            error = f"segment {k}: {err}"
+            continue
+        pieces.append(TrackSeg(d, h0, h1, cube, c0, c1))
+    path = sus._join(pieces)
+    if error:
+        raise ValueError(error)
+    return path
 
 
 def dump_word(word) -> list:

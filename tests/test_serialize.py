@@ -18,9 +18,16 @@ from dirloop.corpus import (
     torus_complex,
     wedge_of_circles,
 )
-from dirloop.cubical import CubicalSet, FaceRef, RealizationPoint, suspension_model, tensor_product
+from dirloop import serialize
+from dirloop.cli import main
+from dirloop.cubical import CubicalSet, FaceRef, RealizationPoint, strip_boundary, suspension_model, tensor_product
 from dirloop.paths import STAR, MoorePath, StarSeg, Suspension, TrackSeg
 from dirloop.serialize import (
+    _carrier_reader,
+    _coords_reader,
+    _rational_reader,
+    _require,
+    _segment,
     FormatError,
     dump_complex,
     dump_path,
@@ -498,12 +505,24 @@ def test_load_path_builds_each_track_once(monkeypatch):
         built.append(self)
         init(self, *args)
 
+    stripped = []
+    strip = serialize.strip_boundary
+
+    def counting_strip(K, cube, tuples):
+        stripped.append(cube)
+        return strip(K, cube, tuples)
+
     monkeypatch.setattr(TrackSeg, "__init__", counting_init)
+    monkeypatch.setattr(serialize, "strip_boundary", counting_strip)
     loaded = load_path(sus, obj)
     assert loaded == loop
     assert len(built) <= tracks
     # every track of the loop is held, and its two ends load as one tuple
     assert all(seg.c0 is seg.c1 for seg in loaded.segments if isinstance(seg, TrackSeg))
+    # the tracks of one excursion share their carrier, which is stripped once
+    carriers = {(s["cube"], *map(tuple, (s["c0"], s["c1"]))) for s in obj["segments"] if s["kind"] == "track"}
+    assert len(carriers) < tracks
+    assert len(stripped) == len(carriers)
 
 
 _TRACK = {"kind": "track", "dur": "1", "h": ["-1", "1"], "cube": "e", "c0": ["1/4"], "c1": ["1/4"]}
@@ -585,6 +604,143 @@ def test_load_path_reports_domain_errors_as_domain_errors():
     with pytest.raises(ValueError) as err:
         load_path(CIRCLE, obj)
     assert not isinstance(err.value, FormatError)
+
+
+def _reference_load_path(sus, obj):
+    """The two-pass loader: every entry is read into a segment first, then
+    ``Suspension.path`` checks, strips and joins the list."""
+    raw = _require(obj, "segments", "path")
+    if not isinstance(raw, list):
+        raise FormatError("segments must be a list")
+    read = _rational_reader("segment")
+    coords = _coords_reader(read)
+    fields = [_segment(entry, k, sus.base.cubes, read, coords) for k, entry in enumerate(raw)]
+    return sus.path([StarSeg(*f) if len(f) == 1 else TrackSeg(*f) for f in fields])
+
+
+def _outcome(load, sus, obj):
+    try:
+        return load(sus, obj)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def _split(entry, s):
+    # a track cut at parameter s into two pieces that merge again
+    dur, (h0, h1) = F(entry["dur"]), map(F, entry["h"])
+    c0, c1 = [list(map(F, entry[key])) for key in ("c0", "c1")]
+    mid = [rational_str(a + s * (b - a)) for a, b in zip(c0, c1)]
+    height = rational_str(h0 + s * (h1 - h0))
+    return [
+        dict(entry, dur=rational_str(dur * s), h=[entry["h"][0], height], c1=mid),
+        dict(entry, dur=rational_str(dur * (1 - s)), h=[height, entry["h"][1]], c0=mid),
+    ]
+
+
+def _mangled_document(sus, rng):
+    """A path document that may hold every kind of entry the loader meets.
+
+    Built from a random loop: tracks cut so that they merge again, full
+    climbs over boundary points (which strip), coordinate lists of JSON
+    integers, and then a few edits that may make it malformed (unknown
+    cubes, bad rationals) or break a domain rule (negative durations,
+    heights past the poles, coordinates outside [0, 1], broken junctions).
+    """
+    segments = dump_path(random_loop(sus, rng))["segments"]
+    for _ in range(rng.randint(0, 2)):
+        k = rng.randrange(len(segments))
+        if segments[k]["kind"] == "track":
+            segments[k : k + 1] = _split(segments[k], F(rng.randint(1, 3), 4))
+    cubes = sorted(sus.base.cubes)
+    for _ in range(rng.randint(0, 2)):
+        # a full climb over a point with every slot at 0 or 1, or at 1/2
+        cube = rng.choice(cubes)
+        point = [rng.choice(["0", "1", "1/2", 0, 1]) for _ in range(sus.base.cubes[cube])]
+        climb = {"kind": "track", "dur": rng.choice(["1", "1/2", 2]), "h": ["-1", "1"], "cube": cube}
+        climb.update(c0=point, c1=list(point) if rng.random() < 0.5 else point)
+        # between two pauses at the cone point a climb is continuous
+        k = rng.choice([0, len(segments)] + [i + 1 for i, e in enumerate(segments) if e["kind"] == "star"])
+        segments.insert(k, climb)
+    edits = [
+        lambda e: e.update(dur=rng.choice(["0", 0, "-1", "-1/3"])),
+        lambda e: e.update(h=[rng.choice(["-1", "-3/2", "1/2"]), rng.choice(["1", "3/2", "-2"])]),
+        lambda e: e.update(cube=rng.choice(["ghost", *cubes])),
+        lambda e: e.update(dur=rng.choice(["x", "1/0", True, 1.5])),
+        lambda e: e.update(c0=[rng.choice(["0", "1", "4/3", "-1", "y", 1]) for _ in e.get("c0", ())]),
+        lambda e: e.update(c1=list(e.get("c0", ()))),
+        lambda e: e.pop("kind", None),
+    ]
+    for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+        rng.choice(edits)(rng.choice(segments))
+    if rng.random() < 0.2:
+        k = rng.randrange(len(segments))
+        segments.insert(k, dict(segments[k], dur="0", h=["2", "-3"]))
+    if rng.random() < 0.2:
+        rng.shuffle(segments)
+    return {"segments": segments}
+
+
+@given(st.sampled_from(BASES), st.randoms(use_true_random=False))
+@settings(max_examples=400, deadline=None)
+def test_load_path_matches_the_two_pass_reference(sus, rng):
+    obj = _mangled_document(sus, rng)
+    got = _outcome(load_path, sus, json.loads(json.dumps(obj)))
+    assert got == _outcome(_reference_load_path, sus, obj)
+    if isinstance(got, MoorePath):
+        assert all(type(v) is F for v in _fraction_fields(got))
+
+
+@pytest.mark.parametrize(
+    "segments, kind, message, code",
+    [
+        # a format error anywhere wins over an earlier domain error
+        ([dict(_TRACK, dur="-1"), dict(_TRACK, c0=["x"])], FormatError, "segment 1 field c0: malformed rational 'x'", 2),
+        # a broken junction wins over a domain error at a later segment
+        (
+            [dict(_TRACK, h=["-1", "0"]), dict(_TRACK, h=["0", "1"], c0=["3/4"], c1=["3/4"]), dict(_TRACK, dur="-1")],
+            ValueError,
+            "discontinuous junction between segment 0 and segment 1",
+            1,
+        ),
+        # lists of JSON integers load as fresh tuples, each checked
+        (
+            [dict(_TRACK, c0=[0], c1=[0]), dict(_TRACK, c0=[2], c1=[2])],
+            ValueError,
+            "segment 1: coordinates must lie in [0,1]",
+            1,
+        ),
+        # and a domain error wins over a broken junction past it
+        (
+            [_TRACK, dict(_TRACK, h=["-1", "3/2"]), dict(_TRACK, h=["-1", "0"]), dict(_TRACK, h=["1/2", "1"])],
+            ValueError,
+            "segment 1: track heights must lie in [-1, 1]",
+            1,
+        ),
+    ],
+)
+def test_load_path_reports_the_first_error(capsys, tmp_path, segments, kind, message, code):
+    obj = {"segments": segments}
+    with pytest.raises(ValueError) as err:
+        load_path(CIRCLE, obj)
+    assert type(err.value) is kind and str(err.value) == message
+    assert _outcome(_reference_load_path, CIRCLE, obj) == (kind, message)
+    complex_file, path_file = tmp_path / "circle.json", tmp_path / "path.json"
+    complex_file.write_text(json.dumps(dump_complex(CIRCLE.base)))
+    path_file.write_text(json.dumps(obj))
+    assert main(["path", "eval", str(path_file), "--complex", str(complex_file), "--t", "0"]) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_the_carrier_memo_keeps_the_tuples_it_is_keyed_on():
+    # keyed on id(): if a stripped tuple could die, a fresh one (a list of
+    # JSON integers) could take its id and be given its carrier
+    carrier = _carrier_reader(CIRCLE.base)
+    c0, c1 = (F(0),), (F(0),)
+    before = sys.getrefcount(c0), sys.getrefcount(c1)
+    got = carrier("e", c0, c1)
+    assert got == strip_boundary(CIRCLE.base, "e", (c0, c1)) and got[1] == ((), ())
+    assert sys.getrefcount(c0) > before[0] and sys.getrefcount(c1) > before[1]
+    assert carrier("e", c0, c1) is got
 
 
 def test_word_round_trip():
