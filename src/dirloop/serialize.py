@@ -16,25 +16,25 @@ distinct segment object encoded once: the frames of a contraction trail
 share most of their segments.
 
 A path or a word is read in one pass, in document order.  Equal rational
-strings within one document load as one shared ``Fraction``, and equal
-coordinate lists of strings as one shared tuple, so the two ends of a held
-track are one object; nothing is kept from one document to the next.  A
-well formed path segment is read straight from its dict, and any other
-goes through the checks that name what is wrong.  A malformed rational is
-reported at its first occurrence as ``segment <k> field <name>: ...``
-(``letter <k>`` in a word).
+strings within one document load as one shared ``Fraction``; nothing is
+kept from one document to the next.  A path entry is read with cheap
+``type(x) is`` tests, and one that fails them goes through the checks that
+name what is wrong.  A malformed rational is reported at its first
+occurrence as ``segment <k> field <name>: ...`` (``letter <k>`` in a word).
 
 :func:`load_path` is the whole boundary for a path document, with the
 checks of :meth:`Suspension.path` and the same errors: each entry is read,
 its duration's sign and its heights' range are tested on the integers of
 the ``Fraction`` just read, its coordinates are range checked and stripped
 into their carrier, and the pieces go straight to ``Suspension._join``,
-with no list of segments walked a second time.  The strip runs once per
-distinct cube and pair of coordinate tuples in the document (the tracks of
-one excursion share one tuple), and each track is built once, in its
-carrier.  A format error anywhere in the document wins over a domain
-error, which the pass holds while it reads on; the pieces before a domain
-error are joined first, so a broken junction before it still wins.
+with no list of segments walked a second time.  One memo per document maps
+each track's cube and lists of coordinate strings to its stripped carrier,
+so the coordinates of the tracks of one excursion are read, checked and
+stripped once, the two ends of a held track are one tuple, and each track
+is built once, in its carrier.  A format error anywhere in the document
+wins over a domain error, which the pass holds while it reads on; the
+pieces before a domain error are joined first, so a broken junction before
+it still wins.
 
 A complex is read in one walk: :func:`parse_complex` reads each cube's
 faces once, into its row in slot order ``2*(i-1)+eps`` (the layout that
@@ -334,64 +334,13 @@ def path_text(path: MoorePath, texts=None) -> str:
     return '{"segments": [' + ", ".join(map(texts.__getitem__, map(id, path.segments))) + "]}"
 
 
-def _coords_reader(read):
-    """``coords(values, k, field)``: the coordinate lists of one document.
+def _track_entry(entry, k: int, kind, cubes) -> tuple:
+    """``(cube, h, c0, c1)`` of a track entry, unread, each check with its own text.
 
-    An all-string list is read once and later equal lists share its tuple,
-    so a held track has ``c0 is c1``.  Only all-string lists are shared:
-    ``True == 1 == 1.0``, so a key with other values could match a list
-    that reads differently.  Make one reader per document.
+    :func:`load_path` calls this only when its cheap type tests fail, once
+    the duration is read, so the first error is reported in this order; a
+    dict, str or list subclass that passes these checks is read through here.
     """
-    lists: dict[tuple, tuple] = {}
-
-    def coords(values, k: int, field: str) -> tuple:
-        key = tuple(values)
-        try:
-            hit = lists.get(key)
-        except TypeError:  # an unhashable value, which ``read`` rejects
-            hit = None
-        if hit is not None:
-            return hit
-        got = tuple([read(c, k, field) for c in values])
-        if all(type(c) is str for c in values):
-            lists[key] = got
-        return got
-
-    return coords
-
-
-def _carrier_reader(K: CubicalSet):
-    """``carrier(cube, c0, c1)``: the carriers of one document's tracks.
-
-    The range check and :func:`~dirloop.cubical.strip_boundary` run once
-    per distinct cube and pair of coordinate tuples, told apart by identity:
-    :func:`_coords_reader` shares the tuples of equal string lists, so the
-    tracks of one excursion strip once.  The memo holds every pair it has
-    seen, so no id in a key is reused while it lives; a list that is not
-    all strings loads as a fresh tuple and simply misses.  Make one reader
-    per document.
-    """
-    stripped: dict[tuple, tuple] = {}
-    seen: list = []
-
-    def carrier(cube: str, c0: tuple, c1: tuple) -> tuple:
-        key = (cube, id(c0), id(c1))
-        hit = stripped.get(key)
-        if hit is None:
-            hit = stripped[key] = strip_boundary(K, cube, (c0, c1))
-            seen.append((c0, c1))
-        return hit
-
-    return carrier
-
-
-def _segment(entry, k: int, cubes, read, coords) -> tuple:
-    # every check of one entry in order, each with its own error text;
-    # ``(dur,)`` for a pause, ``(dur, h0, h1, cube, c0, c1)`` for a track
-    kind = _require(entry, "kind", "segment {}", k)
-    dur = read(_require(entry, "dur", "segment {}", k), k, "dur")
-    if kind == "star":
-        return (dur,)
     if kind != "track":
         raise FormatError(f"segment {k} has unknown kind {kind!r}")
     cube = _require(entry, "cube", "segment {}", k)
@@ -410,54 +359,66 @@ def _segment(entry, k: int, cubes, read, coords) -> tuple:
             raise FormatError(
                 f"segment {k} field {label} needs {dim} coordinates for cube {cube!r}"
             )
-    return dur, read(h[0], k, "h"), read(h[1], k, "h"), cube, coords(c0, k, "c0"), coords(c1, k, "c1")
+    return cube, h, c0, c1
 
 
 def load_path(sus: Suspension, obj) -> MoorePath:
     """The path of a path document, equal to ``sus.path`` of its segments
     and failing with the same first error, in one pass.
 
-    Past the first domain error (``ValueError``) the rest is only read, for
-    a format error (``FormatError``), which wins; then the pieces before it
-    are joined, for a broken junction, which wins too; then it is raised.
+    Each entry is read with ``type(x) is`` tests; one that fails them goes
+    through ``_require`` and :func:`_track_entry`, which check in the
+    documented order and build the error text.  Past the first domain error
+    (``ValueError``) the rest is only read, for a format error
+    (``FormatError``), which wins; then the pieces before it are joined, for
+    a broken junction, which wins too; then it is raised.
     """
     raw = _require(obj, "segments", "path")
     if not isinstance(raw, list):
         raise FormatError("segments must be a list")
     read = _rational_reader("segment")
-    coords = _coords_reader(read)
-    carrier = _carrier_reader(sus.base)
-    cubes = sus.base.cubes
+    K, cubes = sus.base, sus.base.cubes
+    # (cube, c0 strings, c1 strings) -> the stripped carrier; only all-string
+    # lists are keys, since ``True == 1 == 1.0`` could match a list that
+    # reads differently
+    carriers: dict[tuple, tuple] = {}
     pieces = []
     error = None  # the first domain error, as ``segment <k>: ...``
     for k, entry in enumerate(raw):
-        # a well formed entry is read straight from the dict; anything else
-        # goes through ``_segment``, whose checks come first, so the first
-        # error is the same either way
-        seg = None
-        if type(entry) is dict and "dur" in entry:
-            kind = entry.get("kind")
-            if kind == "track":
-                cube, h = entry.get("cube"), entry.get("h")
-                c0, c1 = entry.get("c0"), entry.get("c1")
-                if (
-                    type(cube) is str
-                    and type(h) is list
-                    and len(h) == 2
-                    and type(c0) is list
-                    and type(c1) is list
-                    and len(c0) == len(c1) == cubes.get(cube)
-                ):
-                    seg = (read(entry["dur"], k, "dur"), read(h[0], k, "h"), read(h[1], k, "h"),
-                           cube, coords(c0, k, "c0"), coords(c1, k, "c1"))
-            elif kind == "star":
-                seg = (read(entry["dur"], k, "dur"),)
-        if seg is None:
-            seg = _segment(entry, k, cubes, read, coords)
+        kind = dur = None
+        if type(entry) is dict:
+            kind, dur = entry.get("kind"), entry.get("dur")
+        if kind is None or dur is None:
+            kind, dur = _require(entry, "kind", "segment {}", k), _require(entry, "dur", "segment {}", k)
+        d = read(dur, k, "dur")
+        if kind != "star":
+            cube, h, c0, c1 = entry.get("cube"), entry.get("h"), entry.get("c0"), entry.get("c1")
+            if not (
+                kind == "track"
+                and type(cube) is str
+                and type(h) is list
+                and len(h) == 2
+                and type(c0) is list
+                and type(c1) is list
+                and len(c0) == len(c1) == cubes.get(cube)
+            ):
+                cube, h, c0, c1 = _track_entry(entry, k, kind, cubes)
+            h0, h1 = read(h[0], k, "h"), read(h[1], k, "h")
+            key = (cube, tuple(c0), tuple(c1))
+            try:
+                carrier = carriers.get(key)
+            except TypeError:  # an unhashable coordinate, which ``read`` rejects
+                carrier = None
+            if carrier is None:
+                # a hit was read when it was stored; a miss is read here, past
+                # a held error too, for a format error
+                strings = all(type(c) is str for c in c0 + c1)
+                held = strings and c0 == c1  # its two ends load as one tuple
+                c0 = tuple([read(c, k, "c0") for c in c0])
+                c1 = c0 if held else tuple([read(c, k, "c1") for c in c1])
         if error:
             continue
-        d = seg[0]
-        if d.numerator <= 0 or len(seg) == 1:
+        if d.numerator <= 0 or kind == "star":
             # a pause, or an empty track as a pause of duration 0, which the
             # join drops but counts, so that its errors name document indices
             if d.numerator < 0:
@@ -465,16 +426,19 @@ def load_path(sus: Suspension, obj) -> MoorePath:
             else:
                 pieces.append(StarSeg(d))
             continue
-        _, h0, h1, cube, c0, c1 = seg
         # -1 <= h <= 1 on the integers: a denominator is always positive
         if abs(h0.numerator) > h0.denominator or abs(h1.numerator) > h1.denominator:
             error = f"segment {k}: track heights must lie in [-1, 1]"
             continue
-        try:
-            cube, (c0, c1) = carrier(cube, c0, c1)
-        except ValueError as err:
-            error = f"segment {k}: {err}"
-            continue
+        if carrier is None:
+            try:
+                carrier = strip_boundary(K, cube, (c0, c1))
+            except ValueError as err:
+                error = f"segment {k}: {err}"
+                continue
+            if strings:
+                carriers[key] = carrier
+        cube, (c0, c1) = carrier
         pieces.append(TrackSeg(d, h0, h1, cube, c0, c1))
     path = sus._join(pieces)
     if error:

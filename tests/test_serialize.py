@@ -20,14 +20,10 @@ from dirloop.corpus import (
 )
 from dirloop import serialize
 from dirloop.cli import main
-from dirloop.cubical import CubicalSet, FaceRef, RealizationPoint, strip_boundary, suspension_model, tensor_product
+from dirloop.cubical import CubicalSet, FaceRef, RealizationPoint, suspension_model, tensor_product
 from dirloop.paths import STAR, MoorePath, StarSeg, Suspension, TrackSeg
 from dirloop.serialize import (
-    _carrier_reader,
-    _coords_reader,
     _rational_reader,
-    _require,
-    _segment,
     FormatError,
     dump_complex,
     dump_path,
@@ -571,6 +567,76 @@ def test_load_path_shares_equal_coordinate_lists_within_one_document():
     assert again == first and again.c0 is not first.c0 and again.h1 is not first.h1
 
 
+def _counting_strips(monkeypatch):
+    # the cubes ``load_path`` strips from, in order
+    stripped = []
+    strip = serialize.strip_boundary
+
+    def counting_strip(K, cube, tuples):
+        stripped.append(cube)
+        return strip(K, cube, tuples)
+
+    monkeypatch.setattr(serialize, "strip_boundary", counting_strip)
+    return stripped
+
+
+def test_equal_coordinates_over_two_cubes_have_two_carriers(monkeypatch):
+    sus = Suspension(wedge_of_circles(2))
+    e0, e1 = (sus.basic_loop(RealizationPoint(e, (F(1, 3),))) for e in ("e0", "e1"))
+    loop = sus.concat(sus.concat(e0, e1), e0)
+    stripped = _counting_strips(monkeypatch)
+    loaded = load_path(sus, dump_path(loop))
+    assert loaded == loop
+    assert [seg.cube for seg in loaded.segments] == ["e0", "e1", "e0"]
+    assert stripped == ["e0", "e1"]
+
+
+_LOW, _HIGH = dict(_TRACK, h=["-1", "0"]), dict(_TRACK, h=["0", "1"])
+
+
+def _climb(low, high):
+    # pole to pole in two held tracks, over the coordinates ``low``, then ``high``
+    return {"segments": [dict(_LOW, c0=low, c1=low), dict(_HIGH, c0=high, c1=high)]}
+
+
+@pytest.mark.parametrize(
+    "first, second, message",
+    [
+        (["1"], [1], None),
+        ([1], [1], None),
+        ([0], [0], None),
+        (["1"], [True], "segment 1 field c0: expected a rational, got True"),
+        ([1], [True], "segment 1 field c0: expected a rational, got True"),
+        (["1"], [1.0], "segment 1 field c0: rationals must be strings or integers, got 1.0"),
+        ([1], [1.0], "segment 1 field c0: rationals must be strings or integers, got 1.0"),
+    ],
+)
+def test_only_lists_of_strings_key_a_carrier(monkeypatch, first, second, message):
+    # True == 1 == 1.0, so a key with other values could match a list that
+    # reads differently: such a list neither hits nor fills a key, and is
+    # read and stripped at each track
+    strings = [str(c) for c in first]
+    expected = load_path(CIRCLE, _climb(strings, strings))
+    stripped = _counting_strips(monkeypatch)
+    if message:
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            load_path(CIRCLE, _climb(first, second))
+    else:
+        assert load_path(CIRCLE, _climb(first, second)) == expected
+        assert stripped == ["e", "e"]
+
+
+def test_a_key_first_met_past_a_domain_error_is_read_and_not_stripped(monkeypatch):
+    stripped = _counting_strips(monkeypatch)
+    with pytest.raises(ValueError, match=r"^segment 0: duration -1 is negative$"):
+        load_path(CIRCLE, {"segments": [dict(_TRACK, dur="-1"), _TRACK, _TRACK]})
+    assert stripped == []
+    # a key met before the error hits past it; one first met past it is read
+    with pytest.raises(FormatError, match="^segment 3 field c1: malformed rational 'x'$"):
+        load_path(CIRCLE, {"segments": [_LOW, dict(_TRACK, dur="-1"), _HIGH, dict(_TRACK, c1=["x"])]})
+    assert stripped == ["e"]
+
+
 @pytest.mark.parametrize(
     "mangle, message",
     [
@@ -606,6 +672,55 @@ def test_load_path_reports_domain_errors_as_domain_errors():
     assert not isinstance(err.value, FormatError)
 
 
+def _reference_coords(read):
+    # the coordinate lists of one document: an all-string list is read once
+    # and later equal lists share its tuple
+    lists = {}
+
+    def coords(values, k, field):
+        key = tuple(values)
+        try:
+            hit = lists.get(key)
+        except TypeError:
+            hit = None
+        if hit is not None:
+            return hit
+        got = tuple([read(c, k, field) for c in values])
+        if all(type(c) is str for c in values):
+            lists[key] = got
+        return got
+
+    return coords
+
+
+def _reference_segment(entry, k, cubes, read, coords):
+    # every check of one entry in order, each with its own error text;
+    # ``(dur,)`` for a pause, ``(dur, h0, h1, cube, c0, c1)`` for a track
+    kind = _require(entry, "kind", "segment {}", k)
+    dur = read(_require(entry, "dur", "segment {}", k), k, "dur")
+    if kind == "star":
+        return (dur,)
+    if kind != "track":
+        raise FormatError(f"segment {k} has unknown kind {kind!r}")
+    cube = _require(entry, "cube", "segment {}", k)
+    if not isinstance(cube, str):
+        raise FormatError(f"segment {k} cube id must be a string, got {cube!r}")
+    if cube not in cubes:
+        raise FormatError(f"segment {k} references unknown cube {cube!r}")
+    h = _require(entry, "h", "segment {}", k)
+    if not isinstance(h, list) or len(h) != 2:
+        raise FormatError(f"segment {k} needs a two element height list")
+    c0 = _require(entry, "c0", "segment {}", k)
+    c1 = _require(entry, "c1", "segment {}", k)
+    dim = cubes[cube]
+    for label, values in (("c0", c0), ("c1", c1)):
+        if not isinstance(values, list) or len(values) != dim:
+            raise FormatError(
+                f"segment {k} field {label} needs {dim} coordinates for cube {cube!r}"
+            )
+    return dur, read(h[0], k, "h"), read(h[1], k, "h"), cube, coords(c0, k, "c0"), coords(c1, k, "c1")
+
+
 def _reference_load_path(sus, obj):
     """The two-pass loader: every entry is read into a segment first, then
     ``Suspension.path`` checks, strips and joins the list."""
@@ -613,8 +728,8 @@ def _reference_load_path(sus, obj):
     if not isinstance(raw, list):
         raise FormatError("segments must be a list")
     read = _rational_reader("segment")
-    coords = _coords_reader(read)
-    fields = [_segment(entry, k, sus.base.cubes, read, coords) for k, entry in enumerate(raw)]
+    coords = _reference_coords(read)
+    fields = [_reference_segment(entry, k, sus.base.cubes, read, coords) for k, entry in enumerate(raw)]
     return sus.path([StarSeg(*f) if len(f) == 1 else TrackSeg(*f) for f in fields])
 
 
@@ -729,18 +844,6 @@ def test_load_path_reports_the_first_error(capsys, tmp_path, segments, kind, mes
     path_file.write_text(json.dumps(obj))
     assert main(["path", "eval", str(path_file), "--complex", str(complex_file), "--t", "0"]) == code
     assert capsys.readouterr() == ("", f"error: {message}\n")
-
-
-def test_the_carrier_memo_keeps_the_tuples_it_is_keyed_on():
-    # keyed on id(): if a stripped tuple could die, a fresh one (a list of
-    # JSON integers) could take its id and be given its carrier
-    carrier = _carrier_reader(CIRCLE.base)
-    c0, c1 = (F(0),), (F(0),)
-    before = sys.getrefcount(c0), sys.getrefcount(c1)
-    got = carrier("e", c0, c1)
-    assert got == strip_boundary(CIRCLE.base, "e", (c0, c1)) and got[1] == ((), ())
-    assert sys.getrefcount(c0) > before[0] and sys.getrefcount(c1) > before[1]
-    assert carrier("e", c0, c1) is got
 
 
 def test_word_round_trip():
