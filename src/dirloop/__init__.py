@@ -4,6 +4,10 @@ Finitely presented cubical complexes, their homology over a field, PL
 Moore paths on the suspension with rational breakpoints, crossing words,
 the straightening deformation and the loop space homology series.  All
 arithmetic is exact; path and word equality are structural.
+
+Importing the package loads none of its modules: each public name, and
+each module named in ``_PUBLIC``, is resolved on first access, so a
+program that needs only the complexes never loads the path code.
 """
 
 from importlib import import_module
@@ -37,11 +41,19 @@ _PUBLIC = {
 
 __version__ = "0.1.0"
 
-__all__ = []
-for _module, _names in _PUBLIC.items():
-    _source = import_module(f".{_module}", __name__)
-    for _name in _names:
-        globals()[_name] = getattr(_source, _name)
-    __all__ += _names
-__all__.append("__version__")
-del import_module, _module, _names, _source, _name
+# public name -> its module
+_SOURCE = {name: module for module, names in _PUBLIC.items() for name in names}
+__all__ = [*_SOURCE, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _PUBLIC:
+        return import_module(f".{name}", __name__)  # the import binds it here
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_SOURCE[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_PUBLIC})

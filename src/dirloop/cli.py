@@ -9,9 +9,12 @@ presentation that ``validate`` rejects exits 2 before any computation;
 
 :class:`RunConfig` holds the field, the truncation degree, the shear and
 the sample grid, and checks the degree and the shear, which argparse
-cannot; ``--samples`` is checked as its grid is built.  Options that one
-handler reads and argparse fully checks, ``--x-structure`` (default
-``total``) and ``--seed`` (default 0), stay on the parsed arguments.
+cannot; ``--samples`` is checked as its grid is built.  The default grid
+of five samples is built here by :func:`_sample_grid` and equals
+``straighten.DEFAULT_SAMPLES``, so filling it loads no path module.
+Options that one handler reads and argparse fully checks,
+``--x-structure`` (default ``total``) and ``--seed`` (default 0), stay on
+the parsed arguments.
 
 Each handler returns its output as pieces of text, formatted inside the
 same guarded block as the computation, so a payload that cannot be
@@ -23,11 +26,21 @@ coefficient ends it whatever the degree, and running out of memory is one
 outputs join the texts of :func:`~dirloop.serialize.segment_texts`, each
 distinct segment encoded once; a contraction trail is encoded whole and
 then written one frame at a time, since joining cannot fail.
+
+Imports follow the command.  Importing this module loads the complex
+modules (``cubical``, ``homology``, ``loop_algebra``, ``serialize``) and
+no path code, so ``validate``, ``homology``, ``suspension`` and
+``loop-homology`` never load ``paths``, ``james`` or ``straighten``.  When
+the first argument is ``sec``, ``straighten``, ``contract`` or ``path``,
+:func:`main` loads those three at once, through :func:`_load_path_stack`,
+before it builds the parser or reads a file; no handler runs an import
+statement of its own, which would cost each job a few microseconds.
+``argparse`` loads when the parser is first built, and the
+acceptance suite only for ``selftest``.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
@@ -37,9 +50,7 @@ from fractions import Fraction
 
 from .cubical import RealizationPoint, suspension_model, validate
 from .homology import RATIONALS, FieldSpec, betti
-from .james import crossing_word
 from .loop_algebra import loop_space_generators, tensor_algebra_coefficients
-from .paths import STAR, Suspension
 from .serialize import (
     FormatError,
     dump_complex,
@@ -52,13 +63,15 @@ from .serialize import (
     rational_str,
     segment_texts,
 )
-from .straighten import (
-    DEFAULT_SAMPLES,
-    contract_straightened,
-    contract_to_constant,
-    full_straighten,
-    word_climbs,
-)
+
+# the commands that read a path, named by the first argument
+_PATH_COMMANDS = frozenset({"sec", "straighten", "contract", "path"})
+
+
+def _sample_grid(count: int) -> tuple:
+    if count < 2:
+        raise ValueError("samples must be at least 2")
+    return tuple(Fraction(k, count - 1) for k in range(count))
 
 
 @dataclass(frozen=True)
@@ -68,19 +81,13 @@ class RunConfig:
     field: FieldSpec = RATIONALS
     degree: int = 6
     epsilon: Fraction = Fraction(1, 2)
-    samples: tuple = DEFAULT_SAMPLES
+    samples: tuple = _sample_grid(5)  # equal to ``straighten.DEFAULT_SAMPLES``
 
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must lie strictly between 0 and 1")
-
-
-def _sample_grid(count: int) -> tuple:
-    if count < 2:
-        raise ValueError("samples must be at least 2")
-    return tuple(Fraction(k, count - 1) for k in range(count))
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
@@ -110,7 +117,24 @@ def _load_complex_file(filename: str):
     return load_complex(_read_json(filename))
 
 
+@functools.cache
+def _load_path_stack() -> None:
+    """Import ``paths``, ``james`` and ``straighten`` once a process, and
+    bind the names the path handlers use.
+
+    :func:`main` calls this for the path commands before it builds the
+    parser; :func:`_load_pair`, which every path handler calls first, calls
+    it too, so a handler reached any other way still finds its names.
+    """
+    global STAR, Suspension, crossing_word, contract_straightened, contract_to_constant
+    global full_straighten, word_climbs
+    from .james import crossing_word
+    from .paths import STAR, Suspension
+    from .straighten import contract_straightened, contract_to_constant, full_straighten, word_climbs
+
+
 def _load_pair(args: argparse.Namespace):
+    _load_path_stack()
     sus = Suspension(_load_complex_file(args.complex))
     return sus, load_path(sus, _read_json(args.path))
 
@@ -259,6 +283,8 @@ def _add_path_args(parser: argparse.ArgumentParser) -> None:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # built once per process: parsing leaves the parser unchanged
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="dirloop",
         description="Exact computations with directed loops on suspended cubical complexes.",
@@ -348,6 +374,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _PATH_COMMANDS:
+        # compiled before argparse and the parser, the path stack leaves peak
+        # memory where it was
+        _load_path_stack()
     args = _build_parser().parse_args(argv)
     try:
         # formatting can fail too, on an integer past the digit limit, so

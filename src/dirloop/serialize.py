@@ -49,14 +49,19 @@ the full checks accept.  :func:`load_complex` then runs
 :func:`~dirloop.cubical.validate` and raises its first violation as a
 ``FormatError`` of the form ``cube '<id>': face d<eps>_<i> ...``.  Every
 computing command loads; the ``validate`` command only parses.
+
+The path readers and writers import :mod:`dirloop.paths` on their first
+call, so reading a complex does not load the path code.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .cubical import (
     CubicalSet,
@@ -69,7 +74,9 @@ from .cubical import (
     normalize_point,
     strip_boundary,
 )
-from .paths import MoorePath, StarSeg, Suspension, TrackSeg
+
+if TYPE_CHECKING:
+    from .paths import MoorePath, Suspension
 
 _FACE_KEY = re.compile(r"d([01])_([1-9][0-9]*)")
 # the form every dump writes; [0-9] matches ASCII digits only
@@ -262,34 +269,46 @@ def load_complex(obj) -> CubicalSet:
     return K
 
 
-def _dump_segment(seg) -> dict:
-    if isinstance(seg, StarSeg):
-        return {"kind": "star", "dur": rational_str(seg.duration)}
-    return {
-        "kind": "track",
-        "dur": rational_str(seg.duration),
-        "h": [rational_str(seg.h0), rational_str(seg.h1)],
-        "cube": seg.cube,
-        "c0": [rational_str(c) for c in seg.c0],
-        "c1": [rational_str(c) for c in seg.c1],
-    }
+@functools.cache
+def _segment_classes() -> tuple:
+    """``(StarSeg, TrackSeg)``, imported on the first call: the path readers
+    and writers load :mod:`dirloop.paths`, reading a complex does not."""
+    from .paths import StarSeg, TrackSeg
+
+    return StarSeg, TrackSeg
 
 
 def dump_path(path: MoorePath) -> dict:
-    return {"segments": [_dump_segment(seg) for seg in path.segments]}
+    StarSeg, _ = _segment_classes()
+
+    def entry(seg) -> dict:
+        if isinstance(seg, StarSeg):
+            return {"kind": "star", "dur": rational_str(seg.duration)}
+        return {
+            "kind": "track",
+            "dur": rational_str(seg.duration),
+            "h": [rational_str(seg.h0), rational_str(seg.h1)],
+            "cube": seg.cube,
+            "c0": [rational_str(c) for c in seg.c0],
+            "c1": [rational_str(c) for c in seg.c1],
+        }
+
+    return {"segments": [entry(seg) for seg in path.segments]}
 
 
 def segment_texts(paths) -> dict:
     """``{id(seg): text}`` for the segments of the paths, each distinct
     segment object encoded once.
 
-    ``text`` is ``json.dumps(_dump_segment(seg))``; cube names go through
-    ``json.dumps``.  This is the one step of writing a path that can fail
-    (a value past the interpreter's integer digit limit), so a caller
-    encodes every segment before it writes anything.  The ids stay valid
+    ``text`` is ``json.dumps`` of the segment's entry in :func:`dump_path`;
+    cube names go through ``json.dumps``.  This is the one step of writing
+    a path that can fail (a value past the interpreter's integer digit
+    limit), so a caller encodes every segment before it writes anything.
+    The ids stay valid
     only while the paths are alive.  Segments share their value objects
     and coordinate tuples, so each of those is written once too, by id.
     """
+    StarSeg, _ = _segment_classes()
     texts: dict[int, str] = {}
     cubes: dict = {}
     values: dict[int, str] = {}
@@ -373,6 +392,7 @@ def load_path(sus: Suspension, obj) -> MoorePath:
     (``FormatError``), which wins; then the pieces before it are joined, for
     a broken junction, which wins too; then it is raised.
     """
+    StarSeg, TrackSeg = _segment_classes()
     raw = _require(obj, "segments", "path")
     if not isinstance(raw, list):
         raise FormatError("segments must be a list")

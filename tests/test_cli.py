@@ -241,21 +241,60 @@ def test_selftest_table(capsys):
     assert lines[-1] == "10/10 criteria passed"
 
 
-def test_importing_the_cli_leaves_the_acceptance_suite_unloaded():
+# runs each argv of a JSON list through ``cli.main``; prints the exit codes
+# and the modules loaded since the start, less those the interpreter had
+_RUN_MAIN = """
+import io, json, sys
+from contextlib import redirect_stdout
+before = set(sys.modules)
+from dirloop.cli import main
+with redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(set(sys.modules) - before)]))
+"""
+
+
+def test_importing_the_cli_leaves_the_acceptance_suite_unloaded(fresh_interpreter):
     # only selftest needs the acceptance suite, its corpus and random;
     # modules the interpreter loaded before the import do not count
-    src = str(Path(__file__).parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = (
         "import json, sys; before = set(sys.modules); import dirloop.cli; "
         "print(json.dumps(sorted(set(sys.modules) - before)))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=120
-    ).stdout
-    loaded = json.loads(out)
+    loaded = fresh_interpreter(script)
     assert "dirloop.cli" in loaded
     assert {"dirloop.acceptance", "dirloop.corpus", "random"}.isdisjoint(loaded)
+
+    # the complex commands run no path code, so they never load it
+    path_stack = {"dirloop.paths", "dirloop.james", "dirloop.straighten"}
+    data = Path(__file__).parent / "data"
+    base, loop = str(data / "wedge3.json"), str(data / "wedge3_loop47.json")
+    runs = [[command, base] for command in ("homology", "loop-homology", "validate", "suspension")]
+    codes, loaded = fresh_interpreter(_RUN_MAIN, json.dumps(runs))
+    assert codes == [0, 0, 0, 0]
+    assert path_stack.isdisjoint(loaded)
+
+    # one ``path eval`` loads the whole path stack, so a first ``sec`` or
+    # ``straighten`` after it compiles nothing
+    codes, loaded = fresh_interpreter(_RUN_MAIN, json.dumps([["path", "eval", loop, "--complex", base, "--t", "1"]]))
+    assert codes == [0]
+    assert path_stack <= set(loaded)
+
+
+def test_main_takes_any_iterable_of_arguments(capsys, circle_file, loop_file):
+    # the first argument picks the modules to load, so main reads it off a list
+    assert main(iter(["homology", circle_file])) == 0
+    assert main(iter(["path", "eval", loop_file, "--complex", circle_file, "--t", "0"])) == 0
+    capsys.readouterr()
+
+
+def test_the_default_sample_grid_is_the_straightening_default():
+    from dirloop.straighten import DEFAULT_SAMPLES
+
+    parser = cli._build_parser()
+    for command in ("straighten", "contract"):
+        args = parser.parse_args([command, "loop.json", "--complex", "base.json"])
+        assert cli._config(args).samples == DEFAULT_SAMPLES
 
 
 def test_exit_codes_for_bad_input(capsys, tmp_path, circle_file, loop_file):

@@ -4,6 +4,8 @@ import importlib
 import re
 from pathlib import Path
 
+import pytest
+
 import dirloop
 
 # the public names, under the module each comes from, in the order of ``__all__``
@@ -88,3 +90,29 @@ def test_the_readme_library_imports_resolve():
         namespace = {}
         exec(f"from dirloop import {', '.join(names)}", namespace)
         assert all(namespace[name] is getattr(dirloop, name) for name in names)
+
+
+def test_importing_the_package_loads_none_of_its_modules(fresh_interpreter):
+    loaded = fresh_interpreter("import json, sys, dirloop; print(json.dumps(sorted(sys.modules)))")
+    assert "dirloop" in loaded
+    assert [name for name in loaded if name.startswith("dirloop.")] == []
+
+
+def test_each_module_of_the_table_resolves_on_first_access(fresh_interpreter):
+    script = (
+        "import json, dirloop; "
+        "print(json.dumps([dirloop.paths.Suspension.__name__, "
+        f"[getattr(dirloop, m).__name__ for m in {list(PUBLIC)!r}]]))"
+    )
+    suspension, modules = fresh_interpreter(script)
+    assert suspension == "Suspension"
+    assert modules == [f"dirloop.{module}" for module in PUBLIC]
+
+
+def test_dir_lists_every_public_name():
+    assert set(dirloop.__all__) <= set(dir(dirloop))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="module 'dirloop' has no attribute 'no_such_name'"):
+        dirloop.no_such_name
