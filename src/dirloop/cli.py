@@ -210,7 +210,11 @@ def cmd_straighten(args):
     config = _config(args)
     sus, loop = _load_pair(args)
     result, frames = full_straighten(sus, loop, config.samples)
-    texts = segment_texts([result, *frames])
+    trail = contract_straightened(sus, result, frames) if args.contract else []
+    # every segment encoded once; the trail drops a frame equal to the one
+    # before it, whose segments may be other objects, so the frames are
+    # encoded too
+    texts = segment_texts([result, *frames, *trail])
     # the result is one full climb per letter, so its word is read off the climbs
     sec = dump_word([RealizationPoint(tr.cube, tr.c0) for tr in word_climbs(sus, result)])
     head = (
@@ -219,8 +223,7 @@ def cmd_straighten(args):
         f'"sec": {json.dumps(sec)}'
     )
     if args.contract:
-        trail = contract_straightened(sus, result, frames)
-        return _trail_pieces(head + ", ", trail, segment_texts(trail)), 0
+        return _trail_pieces(head + ", ", trail, texts), 0
     return (head + "}",), 0
 
 

@@ -476,9 +476,9 @@ def strip_boundary(K: CubicalSet, cube: str, tuples) -> tuple[str, tuple]:
     Returns the carrier and the stripped tuples.  For a well formed complex
     the outcome does not depend on the stripping order.  When nothing is
     stripped, a given tuple of ``Fraction`` values comes back as the very
-    same object, so a caller can tell an unchanged input by identity.  Such
-    a tuple passed twice in a row (the ends of a held track) is checked
-    once and stripped once, so its two results are one object too.
+    same object, not rebuilt.  Such a tuple passed twice in a row (the ends
+    of a held track) is checked once and stripped once, so its two results
+    are one object too.
     """
     n = K.cubes.get(cube)
     if n is None:

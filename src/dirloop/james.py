@@ -78,7 +78,7 @@ def word_loop(sus: Suspension, letters: Iterable) -> MoorePath:
             segs.append(StarSeg(2 * _interval_value(letter)))
         else:
             raise TypeError(f"not a letter: {letter!r}")
-    return sus.path(segs)
+    return sus._join(segs)
 
 
 def retract_word(K: CubicalSet, letters: Iterable) -> JamesWord:

@@ -20,15 +20,16 @@ in principle: segments are shared by identity across paths, frames and
 trails, so no code assigns to one, which a test checks by walking the AST
 of every module of the package.
 
-Raw segments inside, one :meth:`Suspension.path` per public transform: the
+Transforms join, and only segments from outside are canonicalized.  The
 module level builders (``_slice``, ``_shifted``, ``_map_heights``) return
-plain segment lists, and each public transform
-canonicalizes its output once.  Canonicalizing in stages gives the same
-path as canonicalizing once, so no intermediate result is wrapped in a
-``MoorePath`` only to be canonicalized again.  Pieces of canonical segments
-already sit in their carriers, so builders that only cut, shift, clamp and
-rescale such pieces (the straightening frames and the contraction heads in
-:mod:`dirloop.straighten`) hand them to the join directly.
+plain segment lists, and each public transform hands its list to the join
+once.  Every piece they build is cut, shifted, clamped or rescaled from a
+canonical segment, or is a climb over a normalized point, so it already
+sits in its carrier with ``Fraction`` values: a moving coordinate is held
+on no piece of its track, and the clamp keeps every height within the
+poles.  No transform's output passes through :meth:`Suspension.path`, and
+no intermediate result is wrapped in a ``MoorePath`` only to be joined
+again.
 
 Each concept has one mechanism underneath.  Every height deformation
 (``height_affine``, ``shift_heights``, ``make_increasing`` and through them
@@ -46,13 +47,12 @@ and the straightening both read.
 The kernel stays exact and cheap per segment.  Range and pole tests on
 durations and heights read the integers of a ``Fraction`` rather than
 comparing ``Fraction`` objects, and values that already are ``Fraction``
-are not rebuilt: a track that is canonical as given, with every value a
-``Fraction``, comes back from the canonicalizer as the same object.  The
-join is one loop that reads each piece's duration and heights as integers
-once.  A run of pauses is summed on integers and built as one pause when a
-track or the end closes it, the junction, pole and height-rate tests run
-on the last track's integers, and a coordinate rate is one integer
-cross-multiplication, none where the coordinate is held.  A pure vertical
+are not rebuilt.  The join is one loop that reads each piece's duration
+and heights as integers once.  A run of pauses is summed on integers and
+built as one pause when a track or the end closes it, the junction, pole
+and height-rate tests run on the last track's integers, and a coordinate
+rate is one integer cross-multiplication, none where the coordinate is
+held.  A pure vertical
 shift (a = 1, c = 0) adds b to each height with no clock, or nothing at
 all when b = 0.  ``_shifted`` works out the shifted heights and the scaled
 duration as integer pairs, not necessarily reduced, and the clamp builds a
@@ -504,30 +504,20 @@ class Suspension:
     # construction
 
     def _canonical(self, seg):
-        # one untrusted segment checked and pushed into its carrier; an
-        # empty one becomes a pause of duration 0, which the join drops
+        # one untrusted segment checked and pushed into its carrier, built
+        # afresh with Fraction values and tuple coordinates; an empty one
+        # becomes a pause of duration 0, which the join drops
         d = as_fraction(seg.duration)
         if d.numerator < 0:
             raise ValueError(f"duration {d} is negative")
         if d.numerator == 0:
             return StarSeg(d)
         if isinstance(seg, StarSeg):
-            return seg if d is seg.duration else StarSeg(d)
+            return StarSeg(d)
         h0, h1 = as_fraction(seg.h0), as_fraction(seg.h1)
         if not (_within_poles(h0) and _within_poles(h1)):
             raise ValueError("track heights must lie in [-1, 1]")
         cube, (c0, c1) = strip_boundary(self.base, seg.cube, (seg.c0, seg.c1))
-        # by identity: (0,) == (Fraction(0),), so equality would keep an int
-        if (
-            c0 is seg.c0
-            and c1 is seg.c1
-            and d is seg.duration
-            and h0 is seg.h0
-            and h1 is seg.h1
-            and cube is seg.cube
-            and type(seg) is TrackSeg
-        ):
-            return seg
         return TrackSeg(d, h0, h1, cube, c0, c1)
 
     def _canonical_pieces(self, segments):
@@ -541,8 +531,11 @@ class Suspension:
     def _join(self, pieces: Iterable, empty_at=STAR) -> MoorePath:
         """The path through pieces that each already sit in their carrier.
 
-        Internal builders hand their pieces of canonical segments here
-        directly.  Pieces of duration 0 are dropped, a track in the
+        Every transform hands its pieces here directly, and the join trusts
+        them: each piece has ``Fraction`` values, tuple coordinates, a
+        positive or zero duration and heights within the poles, and
+        ``empty_at`` is a suspension point.  :meth:`path` checks all of that
+        for segments from outside.  Pieces of duration 0 are dropped, a track in the
         basepoint column or flat at a pole becomes a pause, pauses merge and
         so do collinear tracks, and a discontinuous junction raises
         ``ValueError`` naming the two piece indices.  Pieces are taken one
@@ -611,21 +604,21 @@ class Suspension:
             last = k
         if pq:
             out.append(run or StarSeg(Fraction(pn, pq)))
-        if not out:
-            if not (empty_at is STAR or isinstance(empty_at, Interior)):
-                raise ValueError("empty_at must be a suspension point")
-            return MoorePath((), empty_at)
-        return MoorePath(tuple(out), STAR)
+        return MoorePath(tuple(out), STAR) if out else MoorePath((), empty_at)
 
     def path(self, segments: Iterable, empty_at=STAR) -> MoorePath:
         """Build the canonical path through the given segments.
 
-        The boundary canonicalizer for untrusted segments: each one is
-        checked and pushed into its carrier, then joined.  Zero length
-        segments are dropped, segments pinned to the cone point become
-        pauses, collinear neighbours merge, and any discontinuous junction
-        raises ``ValueError``.  Errors name the input segment index.
+        The boundary canonicalizer for segments from outside the package;
+        no transform calls it.  Each segment is checked and pushed into its
+        carrier, then joined.  Zero length segments are dropped, segments
+        pinned to the cone point become pauses, collinear neighbours merge,
+        and any discontinuous junction raises ``ValueError``.  Errors name
+        the input segment index.  ``empty_at``, where an empty result sits,
+        must be a suspension point.
         """
+        if not (empty_at is STAR or isinstance(empty_at, Interior)):
+            raise ValueError("empty_at must be a suspension point")
         return self._join(self._canonical_pieces(segments), empty_at)
 
     def concat(self, *paths: MoorePath) -> MoorePath:
@@ -635,7 +628,7 @@ class Suspension:
             if self.end_point(a) != self.start_point(b):
                 raise ValueError("paths do not meet end to start")
         segs = [s for p in paths for s in p.segments]
-        return self.path(segs, empty_at=self.start_point(paths[0]))
+        return self._join(segs, empty_at=self.start_point(paths[0]))
 
     # ------------------------------------------------------------------
     # inspection
@@ -699,13 +692,13 @@ class Suspension:
             )
         segs = _slice(path, a, b)
         # only an empty slice needs to know where it sits
-        return self.path(segs, empty_at=STAR if segs else self.evaluate(path, a))
+        return self._join(segs, empty_at=STAR if segs else self.evaluate(path, a))
 
     def scale_time(self, path: MoorePath, factor) -> MoorePath:
         f = Fraction(factor)
         if f <= 0:
             raise ValueError("time scale must be positive")
-        return self.path(_shifted(path.segments, 0, f), empty_at=path.empty_at)
+        return self._join(_shifted(path.segments, 0, f), empty_at=path.empty_at)
 
     def reparam(self, path: MoorePath, table: Sequence) -> MoorePath:
         """Run the path on a new clock given (new_time, old_time) breakpoints.
@@ -746,7 +739,7 @@ class Suspension:
                     )
             else:
                 segs.extend(_shifted(_slice(path, o0, o1), 0, (n1 - n0) / (o1 - o0)))
-        return self.path(segs, empty_at=self.start_point(path))
+        return self._join(segs, empty_at=self.start_point(path))
 
     # ------------------------------------------------------------------
     # height deformations
@@ -763,7 +756,7 @@ class Suspension:
         if -a + b > -1 or a + b < 1:
             raise ValueError("affine height map must cover [-1, 1]")
         segs = _map_heights(path.segments, a, b, 0)
-        return self.path(segs, empty_at=_map_point(path.empty_at, a, b))
+        return self._join(segs, empty_at=_map_point(path.empty_at, a, b))
 
     def shift_heights(self, path: MoorePath, delta) -> MoorePath:
         """Clamped vertical translation.
@@ -774,7 +767,7 @@ class Suspension:
         """
         d = Fraction(delta)
         segs = _map_heights(path.segments, 1, d, 0)
-        return self.path(segs, empty_at=_map_point(path.empty_at, 1, d))
+        return self._join(segs, empty_at=_map_point(path.empty_at, 1, d))
 
     def shrink_cone(self, path: MoorePath, side: str, t) -> MoorePath:
         """Push one half cone into its pole; at t=1 that half is fully absorbed."""
@@ -800,7 +793,7 @@ class Suspension:
         T = path.duration
         if T == 0:
             return path
-        return self.path(_map_heights(path.segments, 1 / (1 - e), 0, e / (T * (1 - e))))
+        return self._join(_map_heights(path.segments, 1 / (1 - e), 0, e / (T * (1 - e))))
 
     # ------------------------------------------------------------------
     # ramps and the letter maps
@@ -815,7 +808,7 @@ class Suspension:
         if aa >= bb:
             raise ValueError("ramp needs a strictly increasing height interval")
         x = normalize_point(self.base, x.cube, x.coords)
-        return self.path(_ramp_segments(x, aa, bb))
+        return self._join(_ramp_segments(x, aa, bb))
 
     def basic_loop(self, x: RealizationPoint) -> MoorePath:
         """The loop threading the suspension once over the base point ``x``."""
@@ -826,7 +819,7 @@ class Suspension:
         if not self.is_loop(loop):
             raise ValueError("attach_letter needs a loop at the cone point")
         x = normalize_point(self.base, x.cube, x.coords)
-        return self.path(list(loop.segments) + _ramp_segments(x, Fraction(-1), Fraction(0)))
+        return self._join(list(loop.segments) + _ramp_segments(x, Fraction(-1), Fraction(0)))
 
     def _final_letter(self, path: MoorePath) -> RealizationPoint:
         end = self.end_point(path)
@@ -856,7 +849,7 @@ class Suspension:
             raise ValueError("attach_then_detach needs a loop at the cone point")
         x = normalize_point(self.base, x.cube, x.coords)
         grown = list(loop.segments) + _ramp_segments(x, Fraction(-1), (tt - 1) / (1 + tt))
-        return self.path(_map_heights(grown, 1 + tt, -tt, 0))
+        return self._join(_map_heights(grown, 1 + tt, -tt, 0))
 
     def detach_then_attach(self, path: MoorePath, t) -> MoorePath:
         """Detach/attach round trip at stage ``t`` on a path into the middle slice.
@@ -868,7 +861,7 @@ class Suspension:
             raise ValueError("stage must lie in [0, 1]")
         x = self._final_letter(path)
         segs = _map_heights(path.segments, 1 + tt, -tt, 0) + _ramp_segments(x, -tt, Fraction(0))
-        return self.path(segs, empty_at=path.empty_at)
+        return self._join(segs, empty_at=path.empty_at)
 
     # ------------------------------------------------------------------
     # pauses, excursions, crossings
@@ -974,7 +967,7 @@ class Suspension:
             else:
                 segs.extend(run)
             segs.append(StarSeg(pause))
-        return self.path(segs, empty_at=path.empty_at)
+        return self._join(segs, empty_at=path.empty_at)
 
     @staticmethod
     def _near_pole(seg: TrackSeg, delta: Fraction) -> bool:

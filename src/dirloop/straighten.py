@@ -58,10 +58,9 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 
-from .cubical import CubicalSet, RealizationPoint, normalize_point
-from .paths import MoorePath, STAR, StarSeg, Suspension, TrackSeg, _shifted
+from .cubical import ONE as _ONE, ZERO as _ZERO, CubicalSet, RealizationPoint, normalize_point
+from .paths import _HALF, _MINUS_ONE, MoorePath, STAR, StarSeg, Suspension, TrackSeg, _shifted
 
-_ZERO, _HALF, _ONE, _MINUS_ONE = Fraction(0), Fraction(1, 2), Fraction(1), Fraction(-1)
 DEFAULT_SAMPLES = (_ZERO, Fraction(1, 4), _HALF, Fraction(3, 4), _ONE)
 
 
@@ -83,14 +82,14 @@ def chain_split(sus: Suspension, loop: MoorePath) -> ChainDecomposition:
 
 
 def assemble(sus: Suspension, chain: ChainDecomposition) -> MoorePath:
-    """Inverse of :func:`chain_split`."""
+    """Inverse of :func:`chain_split`, on a chain of canonical pieces as it builds them."""
     if len(chain.pauses) != len(chain.excursions) + 1:
         raise ValueError("chain needs one more pause than excursions")
     segs: list = [StarSeg(chain.pauses[0])]
     for exc, pause in zip(chain.excursions, chain.pauses[1:]):
         segs.extend(exc.segments)
         segs.append(StarSeg(pause))
-    return sus.path(segs)
+    return sus._join(segs)
 
 
 def _legs(sus: Suspension, run: MoorePath):
@@ -155,7 +154,7 @@ def straighten_step(sus: Suspension, run: MoorePath, t) -> MoorePath:
     tt = Fraction(t)
     if not 0 <= tt <= 1:
         raise ValueError("stage must lie in [0, 1]")
-    return sus.path(_early_frames([_legs(sus, run)], tt)[0])
+    return sus._join(_early_frames([_legs(sus, run)], tt)[0])
 
 
 def full_straighten(sus: Suspension, loop: MoorePath, samples=DEFAULT_SAMPLES):

@@ -20,6 +20,10 @@ HALF = SUS.ramp(X, -1, 0)
 
 BAD_CALLS = {
     "path empty_at": (lambda: SUS.path([], empty_at=X), "empty_at must be a suspension point"),
+    "path empty_at with segments": (
+        lambda: SUS.path(LOOP.segments, empty_at=X),
+        "empty_at must be a suspension point",
+    ),
     "reparam one row": (lambda: SUS.reparam(LOOP, [(0, 0)]), "at least two rows"),
     "reparam first row": (
         lambda: SUS.reparam(LOOP, [(1, 0), (3, 2)]),

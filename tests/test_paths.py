@@ -44,6 +44,7 @@ from dirloop.paths import (
     is_strictly_increasing,
 )
 from dirloop.straighten import (
+    assemble,
     chain_split,
     contract_straightened,
     full_straighten,
@@ -106,12 +107,11 @@ def test_path_strips_constant_boundary_coordinate():
     )
 
 
-def test_path_keeps_canonical_tracks_and_rebuilds_the_rest():
-    # a track whose values all are Fraction and sit in their carrier comes
-    # back as the same object; int values, even equal ones, do not
+def test_path_rebuilds_int_values_lists_and_boundary_tracks():
+    # the boundary canonicalizer hands back Fraction values and tuple
+    # coordinates, whatever it is given
     sus2 = Suspension(torus_complex())
     kept = TrackSeg(F(1), F(0), F(1, 2), "(e|e)", (F(1, 4), F(1, 3)), (F(3, 4), F(1, 3)))
-    assert sus2.path([kept]).segments[0] is kept
     for ints in (
         dataclasses.replace(kept, duration=1),
         dataclasses.replace(kept, h0=0),
@@ -944,7 +944,7 @@ def test_contraction_canonicalizes_only_frame_heads(monkeypatch):
     assert sum(sizes) <= 3 * built
 
 
-def test_one_canonicalization_per_result(monkeypatch):
+def test_transforms_join_once_without_canonicalizing(monkeypatch):
     s = Suspension(wedge_of_circles(2))
     rng = random.Random(5)
     loop = s.make_increasing(random_loop(s, rng, max_runs=4), F(1, 4))
@@ -958,6 +958,7 @@ def test_one_canonicalization_per_result(monkeypatch):
     assert len(table) > 2
     samples = [F(0), F(1, 3), F(1, 2), F(5, 6), F(1)]
     letters = [x, IntervalLetter(F(1, 2)), PointLetter(random_interior_point(s.base, rng))]
+    chain = chain_split(s, loop)
     calls = _count_kernel_calls(monkeypatch)
 
     def count(fn, *args):
@@ -973,29 +974,35 @@ def test_one_canonicalization_per_result(monkeypatch):
     assert count(full_straighten, s, loop, samples) == (0, 4)
     assert count(chain_split, s, loop) == (0, 0)
     for fn, *args in [
+        (assemble, s, chain),
         (straighten_step, s, run, F(1, 3)),
+        (s.concat, loop, run),
         (s.slice_path, loop, F(1, 3), loop.duration - F(1, 3)),
+        (s.scale_time, loop, F(3, 2)),
         (s.reparam, loop, table),
         (s.height_affine, loop, F(3, 2), F(1, 4)),
         (s.shift_heights, run, F(-1, 4)),
+        (s.shrink_cone, loop, "upper", F(1, 2)),
         (s.make_increasing, loop, F(1, 8)),
+        (s.ramp, x, F(-1, 2), F(3, 2)),
+        (s.attach_letter, x, loop),
         (s.attach_then_detach, x, loop, F(1, 2)),
         (s.detach_then_attach, into_middle, F(1, 2)),
+        (s.truncate_near_basepoint, loop, F(1, 4)),
+        (s.truncate_near_basepoint, loop),
         (word_loop, s, letters),
     ]:
-        # a public transform canonicalizes its output once: one join, and
-        # one boundary check per piece it joins
-        canonicalized, joins = count(fn, *args)
-        assert joins == 1, fn.__name__
-        assert 0 < canonicalized == calls[-1][1], fn.__name__
+        # a public transform builds its output from canonical pieces and
+        # joins them once; only outside segments pass the canonicalizer
+        assert count(fn, *args) == (0, 1), fn.__name__
 
 
 @pytest.mark.parametrize("make_base", POINTWISE_BASES + [_cube3_complex])
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_straightening_results_are_fixed_points_of_path(make_base, seed):
-    # full_straighten and contract_straightened join canonical pieces
-    # without the boundary canonicalizer; the canonicalizer is the reference
+    # every transform joins canonical pieces without the boundary
+    # canonicalizer; the canonicalizer is the reference
     rng = random.Random(seed)
     s = Suspension(make_base())
     loop = random_loop(s, rng, max_runs=5) if rng.random() < 0.5 else _wandering_loop(s, rng)
@@ -1003,6 +1010,41 @@ def test_straightening_results_are_fixed_points_of_path(make_base, seed):
     result, frames = full_straighten(s, loop, samples)
     for fr in [result, *frames, *contract_straightened(s, result, frames)]:
         assert s.path(fr.segments) == fr
+    # so does every other transform; a point may sit on a face of its cube
+    T, u = loop.duration, F(rng.randint(0, 8), 8)
+    cube = rng.choice(sorted(c for c, d in s.base.cubes.items() if d > 0))
+    x = RealizationPoint(cube, tuple(F(rng.randint(0, 8), 8) for _ in range(s.base.cubes[cube])))
+    t0 = T * F(rng.randint(0, 8), 8)
+    t1 = t0 if rng.random() < 0.25 else t0 + (T - t0) * F(rng.randint(0, 8), 8)
+    _, (n1, o1), (_, o2), _ = table = random_reparam(T, rng)
+    # a flat span holds the point at o1 still
+    held = [*table[:2], (n1 + 1, o1), (n1 + 2, o2), (n1 + 3, T)]
+    a = 1 + F(rng.randint(0, 8), 4)
+    b = (a - 1) * F(rng.randint(-4, 4), 4)
+    chain = chain_split(s, loop)
+    run = rng.choice(chain.excursions)
+    letters = [x, IntervalLetter(F(rng.randint(1, 8), 8)), PointLetter(random_interior_point(s.base, rng))]
+    outputs = [
+        assemble(s, chain),
+        straighten_step(s, run, u),
+        s.concat(loop, run, s.slice_path(run, run.duration, run.duration)),
+        s.slice_path(loop, t0, t1),
+        s.scale_time(loop, F(rng.randint(1, 8), 4)),
+        s.reparam(loop, table),
+        s.reparam(loop, held),
+        s.height_affine(loop, a, b),
+        s.shift_heights(run, F(rng.randint(-8, 8), 8)),
+        s.shrink_cone(loop, rng.choice(["lower", "upper"]), u),
+        s.make_increasing(loop, F(rng.randint(1, 7), 8)),
+        s.ramp(x, F(rng.randint(-12, 4), 8), F(rng.randint(5, 12), 8)),
+        s.attach_letter(x, loop),
+        s.attach_then_detach(x, loop, u),
+        s.detach_then_attach(s.attach_letter(x, loop), u),
+        s.truncate_near_basepoint(loop, F(rng.randint(1, 7), 8)),
+        word_loop(s, letters),
+    ]
+    for out in outputs:
+        assert s.path(out.segments, out.empty_at) == out
 
 
 # ----------------------------------------------------------------------
