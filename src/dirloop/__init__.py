@@ -20,8 +20,8 @@ _PUBLIC = {
     ),
     "homology": ("RATIONALS", "FieldSpec", "GradedDims", "betti", "chain_complex"),
     "james": (
-        "EMPTY_WORD", "IntervalLetter", "JamesWord", "PointLetter", "crossing_word", "multiply",
-        "reduce_word", "retract_word", "word_loop",
+        "EMPTY_WORD", "IntervalLetter", "JamesWord", "crossing_word", "multiply", "reduce_word",
+        "retract_word", "word_loop",
     ),
     "loop_algebra": (
         "HilbertSeries", "count_words_by_enumeration", "loop_space_homology", "tensor_algebra_dims",
@@ -31,10 +31,10 @@ _PUBLIC = {
         "STAR", "Interior", "MoorePath", "StarSeg", "Suspension", "TrackSeg", "is_strictly_increasing",
     ),
     "serialize": (
-        "FormatError", "dump_complex", "dump_path", "dump_word", "load_complex", "load_path", "load_word",
+        "FormatError", "dump_complex", "dump_path", "dump_word", "load_complex", "load_path",
     ),
     "straighten": (
-        "DEFAULT_SAMPLES", "ChainDecomposition", "assemble", "chain_split", "contract_straightened",
+        "DEFAULT_SAMPLES", "ChainDecomposition", "chain_split", "contract_straightened",
         "contract_to_constant", "full_straighten", "straighten_step",
     ),
 }

@@ -25,7 +25,7 @@ from .corpus import (
 )
 from .cubical import RealizationPoint, in_collar, snap_coordinate, suspension_model
 from .homology import RATIONALS, FieldSpec, betti
-from .james import PointLetter, crossing_word, multiply, retract_word, word_loop
+from .james import crossing_word, multiply, retract_word, word_loop
 from .loop_algebra import (
     count_words_by_enumeration,
     loop_space_homology,
@@ -169,7 +169,7 @@ def straightening_retraction(seed: int) -> str:
             assert crossing_word(sus, frame) == word, f"frame of loop {i} changed the word"
         again, _ = full_straighten(sus, result)
         assert again == result, f"loop {i} straightening is not a retraction"
-        letters = word_loop(sus, [PointLetter(pt) for pt in word.letters])
+        letters = word_loop(sus, word.letters)
         fixed, _ = full_straighten(sus, letters)
         assert fixed == letters, f"word loop of {i} moved under straightening"
     return "100 loops: exact retraction onto word loops, frames word stable"

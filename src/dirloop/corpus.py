@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from .cubical import CubicalSet, FaceRef, RealizationPoint, tensor_product
-from .james import IntervalLetter, PointLetter
+from .james import IntervalLetter
 from .paths import MoorePath, StarSeg, Suspension, TrackSeg
 
 
@@ -116,7 +116,7 @@ def random_xprime_letters(K: CubicalSet, rng: random.Random, max_len: int = 4) -
     letters: list = []
     for _ in range(rng.randint(0, max_len)):
         if rng.random() < 0.7:
-            letters.append(PointLetter(random_interior_point(K, rng)))
+            letters.append(random_interior_point(K, rng))
         else:
             letters.append(IntervalLetter(Fraction(rng.randint(1, 4), 4)))
     return letters

@@ -1,7 +1,8 @@
 """Words of base points, their loops, and the crossing word of a loop.
 
 A word is a finite string of base points with the basepoint acting as the
-identity; reduction deletes it.  Point letters thread the suspension once,
+identity; reduction deletes it.  A point letter is a
+:class:`~dirloop.cubical.RealizationPoint` and threads the suspension once;
 extended interval letters are letters in the act of dying: they only leave
 a pause behind.  The crossing word reads a directed loop back into a word
 by listing its passages through the middle slice.
@@ -15,11 +16,6 @@ from typing import Iterable
 
 from .cubical import CubicalSet, RealizationPoint, normalize_point
 from .paths import MoorePath, StarSeg, Suspension, _ramp_segments
-
-
-@dataclass(frozen=True)
-class PointLetter:
-    point: RealizationPoint
 
 
 @dataclass(frozen=True)
@@ -65,12 +61,10 @@ def _interval_value(letter: IntervalLetter) -> Fraction:
 
 
 def word_loop(sus: Suspension, letters: Iterable) -> MoorePath:
-    """String the letters into a loop: one thread per point letter, a pause
-    of twice the value per interval letter."""
+    """String the letters into a loop: one thread per point letter (a
+    ``RealizationPoint``), a pause of twice the value per interval letter."""
     segs = []
     for letter in letters:
-        if isinstance(letter, PointLetter):
-            letter = letter.point
         if isinstance(letter, RealizationPoint):
             x = normalize_point(sus.base, letter.cube, letter.coords)
             segs.extend(_ramp_segments(x, Fraction(-1), Fraction(1)))
@@ -84,15 +78,13 @@ def word_loop(sus: Suspension, letters: Iterable) -> MoorePath:
 def retract_word(K: CubicalSet, letters: Iterable) -> JamesWord:
     """Collapse extended letters to a plain reduced word.
 
-    Interval letters retract to the identity and vanish; point letters
-    keep their base point.
+    Interval letters retract to the identity and vanish; point letters,
+    which are ``RealizationPoint``s, are kept.
     """
     pts = []
     for letter in letters:
         if isinstance(letter, RealizationPoint):
             pts.append(letter)
-        elif isinstance(letter, PointLetter):
-            pts.append(letter.point)
         elif isinstance(letter, IntervalLetter):
             _interval_value(letter)
         else:

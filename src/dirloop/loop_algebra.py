@@ -37,9 +37,7 @@ class HilbertSeries:
         return self.coefficients[k] if 0 <= k <= self.truncation else 0
 
 
-def count_words_by_enumeration(
-    degrees: Sequence[int], total: int, max_length: int | None = None
-) -> int:
+def count_words_by_enumeration(degrees: Sequence[int], total: int) -> int:
     """Number of words in given generators whose degrees sum to ``total``.
 
     Plain depth first enumeration, deliberately free of the convolution
@@ -50,18 +48,16 @@ def count_words_by_enumeration(
     if total < 0:
         raise ValueError("total degree must be nonnegative")
 
-    def go(remaining: int, length: int) -> int:
+    def go(remaining: int) -> int:
         if remaining == 0:
             return 1
-        if max_length is not None and length >= max_length:
-            return 0
         acc = 0
         for d in degrees:
             if d <= remaining:
-                acc += go(remaining - d, length + 1)
+                acc += go(remaining - d)
         return acc
 
-    return go(total, 0)
+    return go(total)
 
 
 def tensor_algebra_coefficients(generators: GradedDims) -> Iterator[int]:

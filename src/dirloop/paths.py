@@ -229,8 +229,6 @@ def _lerp_coords(c0, c1, p: int, q: int) -> tuple:
 
 
 def _sub_segment(seg, sa: Fraction, sb: Fraction):
-    if sa == 0 and sb == 1:
-        return seg
     d = seg.duration * (sb - sa)
     if isinstance(seg, StarSeg):
         return StarSeg(d)

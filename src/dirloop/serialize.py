@@ -8,19 +8,20 @@ once per document; any other string goes to ``Fraction``, so the accepted
 grammar and its errors are those of ``Fraction(str)``, less an exponent
 larger than the interpreter's integer digit limit
 (``sys.get_int_max_str_digits()``).  Cube ids must be strings; anything
-else is a ``FormatError`` naming the segment or letter.
+else is a ``FormatError`` naming the segment.  Words are only written
+(:func:`dump_word`, for the ``sec`` command); no command reads one.
 
 A path is written as the text of ``json.dumps(dump_path(path))`` by
 :func:`path_text`, which joins the texts :func:`segment_texts` makes, each
 distinct segment object encoded once: the frames of a contraction trail
 share most of their segments.
 
-A path or a word is read in one pass, in document order.  Equal rational
-strings within one document load as one shared ``Fraction``; nothing is
-kept from one document to the next.  A path entry is read with cheap
-``type(x) is`` tests, and one that fails them goes through the checks that
-name what is wrong.  A malformed rational is reported at its first
-occurrence as ``segment <k> field <name>: ...`` (``letter <k>`` in a word).
+A path is read in one pass, in document order.  Equal rational strings
+within one document load as one shared ``Fraction``; nothing is kept from
+one document to the next.  A path entry is read with cheap ``type(x) is``
+tests, and one that fails them goes through the checks that name what is
+wrong.  A malformed rational is reported at its first occurrence as
+``segment <k> field <name>: ...``.
 
 :func:`load_path` is the whole boundary for a path document, with the
 checks of :meth:`Suspension.path` and the same errors: each entry is read,
@@ -67,11 +68,9 @@ from .cubical import (
     CubicalSet,
     FaceRef,
     FormatError,
-    RealizationPoint,
     as_fraction,
     face_key,
     iter_violations,
-    normalize_point,
     strip_boundary,
 )
 
@@ -119,12 +118,12 @@ def _require(obj, key: str, where: str, *args):
     return obj[key]
 
 
-def _rational_reader(unit: str):
-    """``read(value, k, field)``: the rationals of one document.
+def _rational_reader():
+    """``read(value, k, field)``: the rationals of one path document.
 
     Each distinct string is parsed once and later occurrences share its
     ``Fraction``; a failed parse stores nothing and names its place as
-    ``<unit> <k> field <field>``.  Make one reader per document.
+    ``segment <k> field <field>``.  Make one reader per document.
     """
     parsed: dict[str, Fraction] = {}
 
@@ -136,7 +135,7 @@ def _rational_reader(unit: str):
         try:
             got = parse_rational(value)
         except FormatError as err:
-            raise FormatError(f"{unit} {k} field {field}: {err}") from None
+            raise FormatError(f"segment {k} field {field}: {err}") from None
         if type(value) is str:
             parsed[value] = got
         return got
@@ -396,7 +395,7 @@ def load_path(sus: Suspension, obj) -> MoorePath:
     raw = _require(obj, "segments", "path")
     if not isinstance(raw, list):
         raise FormatError("segments must be a list")
-    read = _rational_reader("segment")
+    read = _rational_reader()
     K, cubes = sus.base, sus.base.cubes
     # (cube, c0 strings, c1 strings) -> the stripped carrier; only all-string
     # lists are keys, since ``True == 1 == 1.0`` could match a list that
@@ -471,20 +470,3 @@ def dump_word(word) -> list:
         {"cube": pt.cube, "coords": [rational_str(c) for c in pt.coords]} for pt in word
     ]
 
-
-def load_word(K: CubicalSet, obj) -> tuple[RealizationPoint, ...]:
-    if not isinstance(obj, list):
-        raise FormatError("word must be a list of letters")
-    read = _rational_reader("letter")
-    letters = []
-    for k, entry in enumerate(obj):
-        cube = _require(entry, "cube", "letter {}", k)
-        coords = _require(entry, "coords", "letter {}", k)
-        if not isinstance(cube, str):
-            raise FormatError(f"letter {k} cube id must be a string, got {cube!r}")
-        if cube not in K.cubes:
-            raise FormatError(f"letter {k} references unknown cube {cube!r}")
-        if not isinstance(coords, list) or len(coords) != K.cubes[cube]:
-            raise FormatError(f"letter {k} needs {K.cubes[cube]} coordinates")
-        letters.append(normalize_point(K, cube, tuple([read(c, k, "coords") for c in coords])))
-    return tuple(letters)

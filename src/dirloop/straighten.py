@@ -81,17 +81,6 @@ def chain_split(sus: Suspension, loop: MoorePath) -> ChainDecomposition:
     return ChainDecomposition(tuple(pauses), tuple(MoorePath(run) for run in runs))
 
 
-def assemble(sus: Suspension, chain: ChainDecomposition) -> MoorePath:
-    """Inverse of :func:`chain_split`, on a chain of canonical pieces as it builds them."""
-    if len(chain.pauses) != len(chain.excursions) + 1:
-        raise ValueError("chain needs one more pause than excursions")
-    segs: list = [StarSeg(chain.pauses[0])]
-    for exc, pause in zip(chain.excursions, chain.pauses[1:]):
-        segs.extend(exc.segments)
-        segs.append(StarSeg(pause))
-    return sus._join(segs)
-
-
 def _legs(sus: Suspension, run: MoorePath):
     """The crossing (time b, point xb), the duration a, and the raw
     stretches before and after the crossing.

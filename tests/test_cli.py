@@ -25,7 +25,7 @@ from dirloop.corpus import (
 )
 from dirloop.cubical import CubicalSet, FaceRef, RealizationPoint, suspension_model, tensor_product, validate
 from dirloop.homology import chain_complex
-from dirloop.james import PointLetter, word_loop
+from dirloop.james import word_loop
 from dirloop.paths import StarSeg, Suspension, TrackSeg
 from dirloop.serialize import FormatError, dump_complex, dump_path, load_complex, parse_complex
 
@@ -51,8 +51,8 @@ def circle_file(tmp_path):
 @pytest.fixture()
 def loop_file(tmp_path):
     letters = [
-        PointLetter(RealizationPoint("e", (F(1, 3),))),
-        PointLetter(RealizationPoint("e", (F(2, 3),))),
+        RealizationPoint("e", (F(1, 3),)),
+        RealizationPoint("e", (F(2, 3),)),
     ]
     target = tmp_path / "loop.json"
     target.write_text(json.dumps(dump_path(word_loop(CIRCLE, letters))))
@@ -509,7 +509,7 @@ def test_non_string_cube_id_is_a_format_error(capsys, tmp_path, circle_file, cub
 _FUZZ_LOOP = dump_path(
     word_loop(
         CIRCLE,
-        [PointLetter(RealizationPoint("e", (F(1, 3),))), PointLetter(RealizationPoint("e", (F(1, 2),)))],
+        [RealizationPoint("e", (F(1, 3),)), RealizationPoint("e", (F(1, 2),))],
     )
 )
 _FUZZ_COMMANDS = [
@@ -611,7 +611,7 @@ def test_unreadable_json_is_a_format_error(capsys, tmp_path, circle_file, blob):
 # the complex boundary: every command loads through validate
 
 _TORUS_LOOP = dump_path(
-    word_loop(Suspension(torus_complex()), [PointLetter(RealizationPoint("(e|v)", (F(1, 3),)))])
+    word_loop(Suspension(torus_complex()), [RealizationPoint("(e|v)", (F(1, 3),))])
 )
 # the commands that compute on a complex, as argv templates
 _COMPUTING = [
@@ -790,6 +790,8 @@ def test_parsed_rows_and_rows_from_faces_give_one_answer(base, mutations, rnd):
         (["contract", "wedge3_loop47.json", "--complex", "wedge3.json"], 0),
         (["homology", "wedge3.json"], 0),
         (["selftest"], 0),
+        # the reader leaves after one byte of 0.27 MB, more than a pipe holds
+        (["contract", "wedge3_loop47.json", "--complex", "wedge3.json"], 1),
     ],
 )
 def test_a_closed_stdout_is_one_error_line(argv, keep):
@@ -809,4 +811,4 @@ def test_a_closed_stdout_is_one_error_line(argv, keep):
     proc.stderr.close()
     assert proc.wait(timeout=120) == 1
     # one error line: no traceback, nothing from the flush at exit
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert err == "error: [Errno 32] Broken pipe\n"

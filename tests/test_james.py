@@ -16,7 +16,6 @@ from dirloop.james import (
     EMPTY_WORD,
     IntervalLetter,
     JamesWord,
-    PointLetter,
     crossing_word,
     multiply,
     reduce_word,
@@ -56,9 +55,9 @@ def test_multiply_monoid_laws(sus):
 
 
 def test_word_loop_shapes(sus):
-    assert word_loop(sus, [PointLetter(X1)]) == sus.basic_loop(X1)
+    assert word_loop(sus, [X1]) == sus.basic_loop(X1)
     assert word_loop(sus, [IntervalLetter(F(1, 2))]) == sus.path([StarSeg(F(1))])
-    mixed = word_loop(sus, [PointLetter(X1), IntervalLetter(F(1)), X2])
+    mixed = word_loop(sus, [X1, IntervalLetter(F(1)), X2])
     assert mixed.duration == 6
     assert word_loop(sus, []).duration == 0
 
@@ -74,14 +73,14 @@ def test_word_loop_letter_validation(sus):
 
 def test_retract_word_drops_interval_letters(sus):
     K = sus.base
-    w = retract_word(K, [PointLetter(X1), IntervalLetter(F(1, 4)), X2])
+    w = retract_word(K, [X1, IntervalLetter(F(1, 4)), X2])
     assert w == JamesWord((X1, X2))
     with pytest.raises(ValueError):
         retract_word(K, [IntervalLetter(F(2))])
 
 
 def test_crossing_word_reads_word_loops_back(sus):
-    loop = word_loop(sus, [PointLetter(X1), IntervalLetter(F(1, 2)), PointLetter(X2)])
+    loop = word_loop(sus, [X1, IntervalLetter(F(1, 2)), X2])
     assert crossing_word(sus, loop) == JamesWord((X1, X2))
 
 

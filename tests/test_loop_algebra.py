@@ -18,8 +18,6 @@ def test_enumeration_oracle_hand_counts():
     assert count_words_by_enumeration([1, 2], 3) == 3
     assert count_words_by_enumeration([2], 3) == 0
     assert count_words_by_enumeration([2], 0) == 1
-    assert count_words_by_enumeration([1], 3, max_length=2) == 0
-    assert count_words_by_enumeration([1], 3, max_length=3) == 1
     with pytest.raises(ValueError):
         count_words_by_enumeration([0], 1)
 

@@ -26,7 +26,7 @@ from dirloop.cubical import (
     suspension_model,
     tensor_product,
 )
-from dirloop.james import IntervalLetter, PointLetter, word_loop
+from dirloop.james import IntervalLetter, word_loop
 from dirloop.paths import (
     Interior,
     MoorePath,
@@ -44,7 +44,6 @@ from dirloop.paths import (
     is_strictly_increasing,
 )
 from dirloop.straighten import (
-    assemble,
     chain_split,
     contract_straightened,
     full_straighten,
@@ -957,8 +956,7 @@ def test_transforms_join_once_without_canonicalizing(monkeypatch):
     table = random_reparam(loop.duration, rng)
     assert len(table) > 2
     samples = [F(0), F(1, 3), F(1, 2), F(5, 6), F(1)]
-    letters = [x, IntervalLetter(F(1, 2)), PointLetter(random_interior_point(s.base, rng))]
-    chain = chain_split(s, loop)
+    letters = [x, IntervalLetter(F(1, 2)), random_interior_point(s.base, rng)]
     calls = _count_kernel_calls(monkeypatch)
 
     def count(fn, *args):
@@ -974,7 +972,6 @@ def test_transforms_join_once_without_canonicalizing(monkeypatch):
     assert count(full_straighten, s, loop, samples) == (0, 4)
     assert count(chain_split, s, loop) == (0, 0)
     for fn, *args in [
-        (assemble, s, chain),
         (straighten_step, s, run, F(1, 3)),
         (s.concat, loop, run),
         (s.slice_path, loop, F(1, 3), loop.duration - F(1, 3)),
@@ -1023,9 +1020,9 @@ def test_straightening_results_are_fixed_points_of_path(make_base, seed):
     b = (a - 1) * F(rng.randint(-4, 4), 4)
     chain = chain_split(s, loop)
     run = rng.choice(chain.excursions)
-    letters = [x, IntervalLetter(F(rng.randint(1, 8), 8)), PointLetter(random_interior_point(s.base, rng))]
+    letters = [x, IntervalLetter(F(rng.randint(1, 8), 8)), random_interior_point(s.base, rng)]
     outputs = [
-        assemble(s, chain),
+        *chain.excursions,
         straighten_step(s, run, u),
         s.concat(loop, run, s.slice_path(run, run.duration, run.duration)),
         s.slice_path(loop, t0, t1),

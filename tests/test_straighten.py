@@ -21,12 +21,10 @@ from dirloop.corpus import (
 )
 from dirloop.cubical import CubicalSet, FaceRef, RealizationPoint, suspension_model, tensor_product
 from dirloop.homology import betti
-from dirloop.james import IntervalLetter, PointLetter, crossing_word, word_loop
+from dirloop.james import IntervalLetter, crossing_word, word_loop
 from dirloop.paths import Interior, MoorePath, STAR, StarSeg, Suspension, TrackSeg, _slice
 from dirloop.serialize import dump_complex, load_complex
 from dirloop.straighten import (
-    ChainDecomposition,
-    assemble,
     chain_split,
     contract_straightened,
     contract_to_constant,
@@ -44,6 +42,18 @@ def loops(sus):
     return st.builds(lambda seed: random_loop(sus, seed), st.randoms(use_true_random=False))
 
 
+def _rejoined(chain):
+    """The segments of the loop a chain was cut from: each nonzero pause is
+    one pause segment of the canonical loop, each excursion its own run."""
+    assert len(chain.pauses) == len(chain.excursions) + 1
+    segs = [StarSeg(chain.pauses[0])] if chain.pauses[0] else []
+    for exc, pause in zip(chain.excursions, chain.pauses[1:]):
+        segs.extend(exc.segments)
+        if pause:
+            segs.append(StarSeg(pause))
+    return tuple(segs)
+
+
 def test_chain_split_round_trip_basic():
     loop = CIRCLE.concat(
         CIRCLE.path([StarSeg(F(1))]),
@@ -53,18 +63,13 @@ def test_chain_split_round_trip_basic():
     assert chain.pauses == (F(1), F(0))
     assert len(chain.excursions) == 1
     assert chain.excursions[0].duration == 2
-    assert assemble(CIRCLE, chain) == loop
+    assert _rejoined(chain) == loop.segments
 
 
 @given(loops(CIRCLE))
 @settings(max_examples=60, deadline=None)
 def test_chain_split_round_trip_random(loop):
-    assert assemble(CIRCLE, chain_split(CIRCLE, loop)) == loop
-
-
-def test_assemble_rejects_shape_mismatch():
-    with pytest.raises(ValueError, match="one more pause"):
-        assemble(CIRCLE, ChainDecomposition((F(0),), (MoorePath((), STAR),)))
+    assert _rejoined(chain_split(CIRCLE, loop)) == loop.segments
 
 
 def test_straighten_step_endpoints():
@@ -325,9 +330,9 @@ def test_full_straighten_drops_interval_letters():
     sus = Suspension(interval_complex())
     x = RealizationPoint("e", (F(1, 2),))
     y = RealizationPoint("e", (F(1, 4),))
-    loop = word_loop(sus, [PointLetter(x), IntervalLetter(F(1, 2)), PointLetter(y)])
+    loop = word_loop(sus, [x, IntervalLetter(F(1, 2)), y])
     result, frames = full_straighten(sus, loop)
-    assert result == word_loop(sus, [PointLetter(x), PointLetter(y)])
+    assert result == word_loop(sus, [x, y])
     assert all(sus.is_loop(f) for f in frames)
 
 
