@@ -9,7 +9,6 @@ means the same thing everywhere.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction as F
 
 from .corpus import (
@@ -23,7 +22,7 @@ from .corpus import (
     two_component_complex,
     wedge_of_circles,
 )
-from .cubical import RealizationPoint, in_collar, snap_coordinate, suspension_model
+from .cubical import RealizationPoint, _Frozen, in_collar, snap_coordinate, suspension_model
 from .homology import RATIONALS, FieldSpec, betti
 from .james import crossing_word, multiply, retract_word, word_loop
 from .loop_algebra import (
@@ -37,11 +36,11 @@ from .straighten import contract_to_constant, full_straighten
 FIELDS = (RATIONALS, FieldSpec(2))
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    name: str
-    ok: bool
-    detail: str
+class CriterionResult(_Frozen):
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str):
+        _Frozen.__init__(self, name, ok, detail)
 
 
 def homology_base_complexes(seed: int) -> str:

@@ -45,10 +45,9 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .cubical import RealizationPoint, suspension_model, validate
+from .cubical import RealizationPoint, _Frozen, suspension_model, validate
 from .homology import RATIONALS, FieldSpec, betti
 from .loop_algebra import loop_space_generators, tensor_algebra_coefficients
 from .serialize import (
@@ -74,20 +73,18 @@ def _sample_grid(count: int) -> tuple:
     return tuple(Fraction(k, count - 1) for k in range(count))
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Frozen):
     """Settings shared by the computing commands; one place to validate them."""
 
-    field: FieldSpec = RATIONALS
-    degree: int = 6
-    epsilon: Fraction = Fraction(1, 2)
-    samples: tuple = _sample_grid(5)  # equal to ``straighten.DEFAULT_SAMPLES``
+    __slots__ = ("field", "degree", "epsilon", "samples")
 
-    def __post_init__(self):
-        if self.degree < 0:
+    # the default samples equal ``straighten.DEFAULT_SAMPLES``
+    def __init__(self, field=RATIONALS, degree=6, epsilon=Fraction(1, 2), samples=_sample_grid(5)):
+        if degree < 0:
             raise ValueError("degree must be nonnegative")
-        if not 0 < self.epsilon < 1:
+        if not 0 < epsilon < 1:
             raise ValueError("epsilon must lie strictly between 0 and 1")
+        _Frozen.__init__(self, field, degree, epsilon, samples)
 
 
 def _config(args: argparse.Namespace) -> RunConfig:

@@ -35,11 +35,10 @@ a positive denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 # the ends of the coordinate retraction: shared, so a caller can tell a
@@ -49,6 +48,50 @@ ZERO, ONE = Fraction(0), Fraction(1)
 
 class FormatError(ValueError):
     """Malformed input data, as opposed to a violated domain precondition."""
+
+
+class _Fields:
+    """A value whose fields are its ``__slots__``, in order, shown by its
+    ``repr``.
+
+    The value classes are written out rather than made by ``dataclasses``,
+    whose import (it loads ``inspect``) and per-class code generation
+    would add to the start of every command.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join([f'{n}={getattr(self, n)!r}' for n in self.__slots__])})"
+
+
+class _Frozen(_Fields):
+    """A frozen record: assigning to or deleting a field raises
+    ``AttributeError``.
+
+    Records of one class compare and hash by their field values, read at
+    C speed by one ``attrgetter`` per class: contraction compares frames.
+    Unlike ``_Fields`` the base keeps an instance dict, where
+    ``functools.cached_property`` stores its values.
+    """
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls.__slots__, "__class__")  # a tuple, even for one field
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        return self._key(self) == other._key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen record")
+
+    __delattr__ = __setattr__
 
 
 class FaceRef(NamedTuple):
@@ -63,8 +106,7 @@ class FaceRef(NamedTuple):
     degens: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Frozen):
     """One defect found by :func:`validate`.
 
     ``kind`` is ``"structure"`` (missing or malformed data) or ``"relation"``
@@ -72,10 +114,10 @@ class Violation:
     holds ``(i, j, eps, eta)`` of the failing identity.
     """
 
-    kind: str
-    cube: str
-    detail: str
-    indices: tuple[int, ...] = ()
+    __slots__ = ("kind", "cube", "detail", "indices")
+
+    def __init__(self, kind: str, cube: str, detail: str, indices: tuple[int, ...] = ()):
+        _Frozen.__init__(self, kind, cube, detail, indices)
 
 
 class CubicalSet:
@@ -393,8 +435,7 @@ def quotient_collapse(K: CubicalSet, collapse: Iterable[str]) -> CubicalSet:
     return CubicalSet(cubes, faces, star)
 
 
-@dataclass(frozen=True)
-class SuspensionModel:
+class SuspensionModel(_Frozen):
     """Cubical model of a reduced suspension with its two half cones.
 
     ``lower`` carries the heights in [-1,0], ``upper`` the heights in [0,1];
@@ -402,10 +443,10 @@ class SuspensionModel:
     copy of the base complex.
     """
 
-    complex: CubicalSet
-    star: str
-    lower: frozenset[str]
-    upper: frozenset[str]
+    __slots__ = ("complex", "star", "lower", "upper")
+
+    def __init__(self, complex: CubicalSet, star: str, lower: frozenset[str], upper: frozenset[str]):
+        _Frozen.__init__(self, complex, star, lower, upper)
 
 
 def height_interval_chain() -> CubicalSet:
@@ -442,16 +483,26 @@ def suspension_model(B: CubicalSet) -> SuspensionModel:
     return SuspensionModel(K, K.basepoint, lower, upper)
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class RealizationPoint:
+class RealizationPoint(_Fields):
     """A point of the realization in canonical form.
 
     Canonical means: the carrier is nondegenerate and every coordinate is
     strictly between 0 and 1 (vertices have no coordinates at all).
     """
 
-    cube: str
-    coords: tuple[Fraction, ...]
+    __slots__ = ("cube", "coords")
+
+    def __init__(self, cube: str, coords: tuple[Fraction, ...]):
+        self.cube = cube
+        self.coords = coords
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.cube, self.coords) == (other.cube, other.coords)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.cube, self.coords))
 
 
 def as_fraction(x) -> Fraction:

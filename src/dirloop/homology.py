@@ -18,10 +18,9 @@ vanishing of the squared boundary is checked here, as an oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
-from .cubical import CubicalSet
+from .cubical import CubicalSet, _Frozen
 
 # Miller-Rabin with the first thirteen primes as bases is deterministic for
 # every n below MAX_CHARACTERISTIC (Sorenson and Webster, 2015).
@@ -53,22 +52,21 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(_Frozen):
     """Coefficient field: characteristic 0 for the rationals, else a prime.
 
     Primes are accepted up to ``MAX_CHARACTERISTIC`` (about 3.3e24), the
     range in which primality is decided exactly.
     """
 
-    characteristic: int = 0
+    __slots__ = ("characteristic",)
 
-    def __post_init__(self) -> None:
-        p = self.characteristic
-        if p >= MAX_CHARACTERISTIC:
-            raise ValueError(f"characteristic {p} exceeds the supported bound {MAX_CHARACTERISTIC}")
-        if p != 0 and not _is_prime(p):
-            raise ValueError(f"characteristic must be 0 or a prime, got {p}")
+    def __init__(self, characteristic: int = 0) -> None:
+        if characteristic >= MAX_CHARACTERISTIC:
+            raise ValueError(f"characteristic {characteristic} exceeds the supported bound {MAX_CHARACTERISTIC}")
+        if characteristic != 0 and not _is_prime(characteristic):
+            raise ValueError(f"characteristic must be 0 or a prime, got {characteristic}")
+        _Frozen.__init__(self, characteristic)
 
     @classmethod
     def parse(cls, text: str) -> "FieldSpec":
@@ -81,7 +79,8 @@ class FieldSpec:
                 p = int(t[3:])
             except ValueError:
                 raise ValueError(f"bad field spec {text!r}") from None
-            return cls(p)
+            if p:  # zp:0 names no field; ``FieldSpec(0)`` is the rationals
+                return cls(p)
         raise ValueError(f"bad field spec {text!r}; expected 'q' or 'zp:<prime>'")
 
     def __str__(self) -> str:
@@ -157,8 +156,7 @@ def rank(columns: list[dict[int, int]], field: FieldSpec = RATIONALS) -> int:
     return len(pivots)
 
 
-@dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(_Frozen):
     """Ordered cube bases per dimension and sparse integer boundaries.
 
     ``boundary[n]`` is a list with one column per n-cube, in the order of
@@ -166,8 +164,10 @@ class ChainComplex:
     (n-1)-cube in ``basis[n - 1]``) to its nonzero integer coefficient.
     """
 
-    basis: dict[int, list[str]]
-    boundary: dict[int, list[dict[int, int]]]
+    __slots__ = ("basis", "boundary")
+
+    def __init__(self, basis: dict[int, list[str]], boundary: dict[int, list[dict[int, int]]]):
+        _Frozen.__init__(self, basis, boundary)
 
 
 def chain_complex(K: CubicalSet) -> ChainComplex:
@@ -213,12 +213,13 @@ def chain_complex(K: CubicalSet) -> ChainComplex:
     return ChainComplex(basis, boundary)
 
 
-@dataclass(frozen=True)
-class GradedDims:
+class GradedDims(_Frozen):
     """Dimensions of a graded vector space up to a truncation degree."""
 
-    dims: dict[int, int]
-    truncation: int
+    __slots__ = ("dims", "truncation")
+
+    def __init__(self, dims: dict[int, int], truncation: int):
+        _Frozen.__init__(self, dims, truncation)
 
     def get(self, k: int) -> int:
         return self.dims.get(k, 0)

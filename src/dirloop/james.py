@@ -10,26 +10,29 @@ by listing its passages through the middle slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .cubical import CubicalSet, RealizationPoint, normalize_point
+from .cubical import CubicalSet, RealizationPoint, _Frozen, normalize_point
 from .paths import MoorePath, StarSeg, Suspension, _ramp_segments
 
 
-@dataclass(frozen=True)
-class IntervalLetter:
+class IntervalLetter(_Frozen):
     """A fading letter; ``value`` in (0, 1], with 1 acting as the identity."""
 
-    value: Fraction
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction):
+        _Frozen.__init__(self, value)
 
 
-@dataclass(frozen=True)
-class JamesWord:
+class JamesWord(_Frozen):
     """Reduced word: no letter sits over the basepoint."""
 
-    letters: tuple[RealizationPoint, ...]
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple[RealizationPoint, ...]):
+        _Frozen.__init__(self, letters)
 
     def __len__(self) -> int:
         return len(self.letters)

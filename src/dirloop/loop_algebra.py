@@ -10,24 +10,23 @@ recurrence (used for real computation).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .cubical import CubicalSet
+from .cubical import CubicalSet, _Frozen
 from .homology import FieldSpec, GradedDims, RATIONALS, betti
 
 
-@dataclass(frozen=True)
-class HilbertSeries:
+class HilbertSeries(_Frozen):
     """Graded dimension sequence, degree 0 upward, constant term 1."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self) -> None:
-        if not self.coefficients or self.coefficients[0] != 1:
+    def __init__(self, coefficients: tuple[int, ...]) -> None:
+        if not coefficients or coefficients[0] != 1:
             raise ValueError("series must start with constant term 1")
-        if any(c < 0 for c in self.coefficients):
+        if any(c < 0 for c in coefficients):
             raise ValueError("series coefficients must be nonnegative")
+        _Frozen.__init__(self, coefficients)
 
     @property
     def truncation(self) -> int:

@@ -14,11 +14,16 @@ offending input segment.  A path document gets the same checks, strip and
 join from :func:`~dirloop.serialize.load_path`, in one pass over the
 document.  Two paths are therefore equal as maps exactly
 when they are equal as values.  The value objects (``TrackSeg``,
-``StarSeg``, ``Interior`` and ``RealizationPoint``) are slotted dataclasses
-with structural equality and hash, cheap to build.  They are mutable only
-in principle: segments are shared by identity across paths, frames and
-trails, so no code assigns to one, which a test checks by walking the AST
-of every module of the package.
+``StarSeg``, ``Interior`` and ``RealizationPoint``) are slotted classes
+with structural equality and hash, cheap to build, whose ``__init__``,
+``__eq__`` and ``__hash__`` are written out as ``dataclasses`` would
+generate them; no module imports ``dataclasses``, which loads ``inspect``
+and would add milliseconds to every command's start.  Their fields are
+their ``__slots__``, in constructor order.  They are mutable only in
+principle: segments are shared by identity across paths, frames and
+trails, so no code assigns to one outside its constructor, which a test
+checks by walking the AST of every module of the package.
+``MoorePath`` is a frozen record on the shared base in ``cubical``.
 
 Transforms join, and only segments from outside are canonicalized.  The
 module level builders (``_slice``, ``_shifted``, ``_map_heights``) return
@@ -83,7 +88,6 @@ the duration.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -94,6 +98,8 @@ from .cubical import (
     ZERO as _ZERO,
     CubicalSet,
     RealizationPoint,
+    _Fields,
+    _Frozen,
     as_fraction,
     boundary_snap,
     normalize_point,
@@ -124,12 +130,22 @@ class _StarType:
 STAR = _StarType()
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Interior:
+class Interior(_Fields):
     """A suspension point away from the cone point: height plus base point."""
 
-    height: Fraction
-    point: RealizationPoint
+    __slots__ = ("height", "point")
+
+    def __init__(self, height: Fraction, point: RealizationPoint):
+        self.height = height
+        self.point = point
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.height, self.point) == (other.height, other.point)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.height, self.point))
 
 
 def classify_point(p) -> str:
@@ -143,31 +159,49 @@ def classify_point(p) -> str:
     return "middle"
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class StarSeg:
+class StarSeg(_Fields):
     """A pause at the cone point."""
 
-    duration: Fraction
+    __slots__ = ("duration",)
+
+    def __init__(self, duration: Fraction):
+        self.duration = duration
+
+    def __eq__(self, other):
+        return (self.duration,) == (other.duration,) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.duration,))
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class TrackSeg:
+class TrackSeg(_Fields):
     """An affine stretch inside one base cube.
 
     Height runs from ``h0`` to ``h1`` and the base coordinates from ``c0``
     to ``c1``, all linearly in time.
     """
 
-    duration: Fraction
-    h0: Fraction
-    h1: Fraction
-    cube: str
-    c0: tuple[Fraction, ...]
-    c1: tuple[Fraction, ...]
+    __slots__ = ("duration", "h0", "h1", "cube", "c0", "c1")
+
+    def __init__(self, duration: Fraction, h0: Fraction, h1: Fraction, cube: str, c0: tuple, c1: tuple):
+        self.duration = duration
+        self.h0 = h0
+        self.h1 = h1
+        self.cube = cube
+        self.c0 = c0
+        self.c1 = c1
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.duration, self.h0, self.h1, self.cube, self.c0, self.c1) == (
+                other.duration, other.h0, other.h1, other.cube, other.c0, other.c1)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.duration, self.h0, self.h1, self.cube, self.c0, self.c1))
 
 
-@dataclass(frozen=True)
-class MoorePath:
+class MoorePath(_Frozen):
     """A canonical segment string; ``empty_at`` locates a zero length path.
 
     ``times`` and ``duration`` are computed once per path and cached; they
@@ -175,8 +209,12 @@ class MoorePath:
     ``empty_at``.
     """
 
-    segments: tuple = ()
-    empty_at: object = STAR
+    __slots__ = ("segments", "empty_at")
+
+    def __init__(self, segments: tuple = (), empty_at: object = STAR):
+        # written out: every transform and frame builds a path
+        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "empty_at", empty_at)
 
     @cached_property
     def times(self) -> tuple:

@@ -53,23 +53,23 @@ out once per cube, and the time walked is summed on integers.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
 
-from .cubical import ONE as _ONE, ZERO as _ZERO, CubicalSet, RealizationPoint, normalize_point
+from .cubical import ONE as _ONE, ZERO as _ZERO, CubicalSet, RealizationPoint, _Frozen, normalize_point
 from .paths import _HALF, _MINUS_ONE, MoorePath, STAR, StarSeg, Suspension, TrackSeg, _shifted
 
 DEFAULT_SAMPLES = (_ZERO, Fraction(1, 4), _HALF, Fraction(3, 4), _ONE)
 
 
-@dataclass(frozen=True)
-class ChainDecomposition:
+class ChainDecomposition(_Frozen):
     """A loop cut into pauses and excursions, one more pause than excursions."""
 
-    pauses: tuple[Fraction, ...]
-    excursions: tuple[MoorePath, ...]
+    __slots__ = ("pauses", "excursions")
+
+    def __init__(self, pauses: tuple[Fraction, ...], excursions: tuple[MoorePath, ...]):
+        _Frozen.__init__(self, pauses, excursions)
 
 
 def chain_split(sus: Suspension, loop: MoorePath) -> ChainDecomposition:

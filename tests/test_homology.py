@@ -34,11 +34,15 @@ def test_field_spec_parse():
     assert FieldSpec.parse(f"zp:{2**61 - 1}").characteristic == 2**61 - 1
     # 561 is a Carmichael number, 10^18 + 1 = 101 * 9901 * 999999000001, and
     # 318665857834031151167461 is a strong pseudoprime to every prime base up to 37
-    bad_specs = ("zp:4", "zp:1", "zp:x", "real", "", "zp:561", "zp:1000000000000000001")
+    bad_specs = ("zp:4", "zp:1", "zp:x", "real", "", "zp:561", "zp:1000000000000000001", "zp:0")
     beyond = ("zp:318665857834031151167461", f"zp:{MAX_CHARACTERISTIC}", f"zp:{2**89 - 1}", "zp:-7")
     for bad in bad_specs + beyond:
         with pytest.raises(ValueError):
             FieldSpec.parse(bad)
+    # zp:0 names no prime field, though characteristic 0 is the rationals
+    with pytest.raises(ValueError, match="bad field spec 'zp:0'"):
+        FieldSpec.parse("zp:0")
+    assert FieldSpec(0) == FieldSpec() == FieldSpec.parse("q")
 
 
 def columns(matrix: list[list[int]]) -> list[dict[int, int]]:

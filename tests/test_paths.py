@@ -4,8 +4,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ast
-import dataclasses
 import pathlib
+import pickle
 import random
 
 import dirloop
@@ -110,13 +110,13 @@ def test_path_rebuilds_int_values_lists_and_boundary_tracks():
     # the boundary canonicalizer hands back Fraction values and tuple
     # coordinates, whatever it is given
     sus2 = Suspension(torus_complex())
-    kept = TrackSeg(F(1), F(0), F(1, 2), "(e|e)", (F(1, 4), F(1, 3)), (F(3, 4), F(1, 3)))
+    kept = (F(1), F(0), F(1, 2), "(e|e)", (F(1, 4), F(1, 3)), (F(3, 4), F(1, 3)))
     for ints in (
-        dataclasses.replace(kept, duration=1),
-        dataclasses.replace(kept, h0=0),
-        dataclasses.replace(kept, h1=1),
-        dataclasses.replace(kept, c0=(F(1, 4), 0)),
-        dataclasses.replace(kept, c1=[F(3, 4), F(1, 3)]),
+        TrackSeg(1, *kept[1:]),
+        TrackSeg(*kept[:1], 0, *kept[2:]),
+        TrackSeg(*kept[:2], 1, *kept[3:]),
+        TrackSeg(*kept[:4], (F(1, 4), 0), kept[5]),
+        TrackSeg(*kept[:5], [F(3, 4), F(1, 3)]),
     ):
         (seg,) = sus2.path([ints]).segments
         assert seg is not ints
@@ -1091,8 +1091,9 @@ def test_cached_times_leave_equality_and_hash_alone(sus, x):
     twin = MoorePath(loop.segments, loop.empty_at)
     assert loop.times == (F(0), F(2)) and loop.duration == 2
     assert loop == twin and hash(loop) == hash(twin)
-    assert [f.name for f in dataclasses.fields(MoorePath)] == ["segments", "empty_at"]
-    assert "times" not in repr(loop)
+    assert MoorePath.__slots__ == ("segments", "empty_at")
+    assert "times" not in repr(loop) and repr(twin) == repr(loop)
+    assert repr(loop).startswith("MoorePath(segments=(TrackSeg(duration=Fraction(2, 1), h0=")
     assert MoorePath().duration == 0 and MoorePath().times == (0,)
 
 
@@ -1809,18 +1810,38 @@ def test_collar_truncation_is_canonical(drawn):
 
 
 # the value objects are slotted rather than frozen: no module of the package
-# writes to one, and they keep structural equality, hash, replace and fields
+# writes to one, and they keep structural equality and hash; their fields
+# are their slots, in constructor order
 
 _VALUE_CLASSES = (TrackSeg, StarSeg, Interior, RealizationPoint)
 _VALUE_FIELDS = {"duration", "h0", "h1", "cube", "c0", "c1", "height", "point", "coords"}
+# the classes whose own ``__init__`` writes the fields it builds: the value
+# classes, the base of the frozen records, and the path record
+_BUILDERS = {cls.__name__ for cls in _VALUE_CLASSES} | {"_Frozen", "MoorePath"}
+
+
+def _constructors(tree) -> list:
+    # the ``__init__`` of every class named in _BUILDERS, as (class, function)
+    return [
+        (cls.name, f)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name in _BUILDERS
+        for f in cls.body
+        if isinstance(f, ast.FunctionDef) and f.name == "__init__"
+    ]
 
 
 def _value_writes(source: str, name: str = "<source>") -> list:
     # every setattr/delattr call, every call of an attribute's
     # __setattr__/__delattr__, and every assignment, augmented assignment or
-    # del whose target is an attribute named after a field of a value object
+    # del whose target is an attribute named after a field of a value object,
+    # outside the constructors that build one
     out = []
-    for node in ast.walk(ast.parse(source)):
+    tree = ast.parse(source)
+    building = {id(node) for _, f in _constructors(tree) for node in ast.walk(f)}
+    for node in ast.walk(tree):
+        if id(node) in building:
+            continue
         if isinstance(node, ast.Call):
             f = node.func
             called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
@@ -1836,7 +1857,7 @@ def _value_writes(source: str, name: str = "<source>") -> list:
 
 
 def test_no_module_writes_to_a_value_object():
-    assert _VALUE_FIELDS == {f.name for cls in _VALUE_CLASSES for f in dataclasses.fields(cls)}
+    assert _VALUE_FIELDS == {name for cls in _VALUE_CLASSES for name in cls.__slots__}
     # the walk sees each kind of write
     writes = (
         "seg.duration = 1\nx.c0 += (1,)\ndel p.point\nobject.__setattr__(s, 'h0', 0)\n"
@@ -1846,11 +1867,25 @@ def test_no_module_writes_to_a_value_object():
     assert [what for _, _, what in _value_writes(writes)] == [
         ".duration", ".c0", ".point", "__setattr__", "setattr", ".cube", ".coords", ".height"
     ]
+    # only the constructor of a value class is left out, nothing else it holds
+    classes = (
+        "class TrackSeg:\n def __init__(self, d):\n  self.duration = d\n"
+        " def grow(self):\n  self.duration += 1\n"
+        "class Other:\n def __init__(self, d):\n  self.duration = d\n"
+    )
+    assert _value_writes(classes) == [("<source>", 5, ".duration"), ("<source>", 8, ".duration")]
     package = pathlib.Path(dirloop.__file__).parent
     modules = sorted(package.rglob("*.py"))
     assert len(modules) > 10
-    found = [w for m in modules for w in _value_writes(m.read_text(encoding="utf-8"), m.name)]
+    sources = {m.name: m.read_text(encoding="utf-8") for m in modules}
+    found = [w for m, source in sources.items() for w in _value_writes(source, m)]
     assert found == []
+    # every class left out is defined once, with one constructor
+    built = sorted((m, cls) for m, source in sources.items() for cls, _ in _constructors(ast.parse(source)))
+    assert built == [
+        ("cubical.py", "RealizationPoint"), ("cubical.py", "_Frozen"),
+        ("paths.py", "Interior"), ("paths.py", "MoorePath"), ("paths.py", "StarSeg"), ("paths.py", "TrackSeg"),
+    ]
 
 
 def test_slotted_value_objects_keep_equality_hash_replace_and_fields():
@@ -1874,16 +1909,25 @@ def test_slotted_value_objects_keep_equality_hash_replace_and_fields():
     for a, b in zip(build(1), build(3)):
         cls = type(a)
         assert a == b and a is not b and hash(a) == hash(b) and len({a, b}) == 1
-        assert [f.name for f in dataclasses.fields(cls)] == names[cls]
         assert cls.__slots__ == tuple(names[cls]) and not hasattr(a, "__dict__")
-        first = names[cls][0]
-        changed = dataclasses.replace(a, **{first: F(7)})
-        assert changed != a and getattr(changed, first) == 7
-        assert dataclasses.replace(changed, **{first: getattr(a, first)}) == a
-        assert dataclasses.astuple(a) == dataclasses.astuple(b)
+        values = [getattr(a, name) for name in names[cls]]
+        # the constructor takes the fields in slot order, by position or by name
+        assert cls(*values) == a == cls(**dict(zip(names[cls], values)))
+        # a variant is a constructor call with one value swapped, and back
+        changed = cls(F(7), *values[1:])
+        assert changed != a and getattr(changed, names[cls][0]) == 7
+        assert cls(values[0], *[getattr(changed, name) for name in names[cls][1:]]) == a
+        assert [getattr(b, name) for name in names[cls]] == values
+        assert repr(a) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(names[cls], values))})"
+        assert pickle.loads(pickle.dumps(a)) == a
+        assert a.__eq__(values[0]) is NotImplemented
     assert TrackSeg(F(1), F(0), F(1), "e", (F(1, 2),), (F(1, 2),)) != StarSeg(F(1))
     # a path stays frozen: its cached times live in its instance dict
     loop = MoorePath((StarSeg(F(1)),))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         loop.empty_at = None
+    with pytest.raises(AttributeError):
+        del loop.segments
     assert loop.duration == 1 and "times" in vars(loop)
+    assert loop.empty_at is STAR and loop.segments == (StarSeg(F(1)),)
+    assert loop.__eq__(loop.segments) is NotImplemented
