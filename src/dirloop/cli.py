@@ -11,10 +11,13 @@ presentation that ``validate`` rejects exits 2 before any computation;
 the sample grid, and checks the degree and the shear, which argparse
 cannot; ``--samples`` is checked as its grid is built.  The default grid
 of five samples is built here by :func:`_sample_grid` and equals
-``straighten.DEFAULT_SAMPLES``, so filling it loads no path module.
+``straighten.DEFAULT_SAMPLES``, so filling it loads no path module; the
+field is ``None`` for the commands without ``--field``, and the rationals
+for a homology command that omits it, so filling it loads no algebra.
 Options that one handler reads and argparse fully checks,
 ``--x-structure`` (default ``total``) and ``--seed`` (default 0), stay on
-the parsed arguments.
+the parsed arguments.  A value that ``FieldSpec.parse`` or
+``parse_rational`` refuses exits 2 with the reason they give.
 
 Each handler returns its output as pieces of text, formatted inside the
 same guarded block as the computation, so a payload that cannot be
@@ -27,16 +30,25 @@ outputs join the texts of :func:`~dirloop.serialize.segment_texts`, each
 distinct segment encoded once; a contraction trail is encoded whole and
 then written one frame at a time, since joining cannot fail.
 
-Imports follow the command.  Importing this module loads the complex
-modules (``cubical``, ``homology``, ``loop_algebra``, ``serialize``) and
-no path code, so ``validate``, ``homology``, ``suspension`` and
-``loop-homology`` never load ``paths``, ``james`` or ``straighten``.  When
-the first argument is ``sec``, ``straighten``, ``contract`` or ``path``,
-:func:`main` loads those three at once, through :func:`_load_path_stack`,
-before it builds the parser or reads a file; no handler runs an import
-statement of its own, which would cost each job a few microseconds.
-``argparse`` loads when the parser is first built, and the
-acceptance suite only for ``selftest``.
+Start-up follows the command.  Importing this module loads ``cubical``
+and ``serialize``.  :func:`main` names the command by the first argument,
+and by the second for ``path``, and loads what it runs before it builds a
+parser or reads a file: ``homology`` and ``loop-homology`` load
+``homology`` and ``loop_algebra`` (:func:`_load_algebra`); ``sec``,
+``straighten``, ``contract`` and ``path`` load ``paths``, ``james`` and
+``straighten`` (:func:`_load_path_stack`); ``validate`` and ``suspension``
+load neither, and ``selftest`` imports the acceptance suite itself.  No
+other handler runs an import statement of its own, which would cost each
+job a few microseconds.
+
+Each command's arguments are written once, in ``_COMMANDS``.  :func:`main`
+builds only the named command's parser, with ``argparse``, once a
+process, and parses the rest of the arguments with it in one level.  The
+full tree of :func:`_build_parser` is built from the same table and parses
+instead when no command is named (no arguments, an unknown command, the
+top-level help, ``path`` without a known subcommand) or when the command's
+parser leaves arguments over; it then parses them all again, so every
+usage and error text is the tree's own.
 """
 
 from __future__ import annotations
@@ -48,8 +60,6 @@ import sys
 from fractions import Fraction
 
 from .cubical import RealizationPoint, _Frozen, suspension_model, validate
-from .homology import RATIONALS, FieldSpec, betti
-from .loop_algebra import loop_space_generators, tensor_algebra_coefficients
 from .serialize import (
     FormatError,
     dump_complex,
@@ -63,7 +73,9 @@ from .serialize import (
     segment_texts,
 )
 
-# the commands that read a path, named by the first argument
+# the commands that compute homology, and those that read a path, named by
+# the first argument
+_ALGEBRA_COMMANDS = frozenset({"homology", "loop-homology"})
 _PATH_COMMANDS = frozenset({"sec", "straighten", "contract", "path"})
 
 
@@ -79,7 +91,7 @@ class RunConfig(_Frozen):
     __slots__ = ("field", "degree", "epsilon", "samples")
 
     # the default samples equal ``straighten.DEFAULT_SAMPLES``
-    def __init__(self, field=RATIONALS, degree=6, epsilon=Fraction(1, 2), samples=_sample_grid(5)):
+    def __init__(self, field=None, degree=6, epsilon=Fraction(1, 2), samples=_sample_grid(5)):
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         if not 0 < epsilon < 1:
@@ -89,8 +101,8 @@ class RunConfig(_Frozen):
 
 def _config(args: argparse.Namespace) -> RunConfig:
     kwargs = {}
-    if getattr(args, "field", None) is not None:
-        kwargs["field"] = args.field
+    if hasattr(args, "field"):  # a homology command: the rationals unless --field names a prime
+        kwargs["field"] = args.field or RATIONALS
     if getattr(args, "degree", None) is not None:
         kwargs["degree"] = args.degree
     if getattr(args, "eps", None) is not None:
@@ -115,11 +127,20 @@ def _load_complex_file(filename: str):
 
 
 @functools.cache
+def _load_algebra() -> None:
+    """Import ``homology`` and ``loop_algebra`` once a process, and bind the
+    names ``--field`` and the homology handlers use."""
+    global RATIONALS, FieldSpec, betti, loop_space_generators, tensor_algebra_coefficients
+    from .homology import RATIONALS, FieldSpec, betti
+    from .loop_algebra import loop_space_generators, tensor_algebra_coefficients
+
+
+@functools.cache
 def _load_path_stack() -> None:
     """Import ``paths``, ``james`` and ``straighten`` once a process, and
     bind the names the path handlers use.
 
-    :func:`main` calls this for the path commands before it builds the
+    :func:`main` calls this for the path commands before it builds a
     parser; :func:`_load_pair`, which every path handler calls first, calls
     it too, so a handler reached any other way still finds its names.
     """
@@ -271,115 +292,141 @@ def cmd_selftest(args):
     return None, (0 if passed == len(results) else 1)
 
 
-def _add_complex_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("complex", help="complex JSON file")
+def _argument_type(parse):
+    # argparse reports a ``ValueError`` of a type by the type's name alone;
+    # an ``ArgumentTypeError`` keeps its reason
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as err:
+            import argparse  # loaded already: argparse is the caller
+
+            raise argparse.ArgumentTypeError(str(err)) from None
+
+    return convert
 
 
-def _add_path_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("path", help="path JSON file")
-    parser.add_argument("--complex", required=True, help="complex JSON file the path lives over")
+def _arg(*flags, **options) -> tuple:
+    return flags, options
+
+
+_COMPLEX = _arg("complex", help="complex JSON file")
+_PATH = (
+    _arg("path", help="path JSON file"),
+    _arg("--complex", required=True, help="complex JSON file the path lives over"),
+)
+# ``FieldSpec`` is looked up as a value is parsed, once ``_load_algebra`` bound it
+_FIELD = _arg("--field", type=_argument_type(lambda text: FieldSpec.parse(text)),
+              help="q or zp:<p> (default q)")
+_RATIONAL = _argument_type(parse_rational)
+_SAMPLES = _arg("--samples", type=int, help="number of frames (default 5)")
+
+# each command's handler, help line and arguments, in the order of the help;
+# the subcommands of ``path`` are named by two words
+_COMMANDS = {
+    ("validate",): (cmd_validate, "check a complex presentation; exit 1 if defects found", _COMPLEX),
+    ("homology",): (
+        cmd_homology, "homology dimensions of a complex", _COMPLEX, _FIELD,
+        _arg("--reduced", action="store_true", help="drop one dimension in degree 0"),
+    ),
+    ("suspension",): (cmd_suspension, "build the suspension model of a complex", _COMPLEX),
+    ("loop-homology",): (
+        cmd_loop_homology, "homology series of the loop space of the suspension", _COMPLEX, _FIELD,
+        _arg("--degree", type=int, help="truncation degree (default 6)"),
+    ),
+    ("sec",): (cmd_sec, "crossing word of a directed loop", *_PATH),
+    ("straighten",): (
+        cmd_straighten, "straighten a directed loop onto its word loop", *_PATH, _SAMPLES,
+        _arg("--contract", action="store_true", help="also contract to the constant loop"),
+    ),
+    ("contract",): (cmd_contract, "contract a directed loop to the constant loop", *_PATH, _SAMPLES),
+    ("path", "eval"): (
+        cmd_path_eval, "evaluate a path at a time", *_PATH,
+        _arg("--t", type=_RATIONAL, required=True, help="time, a rational"),
+    ),
+    ("path", "verify"): (
+        cmd_path_verify, "directedness report; exit 1 if violations found", *_PATH,
+        _arg("--x-structure", choices=("total", "directed"), default="total",
+             help="whether base coordinates must also be nondecreasing"),
+    ),
+    ("path", "phi"): (
+        cmd_path_phi, "shrink one half cone toward the middle slice", *_PATH,
+        _arg("--side", choices=("lower", "upper"), required=True),
+        _arg("--t", type=_RATIONAL, required=True, help="stage in [0, 1]"),
+    ),
+    ("path", "increase"): (
+        cmd_path_increase, "shear heights to make the loop strictly increasing", *_PATH,
+        _arg("--eps", type=_RATIONAL, required=True, help="shear in (0, 1)"),
+    ),
+    ("path", "truncate"): (
+        cmd_path_truncate, "replace near basepoint stretches by pauses", *_PATH,
+        _arg("--delta", type=_RATIONAL, help="height threshold; omitted means the collar retraction"),
+    ),
+    ("selftest",): (
+        cmd_selftest, "run the acceptance suite and print a pass/fail table",
+        _arg("--seed", type=int, default=0, help="corpus seed (default 0)"),
+    ),
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, command: tuple) -> None:
+    handler, _, *arguments = _COMMANDS[command]
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+    parser.set_defaults(handler=handler)
+
+
+@functools.cache
+def _command_parser(command: tuple) -> argparse.ArgumentParser:
+    # built once per process: parsing leaves the parser unchanged
+    import argparse
+
+    parser = argparse.ArgumentParser(prog=" ".join(("dirloop", *command)))
+    _add_arguments(parser, command)
+    return parser
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # built once per process: parsing leaves the parser unchanged
+    """The whole tree of commands, from the same table as each command's
+    parser.  It loads the algebra first, for ``--field`` and the homology
+    handlers; a path handler loads the path stack itself."""
+    _load_algebra()
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="dirloop",
         description="Exact computations with directed loops on suspended cubical complexes.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a complex presentation; exit 1 if defects found")
-    _add_complex_arg(p)
-    p.set_defaults(handler=cmd_validate)
-
-    p = sub.add_parser("homology", help="homology dimensions of a complex")
-    _add_complex_arg(p)
-    p.add_argument("--field", type=FieldSpec.parse, default=None, help="q or zp:<p> (default q)")
-    p.add_argument("--reduced", action="store_true", help="drop one dimension in degree 0")
-    p.set_defaults(handler=cmd_homology)
-
-    p = sub.add_parser("suspension", help="build the suspension model of a complex")
-    _add_complex_arg(p)
-    p.set_defaults(handler=cmd_suspension)
-
-    p = sub.add_parser("loop-homology", help="homology series of the loop space of the suspension")
-    _add_complex_arg(p)
-    p.add_argument("--field", type=FieldSpec.parse, default=None, help="q or zp:<p> (default q)")
-    p.add_argument("--degree", type=int, default=None, help="truncation degree (default 6)")
-    p.set_defaults(handler=cmd_loop_homology)
-
-    p = sub.add_parser("sec", help="crossing word of a directed loop")
-    _add_path_args(p)
-    p.set_defaults(handler=cmd_sec)
-
-    p = sub.add_parser("straighten", help="straighten a directed loop onto its word loop")
-    _add_path_args(p)
-    p.add_argument("--samples", type=int, default=None, help="number of frames (default 5)")
-    p.add_argument("--contract", action="store_true", help="also contract to the constant loop")
-    p.set_defaults(handler=cmd_straighten)
-
-    p = sub.add_parser("contract", help="contract a directed loop to the constant loop")
-    _add_path_args(p)
-    p.add_argument("--samples", type=int, default=None, help="number of frames (default 5)")
-    p.set_defaults(handler=cmd_contract)
-
-    p = sub.add_parser("path", help="operations on path files")
-    psub = p.add_subparsers(dest="path_command", required=True)
-
-    q = psub.add_parser("eval", help="evaluate a path at a time")
-    _add_path_args(q)
-    q.add_argument("--t", type=parse_rational, required=True, help="time, a rational")
-    q.set_defaults(handler=cmd_path_eval)
-
-    q = psub.add_parser("verify", help="directedness report; exit 1 if violations found")
-    _add_path_args(q)
-    q.add_argument(
-        "--x-structure",
-        dest="x_structure",
-        choices=("total", "directed"),
-        default="total",
-        help="whether base coordinates must also be nondecreasing",
-    )
-    q.set_defaults(handler=cmd_path_verify)
-
-    q = psub.add_parser("phi", help="shrink one half cone toward the middle slice")
-    _add_path_args(q)
-    q.add_argument("--side", choices=("lower", "upper"), required=True)
-    q.add_argument("--t", type=parse_rational, required=True, help="stage in [0, 1]")
-    q.set_defaults(handler=cmd_path_phi)
-
-    q = psub.add_parser("increase", help="shear heights to make the loop strictly increasing")
-    _add_path_args(q)
-    q.add_argument("--eps", type=parse_rational, required=True, help="shear in (0, 1)")
-    q.set_defaults(handler=cmd_path_increase)
-
-    q = psub.add_parser("truncate", help="replace near basepoint stretches by pauses")
-    _add_path_args(q)
-    q.add_argument(
-        "--delta",
-        type=parse_rational,
-        default=None,
-        help="height threshold; omitted means the collar retraction",
-    )
-    q.set_defaults(handler=cmd_path_truncate)
-
-    p = sub.add_parser("selftest", help="run the acceptance suite and print a pass/fail table")
-    p.add_argument("--seed", type=int, default=0, help="corpus seed (default 0)")
-    p.set_defaults(handler=cmd_selftest)
-
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for command, (_, summary, *_) in _COMMANDS.items():
+        if command[:-1] not in groups:  # ``path``, opened by its first subcommand
+            path = groups[()].add_parser("path", help="operations on path files")
+            groups[command[:-1]] = path.add_subparsers(dest="path_command", required=True)
+        _add_arguments(groups[command[:-1]].add_parser(command[-1], help=summary), command)
     return parser
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in _PATH_COMMANDS:
-        # compiled before argparse and the parser, the path stack leaves peak
-        # memory where it was
+def _parse(argv: list) -> argparse.Namespace:
+    head = argv[0] if argv else None
+    # compiled before argparse and the parser, the modules leave peak memory
+    # where it was
+    if head in _ALGEBRA_COMMANDS:
+        _load_algebra()
+    elif head in _PATH_COMMANDS:
         _load_path_stack()
-    args = _build_parser().parse_args(argv)
+    command = tuple(argv[: 2 if head == "path" else 1])
+    if command in _COMMANDS:
+        args, rest = _command_parser(command).parse_known_args(argv[len(command) :])
+        if not rest:
+            return args
+    # no command, the top-level help, or arguments left over: the tree parses
+    # it all again, so every usage and error text is its own
+    return _build_parser().parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         # formatting can fail too, on an integer past the digit limit, so
         # every handler formats here; only joins are left for the writes

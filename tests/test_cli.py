@@ -1,5 +1,6 @@
 """End to end checks of the command line front end."""
 
+import argparse
 import io
 import json
 import os
@@ -241,16 +242,17 @@ def test_selftest_table(capsys):
     assert lines[-1] == "10/10 criteria passed"
 
 
-# runs each argv of a JSON list through ``cli.main``; prints the exit codes
-# and the modules loaded since the start, less those the interpreter had
+# runs each argv of a JSON list through ``cli.main``; prints the exit codes,
+# the modules loaded since the start, less those the interpreter had, and
+# whether the full tree of commands was built
 _RUN_MAIN = """
 import io, json, sys
 from contextlib import redirect_stdout
 before = set(sys.modules)
-from dirloop.cli import main
+from dirloop import cli
 with redirect_stdout(io.StringIO()):
-    codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps([codes, sorted(set(sys.modules) - before)]))
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(set(sys.modules) - before), cli._build_parser.cache_info().currsize]))
 """
 
 
@@ -267,29 +269,39 @@ def test_importing_the_cli_leaves_the_acceptance_suite_unloaded(fresh_interprete
     # no command pays for ``dataclasses`` and the ``inspect`` it imports
     start_up = {"dataclasses", "inspect"}
     assert start_up.isdisjoint(loaded)
+    # the algebra loads only for the commands that compute homology
+    algebra = {"dirloop.homology", "dirloop.loop_algebra"}
+    assert algebra.isdisjoint(loaded)
 
-    # the complex commands run no path code, so they never load it
     path_stack = {"dirloop.paths", "dirloop.james", "dirloop.straighten"}
     data = Path(__file__).parent / "data"
     base, loop = str(data / "wedge3.json"), str(data / "wedge3_loop47.json")
-    runs = [[command, base] for command in ("homology", "loop-homology", "validate", "suspension")]
-    codes, loaded = fresh_interpreter(_RUN_MAIN, json.dumps(runs))
-    assert codes == [0, 0, 0, 0]
-    assert path_stack.isdisjoint(loaded)
-    assert start_up.isdisjoint(loaded)
+
+    def run(*argvs):
+        # each valid command parses with its own parser; the full tree of
+        # commands is never built
+        codes, loaded, tree_built = fresh_interpreter(_RUN_MAIN, json.dumps(argvs))
+        assert codes == [0] * len(argvs) and tree_built == 0
+        assert start_up.isdisjoint(loaded)
+        return set(loaded)
+
+    # validate and suspension run neither the algebra nor any path code
+    loaded = run(["validate", base], ["suspension", base])
+    assert (algebra | path_stack).isdisjoint(loaded)
+
+    # the homology commands load the algebra and no path module
+    loaded = run(["homology", base], ["loop-homology", base])
+    assert algebra <= loaded and path_stack.isdisjoint(loaded)
 
     # one ``path eval`` loads the whole path stack, so a first ``sec`` or
-    # ``straighten`` after it compiles nothing
-    codes, loaded = fresh_interpreter(_RUN_MAIN, json.dumps([["path", "eval", loop, "--complex", base, "--t", "1"]]))
-    assert codes == [0]
-    assert path_stack <= set(loaded)
-    assert start_up.isdisjoint(loaded)
+    # ``straighten`` after it compiles nothing; no path command loads the algebra
+    loaded = run(["path", "eval", loop, "--complex", base, "--t", "1"])
+    assert path_stack <= loaded and algebra.isdisjoint(loaded)
+    loaded = run(["contract", loop, "--complex", base])
+    assert path_stack <= loaded and algebra.isdisjoint(loaded)
 
     # the acceptance suite runs every layer
-    codes, loaded = fresh_interpreter(_RUN_MAIN, json.dumps([["selftest"]]))
-    assert codes == [0]
-    assert "dirloop.acceptance" in loaded
-    assert start_up.isdisjoint(loaded)
+    assert "dirloop.acceptance" in run(["selftest"])
 
 
 def test_main_takes_any_iterable_of_arguments(capsys, circle_file, loop_file):
@@ -297,6 +309,71 @@ def test_main_takes_any_iterable_of_arguments(capsys, circle_file, loop_file):
     assert main(iter(["homology", circle_file])) == 0
     assert main(iter(["path", "eval", loop_file, "--complex", circle_file, "--t", "0"])) == 0
     capsys.readouterr()
+
+
+_B, _L = "base.json", "loop.json"
+_P = [_L, "--complex", _B]
+_PARSER_ARGVS = [
+    # no command, help at every level, unknown commands and subcommands
+    [], ["-h"], ["--help"], ["--he"], ["-h", "homology", _B], ["homology", "-h"], ["selftest", "--help"],
+    ["path", "-h"], ["path", "eval", "-h"], ["bogus"], ["Homology"], ["path"], ["path", "bogus"],
+    ["path eval", *_P, "--t", "0"],
+    # missing and unknown options, help beside an unknown option
+    ["homology"], ["sec", _L], ["contract", _L], ["path", "eval"], ["path", "eval", *_P],
+    ["path", "phi", *_P, "--t", "1/2"], ["homology", _B, "--bogus"], ["homology", _B, "-x"],
+    ["path", "eval", *_P, "--t", "0", "--x"], ["homology", _B, "-h", "--bogus"], ["homology", _B, "--bogus", "-h"],
+    # abbreviations, one of them ambiguous, and ``--opt=value``
+    ["loop-homology", _B, "--fi", "zp:3", "--deg", "3"], ["straighten", _L, "--comp", _B, "--samp", "3"],
+    ["straighten", _L, "--co", _B], ["homology", _B, "--field=zp:3"],
+    ["path", "eval", _L, f"--complex={_B}", "--t=1/2"],
+    # ``--``, and a value that looks like an option
+    ["homology", "--", _B], ["homology", _B, "--", "--reduced"], ["--", "homology", _B],
+    ["path", "eval", "--complex", _B, "--t", "0", "--", _L], ["path", "--", "eval", *_P, "--t", "0"],
+    ["path", "eval", *_P, "--t", "-1/2"], ["path", "eval", *_P, "--t=-1/2"],
+    # options before the command, extra positionals, a repeated option
+    ["--reduced", "homology", _B], ["--complex", _B, "sec", _L], ["homology", _B, _B], ["selftest", "extra"],
+    ["path", "eval", _L, _L, "--complex", _B, "--t", "0"], ["homology", _B, "--field", "q", "--field", "zp:3"],
+    # refused values
+    ["homology", _B, "--field", "zp:4"], ["homology", _B, "--field", "zp:0"], ["path", "eval", *_P, "--t", "x"],
+    ["path", "increase", *_P, "--eps", "1e99999"], ["loop-homology", _B, "--degree", "x"],
+    ["path", "verify", *_P, "--x-structure", "bogus"], ["path", "phi", *_P, "--side", "middle", "--t", "0"],
+    ["selftest", "--seed", "x"],
+    # one valid argv per command and ``path`` subcommand
+    ["validate", _B], ["homology", _B, "--reduced"], ["suspension", _B], ["loop-homology", _B, "--degree", "4"],
+    ["sec", *_P], ["straighten", *_P, "--samples", "3", "--contract"], ["contract", *_P, "--samples", "3"],
+    ["path", "eval", *_P, "--t", "1/3"], ["path", "verify", *_P, "--x-structure", "directed"],
+    ["path", "phi", *_P, "--side", "upper", "--t", "1/2"], ["path", "increase", *_P, "--eps", "1/4"],
+    ["path", "truncate", *_P, "--delta", "1/8"], ["path", "truncate", *_P], ["selftest"],
+]
+
+
+def _parse_outcome(capsys, parse, argv):
+    """What ``parse`` reads off ``argv``, less the command names, or its exit
+    code, stdout and stderr."""
+    try:
+        args = parse(list(argv))
+    except SystemExit as exc:
+        return exc.code, *capsys.readouterr()
+    return {k: v for k, v in vars(args).items() if k not in ("command", "path_command")}
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "no arguments")
+def test_main_reads_the_arguments_as_the_full_tree_does(monkeypatch, capsys, argv):
+    parse, parsed = cli._parse, []
+
+    def parse_only(argv):
+        # keeps what main parsed, and runs no handler
+        parsed.append(parse(argv))
+        return argparse.Namespace(handler=lambda args: (None, 0))
+
+    monkeypatch.setattr(cli, "_parse", parse_only)
+
+    def through_main(argv):
+        assert main(argv) == 0
+        return parsed.pop()
+
+    through_tree = cli._build_parser().parse_args
+    assert _parse_outcome(capsys, through_main, argv) == _parse_outcome(capsys, through_tree, argv)
 
 
 def test_the_default_sample_grid_is_the_straightening_default():
@@ -484,7 +561,9 @@ def test_a_field_of_characteristic_zero_is_spelled_q(capsys, circle_file, comman
     # zp:<p> takes a prime; zp:0 is refused rather than read as the rationals
     code, out, err = invoke(capsys, command, circle_file, "--field", "zp:0")
     assert code == 2 and out == ""
-    assert err.splitlines()[-1].endswith("error: argument --field: invalid parse value: 'zp:0'")
+    assert err.splitlines()[-1].endswith(
+        "error: argument --field: bad field spec 'zp:0'; expected 'q' or 'zp:<prime>'"
+    )
     code, out, _ = invoke(capsys, command, circle_file, "--field", "q")
     assert code == 0 and out
 
