@@ -54,12 +54,29 @@ class _Fields:
     """A value whose fields are its ``__slots__``, in order, shown by its
     ``repr``.
 
+    Values of one class compare, hash and pickle by their field values, read
+    at C speed by one ``attrgetter`` per class: contraction compares frames.
+    Unpickling and ``copy`` call the constructor with the fields in order.
     The value classes are written out rather than made by ``dataclasses``,
     whose import (it loads ``inspect``) and per-class code generation
     would add to the start of every command.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        if cls.__slots__:  # not ``_Frozen``, which adds no field
+            cls._key = attrgetter(*cls.__slots__)  # the bare value for one field
+
+    def __eq__(self, other):
+        return self._key(self) == other._key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __reduce__(self):
+        values = self._key(self)
+        return self.__class__, values if len(self.__slots__) > 1 else (values,)
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}({', '.join([f'{n}={getattr(self, n)!r}' for n in self.__slots__])})"
@@ -69,24 +86,13 @@ class _Frozen(_Fields):
     """A frozen record: assigning to or deleting a field raises
     ``AttributeError``.
 
-    Records of one class compare and hash by their field values, read at
-    C speed by one ``attrgetter`` per class: contraction compares frames.
     Unlike ``_Fields`` the base keeps an instance dict, where
     ``functools.cached_property`` stores its values.
     """
 
-    def __init_subclass__(cls) -> None:
-        cls._key = attrgetter(*cls.__slots__, "__class__")  # a tuple, even for one field
-
     def __init__(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
-
-    def __eq__(self, other):
-        return self._key(self) == other._key(other) if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key(self))
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen record")
@@ -495,14 +501,6 @@ class RealizationPoint(_Fields):
     def __init__(self, cube: str, coords: tuple[Fraction, ...]):
         self.cube = cube
         self.coords = coords
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.cube, self.coords) == (other.cube, other.coords)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.cube, self.coords))
 
 
 def as_fraction(x) -> Fraction:

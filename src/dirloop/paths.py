@@ -14,15 +14,15 @@ offending input segment.  A path document gets the same checks, strip and
 join from :func:`~dirloop.serialize.load_path`, in one pass over the
 document.  Two paths are therefore equal as maps exactly
 when they are equal as values.  The value objects (``TrackSeg``,
-``StarSeg``, ``Interior`` and ``RealizationPoint``) are slotted classes
-with structural equality and hash, cheap to build, whose ``__init__``,
-``__eq__`` and ``__hash__`` are written out as ``dataclasses`` would
-generate them; no module imports ``dataclasses``, which loads ``inspect``
+``StarSeg``, ``Interior`` and ``RealizationPoint``) are slotted classes,
+cheap to build, whose ``__init__`` is written out as ``dataclasses`` would
+generate it; no module imports ``dataclasses``, which loads ``inspect``
 and would add milliseconds to every command's start.  Their fields are
-their ``__slots__``, in constructor order.  They are mutable only in
-principle: segments are shared by identity across paths, frames and
-trails, so no code assigns to one outside its constructor, which a test
-checks by walking the AST of every module of the package.
+their ``__slots__``, in constructor order, and they compare, hash and
+pickle by them through the one value base, ``cubical._Fields``.  They are
+mutable only in principle: segments are shared by identity across paths,
+frames and trails, so no code assigns to one outside its constructor,
+which a test checks by walking the AST of every module of the package.
 ``MoorePath`` is a frozen record on the shared base in ``cubical``.
 
 Transforms join, and only segments from outside are canonicalized.  The
@@ -114,14 +114,13 @@ _COORD_LEVELS = (1, 2)
 
 
 class _StarType:
-    """The collapsed cone point.  A single shared instance, ``STAR``."""
+    """The collapsed cone point.  A single shared instance, ``STAR``, which
+    pickle and ``copy`` give back by name."""
 
-    _instance = None
+    __slots__ = ()
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __reduce__(self) -> str:
+        return "STAR"
 
     def __repr__(self) -> str:
         return "Star"
@@ -138,14 +137,6 @@ class Interior(_Fields):
     def __init__(self, height: Fraction, point: RealizationPoint):
         self.height = height
         self.point = point
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.height, self.point) == (other.height, other.point)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.height, self.point))
 
 
 def classify_point(p) -> str:
@@ -167,12 +158,6 @@ class StarSeg(_Fields):
     def __init__(self, duration: Fraction):
         self.duration = duration
 
-    def __eq__(self, other):
-        return (self.duration,) == (other.duration,) if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.duration,))
-
 
 class TrackSeg(_Fields):
     """An affine stretch inside one base cube.
@@ -190,15 +175,6 @@ class TrackSeg(_Fields):
         self.cube = cube
         self.c0 = c0
         self.c1 = c1
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.duration, self.h0, self.h1, self.cube, self.c0, self.c1) == (
-                other.duration, other.h0, other.h1, other.cube, other.c0, other.c1)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.duration, self.h0, self.h1, self.cube, self.c0, self.c1))
 
 
 class MoorePath(_Frozen):

@@ -144,13 +144,16 @@ def _rational_reader():
 
 
 def dump_complex(K: CubicalSet) -> dict:
-    cubes = []
-    for name in sorted(K.cubes, key=lambda c: (K.cubes[c], c)):
-        faces = {
-            face_key(s // 2 + 1, s % 2): {"base": ref.base, "degens": list(ref.degens)}
-            for s, ref in enumerate(K.rows[name])
-        }
-        cubes.append({"id": name, "dim": K.cubes[name], "faces": faces})
+    """The complex document: every face entry of each cube in ``(i, eps)``
+    order, those past the cube's dimension included, so that a complex with
+    a missing or stray face dumps as it was read."""
+    faces: dict = {name: {} for name in K.cubes}
+    for (name, i, eps), ref in sorted(K.faces.items()):  # keys are distinct: no two refs are compared
+        faces[name][face_key(i, eps)] = {"base": ref.base, "degens": list(ref.degens)}
+    cubes = [
+        {"id": name, "dim": K.cubes[name], "faces": faces[name]}
+        for name in sorted(K.cubes, key=lambda c: (K.cubes[c], c))
+    ]
     return {"basepoint": K.basepoint, "cubes": cubes}
 
 

@@ -919,8 +919,9 @@ def test_a_closed_stdout_is_one_error_line(argv, keep):
 # and no traceback.  The values reach the checks of ``FieldSpec``,
 # ``RunConfig``, ``parse_rational`` and the transforms.  Left out, because
 # their work has no bound yet: a large ``--samples`` (one frame each) and a
-# degree whose series never reaches the digit limit; ``selftest --seed`` is
-# left out too, since every seed runs the whole acceptance suite.
+# degree whose series never reaches the digit limit.  ``selftest --seed``
+# runs the whole acceptance suite on each seed, so it gets a few fixed seeds
+# of its own (``test_selftest_passes_on_any_seed``) rather than hypothesis.
 
 _rational_args = st.one_of(
     st.fractions(0, 1).map(str),
@@ -1001,3 +1002,12 @@ def test_argument_values_never_crash(argument_files, argv):
     if code == 0 and fields:
         # a field read is q, or zp: with a prime, never zp:0
         assert fields[0] == "q" or int(fields[0][3:]) > 1, argv
+
+
+@pytest.mark.parametrize("seed", [-7, 0, 1, 10**30])
+def test_selftest_passes_on_any_seed(capsys, seed):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "selftest", "--seed", str(seed))
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "10/10 criteria passed"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ast
+import copy
 import pathlib
 import pickle
 import random
@@ -21,12 +22,14 @@ from dirloop.corpus import (
 )
 from dirloop.cubical import (
     RealizationPoint,
+    Violation,
     boundary_snap,
     normalize_point,
     suspension_model,
     tensor_product,
 )
-from dirloop.james import IntervalLetter, word_loop
+from dirloop.homology import FieldSpec, GradedDims
+from dirloop.james import IntervalLetter, JamesWord, word_loop
 from dirloop.paths import (
     Interior,
     MoorePath,
@@ -1931,3 +1934,53 @@ def test_slotted_value_objects_keep_equality_hash_replace_and_fields():
     assert loop.duration == 1 and "times" in vars(loop)
     assert loop.empty_at is STAR and loop.segments == (StarSeg(F(1)),)
     assert loop.__eq__(loop.segments) is NotImplemented
+
+
+def test_values_pickle_and_copy_through_their_constructor():
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(STAR, protocol)) is STAR
+    assert copy.copy(STAR) is STAR and copy.deepcopy(STAR) is STAR
+    x = RealizationPoint("e", (F(1, 2),))
+    loop = MoorePath((TrackSeg(F(1), F(-1, 2), F(1, 2), "e", (F(1, 3),), (F(2, 3),)), StarSeg(F(2))))
+    assert loop.duration == 3 and "duration" in vars(loop)
+    values = [
+        loop,
+        MoorePath((), STAR),
+        FieldSpec(3),
+        GradedDims({0: 1, 1: 3}, 4),
+        JamesWord((x, x)),
+        Violation("relation", "s", "faces differ", (1, 2, 0, 1)),
+    ]
+    for value in values:
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(value, protocol))
+            assert back == value and type(back) is type(value)
+        assert copy.deepcopy(value) == value
+    assert pickle.loads(pickle.dumps(values[1])).empty_at is STAR
+    # the constructor builds the copy: it is frozen, and its cache starts empty
+    back = pickle.loads(pickle.dumps(loop))
+    with pytest.raises(AttributeError):
+        back.segments = ()
+    assert "duration" not in vars(back) and back.duration == 3
+
+
+def test_every_value_compares_hashes_and_pickles_through_one_base():
+    package = pathlib.Path(dirloop.__file__).parent
+    hooks = {"__eq__", "__hash__", "__reduce__", "__reduce_ex__", "__getstate__", "__setstate__", "__copy__",
+             "__deepcopy__", "__getnewargs__", "__getnewargs_ex__", "__new__"}
+    defined = set()
+    for module in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        names = [item.name]
+                    elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                        targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                        names = [t.id for t in targets if isinstance(t, ast.Name)]
+                    else:
+                        names = []
+                    defined.update((node.name, name) for name in names if name in hooks)
+    assert defined == {
+        ("_Fields", "__eq__"), ("_Fields", "__hash__"), ("_Fields", "__reduce__"), ("_StarType", "__reduce__"),
+    }

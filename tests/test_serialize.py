@@ -152,6 +152,25 @@ def test_complex_format_matches_contract():
     }
 
 
+def test_a_complex_with_a_missing_or_stray_face_dumps_as_read():
+    # edge e lacks its face d1_1 and has a face d1_3 past its dimension
+    plain = {"base": "v", "degens": []}
+    doc = {
+        "basepoint": "v",
+        "cubes": [{"id": "v", "dim": 0, "faces": {}}, {"id": "e", "dim": 1, "faces": {"d1_3": plain, "d0_1": plain}}],
+    }
+    K = parse_complex(doc)
+    dumped = dump_complex(K)
+    # every entry, in (i, eps) order whatever the order read
+    assert dumped == doc and list(dumped["cubes"][1]["faces"]) == ["d0_1", "d1_3"]
+    L = parse_complex(dumped)
+    assert (L.rows, L._stray) == (K.rows, K._stray)
+    # a complex built in code with a face missing dumps the faces it has
+    built = CubicalSet({"v": 0, "e": 1}, {("e", 1, 1): FaceRef("v")}, "v")
+    assert dump_complex(built)["cubes"][1]["faces"] == {"d1_1": plain}
+    assert parse_complex(dump_complex(built)).faces == built.faces
+
+
 @pytest.mark.parametrize(
     "mangle, message",
     [
