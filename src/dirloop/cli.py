@@ -8,15 +8,18 @@ presentation that ``validate`` rejects exits 2 before any computation;
 ``validate`` itself only parses, lists every defect and exits 1.
 
 :class:`RunConfig` holds the field, the truncation degree, the shear and
-the sample grid, and checks the degree and the shear, which argparse
-cannot; ``--samples`` is checked as its grid is built.  The default grid
+the sample grid, and checks the degree, which argparse cannot;
+``--samples`` is checked as its grid is built.  The default grid
 of five samples is built here by :func:`_sample_grid` and equals
 ``straighten.DEFAULT_SAMPLES``, so filling it loads no path module; the
 field is ``None`` for the commands without ``--field``, and the rationals
 for a homology command that omits it, so filling it loads no algebra.
-Options that one handler reads and argparse fully checks,
-``--x-structure`` (default ``total``) and ``--seed`` (default 0), stay on
-the parsed arguments.  A value that ``FieldSpec.parse`` or
+Options that one handler reads stay on the parsed arguments:
+``--x-structure`` (default ``total``) and ``--seed`` (default 0), which
+argparse fully checks, and ``--t``, ``--delta`` and ``--eps``, whose range
+the path transform checks after the files load, so a malformed file exits
+2 before an out-of-range value exits 1.  ``RunConfig.epsilon`` is filled
+from ``--eps`` but not checked.  A value that ``FieldSpec.parse`` or
 ``parse_rational`` refuses exits 2 with the reason they give.
 
 Each handler returns its output as pieces of text, formatted inside the
@@ -91,11 +94,9 @@ class RunConfig(_Frozen):
     __slots__ = ("field", "degree", "epsilon", "samples")
 
     # the default samples equal ``straighten.DEFAULT_SAMPLES``
-    def __init__(self, field=None, degree=6, epsilon=Fraction(1, 2), samples=_sample_grid(5)):
+    def __init__(self, field=None, degree=6, epsilon=None, samples=_sample_grid(5)):
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        if not 0 < epsilon < 1:
-            raise ValueError("epsilon must lie strictly between 0 and 1")
         _Frozen.__init__(self, field, degree, epsilon, samples)
 
 
@@ -269,9 +270,8 @@ def cmd_path_phi(args):
 
 
 def cmd_path_increase(args):
-    config = _config(args)
     sus, loop = _load_pair(args)
-    return (path_text(sus.make_increasing(loop, config.epsilon)),), 0
+    return (path_text(sus.make_increasing(loop, args.eps)),), 0
 
 
 def cmd_path_truncate(args):

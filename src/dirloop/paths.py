@@ -26,9 +26,9 @@ which a test checks by walking the AST of every module of the package.
 ``MoorePath`` is a frozen record on the shared base in ``cubical``.
 
 Transforms join, and only segments from outside are canonicalized.  The
-module level builders (``_slice``, ``_shifted``, ``_map_heights``) return
-plain segment lists, and each public transform hands its list to the join
-once.  Every piece they build is cut, shifted, clamped or rescaled from a
+module level builders (``_slice``, ``_mapped``) return plain segment
+lists, and each public transform hands its list to the join once.  Every
+piece they build is cut, shifted, clamped or rescaled from a
 canonical segment, or is a climb over a normalized point, so it already
 sits in its carrier with ``Fraction`` values: a moving coordinate is held
 on no piece of its track, and the clamp keeps every height within the
@@ -36,13 +36,14 @@ poles.  No transform's output passes through :meth:`Suspension.path`, and
 no intermediate result is wrapped in a ``MoorePath`` only to be joined
 again.
 
-Each concept has one mechanism underneath.  Every height deformation
-(``height_affine``, ``shift_heights``, ``make_increasing`` and through them
-``shrink_cone``) is one clamped map h -> a*h + b + c*t.  Every change of
-clock (``scale_time``, ``reparam`` and the straightening frames) is
-``_shifted`` with its duration factor.  One pole clamp, ``_clamp``, serves
-them all and, through ``_clamped_track``, the ramps, and cuts a track once
-per pole it crosses.
+Each concept has one mechanism underneath.  Every height deformation and
+every change of clock is one integer map, ``_mapped``, which sends the
+height h at old time t to a*h + b + c*t and multiplies each duration by f:
+``height_affine``, ``shift_heights``, ``make_increasing``, ``shrink_cone``
+through ``height_affine``, the letter round trips, ``scale_time``,
+``reparam``, the ramps (the identity map, for their overshoot) and the
+early straightening frames (a shift with a new clock).  Its one pole clamp,
+``_clamp``, cuts a track once per pole it crosses.
 Every point inside a segment comes from one integer interpolator,
 ``_lerp``, save the collar truncation's cut points, which are snapped
 straight from the integers (below).  The passages through the middle slice
@@ -57,19 +58,20 @@ and heights as integers once.  A run of pauses is summed on integers and
 built as one pause when a track or the end closes it, the junction, pole
 and height-rate tests run on the last track's integers, and a coordinate
 rate is one integer cross-multiplication, none where the coordinate is
-held.  A pure vertical
-shift (a = 1, c = 0) adds b to each height with no clock, or nothing at
-all when b = 0.  ``_shifted`` works out the shifted heights and the scaled
-duration as integer pairs, not necessarily reduced, and the clamp builds a
-``Fraction`` only for a value that survives it, once: a pole height is the
-shared constant, b = 0 keeps the heights' objects and f = 1 the
-duration's.  Two tracks that meet with the same data in the same
-carrier are continuous without normalizing their end points, and a track
-end with every coordinate strictly inside (0, 1) is no cone point unless
-at a pole, so ``pauses_and_runs`` normalizes only the other ends.  A track
-that stays within the poles is clamped without computing cuts; one that
-crosses a pole is cut there on the integers of its end heights, with the
-pole as the height at the cut and only moving coordinates interpolated.
+held.  ``_mapped`` works out the mapped heights and the scaled duration as
+integer pairs, not necessarily reduced, with a and b over one denominator,
+so a pure shift (a = 1, c = 0) adds b to each height and nothing more.  It
+reads no clock unless c is not 0, and then the path's own breakpoints.
+The clamp builds a ``Fraction`` only for a value that survives it, once: a
+pole height is the shared constant, the identity height map keeps the
+heights' objects and f = 1 the duration's.  Two tracks that meet with the
+same data in the same carrier are continuous without normalizing their end
+points, and a track end with every coordinate strictly inside (0, 1) is no
+cone point unless at a pole, so ``pauses_and_runs`` normalizes only the
+other ends.  A track that stays within the poles is clamped without
+computing cuts; one that crosses a pole is cut there on the integers of its
+end heights, with the pole as the height at the cut and only moving
+coordinates interpolated.
 The collar truncation works on the same integers.  A value from n0/d0 to
 n1/d1 meets the level l/3 at s = (l*d0 - 3*n0)*d1 / (3*(n1*d0 - n0*d1)),
 and only a cut with 0 < s < 1 is built.  Each piece between cuts lies in
@@ -356,39 +358,29 @@ def _clamp(seg, dn: int, dd: int, n0: int, d0: int, n1: int, d1: int, keep_d: bo
     return out
 
 
-def _clamped_track(seg: TrackSeg) -> list:
-    """The pieces of a track whose heights may overshoot the poles (:func:`_clamp`)."""
-    return _shifted([seg], 0)
+def _mapped(segments, a=1, b=0, c=0, f=1) -> list:
+    """The segments with the height h at old time t sent to a*h + b + c*t
+    (a > 0) and every duration multiplied by ``f``, clamped at the poles.
 
-
-def _map_heights(segments, a, b, c) -> list:
-    """The segments with height h at time t sent to a*h + b + c*t, clamped at the poles."""
-    if a == 1 and c == 0:
-        return _shifted(segments, b)
-    segs = []
-    acc = Fraction(0)
-    for seg in segments:
-        if isinstance(seg, StarSeg):
-            segs.append(seg)
-        else:
-            g0 = a * seg.h0 + b + c * acc
-            g1 = a * seg.h1 + b + c * (acc + seg.duration)
-            segs.extend(_clamped_track(TrackSeg(seg.duration, g0, g1, seg.cube, seg.c0, seg.c1)))
-        acc += seg.duration
-    return segs
-
-
-def _shifted(segments, b, f=1) -> list:
-    """The segments with every height raised by ``b`` and every duration
-    multiplied by ``f``, clamped at the poles.
-
-    Worked out on integers, each piece built once: the clamp cuts at the
-    same parameters on either clock.  With b = 0 the height objects are
-    kept and with f = 1 the duration objects, so with both a canonical
-    piece comes back as it stands; with b = 0 it is the one clock scaler.
+    Worked out on integers, each piece built once by :func:`_clamp`, which
+    cuts at the same parameters on either clock.  a and b sit over one
+    denominator m, so a height n/d goes to (a*m*n + b*m*d)/(m*d); for a = 1
+    m is b's own, and a pure shift costs what adding b does.  Only when c is
+    not 0 is there a clock: a*h + b + c*t is a*(h + (c/a)*t) + b, with t at
+    each end of a track read from the breakpoints of ``segments``, which
+    must then be a ``MoorePath``.  The identity height map keeps the height
+    objects and f = 1 the duration's, so with both a canonical piece comes
+    back as it stands.
     """
     bn, bd, fn, fd = b.numerator, b.denominator, f.numerator, f.denominator
-    keep_d = fn == fd
+    an = m = bd
+    if a != 1:
+        an, bn, m = a.numerator * bd, bn * a.denominator, a.denominator * bd
+    keep_d, keep_h = fn == fd, an == m and not bn and not c
+    if c:
+        # c/a as cn/cd, not reduced: a = an/m with an, m > 0
+        cn, cd, times, segments = c.numerator * m, c.denominator * an, segments.times, segments.segments
+        clock = iter([(times[k], times[k + 1]) for k, seg in enumerate(segments) if isinstance(seg, TrackSeg)])
     segs = []
     for seg in segments:
         dn, dd = seg.duration.numerator * fn, seg.duration.denominator * fd
@@ -396,7 +388,12 @@ def _shifted(segments, b, f=1) -> list:
             segs.append(seg if keep_d else StarSeg(Fraction(dn, dd)))
             continue
         n0, d0, n1, d1 = seg.h0.numerator, seg.h0.denominator, seg.h1.numerator, seg.h1.denominator
-        segs.extend(_clamp(seg, dn, dd, n0 * bd + bn * d0, d0 * bd, n1 * bd + bn * d1, d1 * bd, keep_d, not bn))
+        if c:
+            # h + (c/a)*t at both ends, on the integers of c/a and of t
+            t0, t1 = next(clock)
+            n0, d0 = n0 * cd * t0.denominator + cn * t0.numerator * d0, d0 * cd * t0.denominator
+            n1, d1 = n1 * cd * t1.denominator + cn * t1.numerator * d1, d1 * cd * t1.denominator
+        segs.extend(_clamp(seg, dn, dd, an * n0 + bn * d0, m * d0, an * n1 + bn * d1, m * d1, keep_d, keep_h))
     return segs
 
 
@@ -414,7 +411,7 @@ def _ramp_segments(x: RealizationPoint, a: Fraction, b: Fraction) -> list:
     The parts beyond the poles ride at the cone point; for a = b the one
     piece has duration 0, which the join drops.
     """
-    return _clamped_track(TrackSeg(b - a, a, b, x.cube, x.coords, x.coords))
+    return _mapped([TrackSeg(b - a, a, b, x.cube, x.coords, x.coords)])
 
 
 def _snap_height(n: int, m: int) -> Fraction:
@@ -710,7 +707,7 @@ class Suspension:
         f = Fraction(factor)
         if f <= 0:
             raise ValueError("time scale must be positive")
-        return self._join(_shifted(path.segments, 0, f), empty_at=path.empty_at)
+        return self._join(_mapped(path.segments, f=f), empty_at=path.empty_at)
 
     def reparam(self, path: MoorePath, table: Sequence) -> MoorePath:
         """Run the path on a new clock given (new_time, old_time) breakpoints.
@@ -750,7 +747,7 @@ class Suspension:
                         )
                     )
             else:
-                segs.extend(_shifted(_slice(path, o0, o1), 0, (n1 - n0) / (o1 - o0)))
+                segs.extend(_mapped(_slice(path, o0, o1), f=(n1 - n0) / (o1 - o0)))
         return self._join(segs, empty_at=self.start_point(path))
 
     # ------------------------------------------------------------------
@@ -767,7 +764,7 @@ class Suspension:
             raise ValueError("height scale must be positive")
         if -a + b > -1 or a + b < 1:
             raise ValueError("affine height map must cover [-1, 1]")
-        segs = _map_heights(path.segments, a, b, 0)
+        segs = _mapped(path.segments, a, b)
         return self._join(segs, empty_at=_map_point(path.empty_at, a, b))
 
     def shift_heights(self, path: MoorePath, delta) -> MoorePath:
@@ -778,7 +775,7 @@ class Suspension:
         raises.  A single excursion off the cone point never comes apart.
         """
         d = Fraction(delta)
-        segs = _map_heights(path.segments, 1, d, 0)
+        segs = _mapped(path.segments, 1, d)
         return self._join(segs, empty_at=_map_point(path.empty_at, 1, d))
 
     def shrink_cone(self, path: MoorePath, side: str, t) -> MoorePath:
@@ -805,7 +802,7 @@ class Suspension:
         T = path.duration
         if T == 0:
             return path
-        return self._join(_map_heights(path.segments, 1 / (1 - e), 0, e / (T * (1 - e))))
+        return self._join(_mapped(path, 1 / (1 - e), 0, e / (T * (1 - e))))
 
     # ------------------------------------------------------------------
     # ramps and the letter maps
@@ -861,7 +858,7 @@ class Suspension:
             raise ValueError("attach_then_detach needs a loop at the cone point")
         x = normalize_point(self.base, x.cube, x.coords)
         grown = list(loop.segments) + _ramp_segments(x, Fraction(-1), (tt - 1) / (1 + tt))
-        return self._join(_map_heights(grown, 1 + tt, -tt, 0))
+        return self._join(_mapped(grown, 1 + tt, -tt))
 
     def detach_then_attach(self, path: MoorePath, t) -> MoorePath:
         """Detach/attach round trip at stage ``t`` on a path into the middle slice.
@@ -872,7 +869,7 @@ class Suspension:
         if not 0 <= tt <= 1:
             raise ValueError("stage must lie in [0, 1]")
         x = self._final_letter(path)
-        segs = _map_heights(path.segments, 1 + tt, -tt, 0) + _ramp_segments(x, -tt, Fraction(0))
+        segs = _mapped(path.segments, 1 + tt, -tt) + _ramp_segments(x, -tt, Fraction(0))
         return self._join(segs, empty_at=path.empty_at)
 
     # ------------------------------------------------------------------

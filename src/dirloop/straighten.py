@@ -28,7 +28,7 @@ pause_n.  The gaps are worked out once per loop, so the join merges no
 pauses there.  Every frame is built from integers.  The crossing time b
 and the duration a come from the scan's integer sums, and the cut piece's
 durations from the crossing parameter.  Below 1/2 the pieces are shifted,
-rescaled and clamped on integers (``paths._shifted``), and each climb and
+rescaled and clamped on integers (``paths._mapped``), and each climb and
 each pause (1 - t)*pause is one ``Fraction(n, d)``.  The pauses, b, a and
 the gaps are integers over one common denominator D of the loop, so at
 stage t = p/q every pause and closed-form climb is an integer over 2*q*D;
@@ -58,7 +58,7 @@ from functools import cache
 from math import lcm
 
 from .cubical import ONE as _ONE, ZERO as _ZERO, CubicalSet, RealizationPoint, _Frozen, normalize_point
-from .paths import _HALF, _MINUS_ONE, MoorePath, STAR, StarSeg, Suspension, TrackSeg, _shifted
+from .paths import _HALF, _MINUS_ONE, MoorePath, STAR, StarSeg, Suspension, TrackSeg, _mapped
 
 DEFAULT_SAMPLES = (_ZERO, Fraction(1, 4), _HALF, Fraction(3, 4), _ONE)
 
@@ -127,10 +127,10 @@ def _early_frames(legs, t: Fraction) -> list:
     for b, xb, a, pre, post in legs:
         bn, bd, an, ad = b.numerator, b.denominator, a.numerator, a.denominator
         x = xb.coords
-        segs = _shifted(pre, down, f)
+        segs = _mapped(pre, 1, down, 0, f)
         segs.append(TrackSeg(Fraction(p * bn, (q + p) * bd), down, _ZERO, xb.cube, x, x))
         segs.append(TrackSeg(Fraction(p * (an * bd - bn * ad), (q + p) * ad * bd), _ZERO, t, xb.cube, x, x))
-        segs.extend(_shifted(post, t, f))
+        segs.extend(_mapped(post, 1, t, 0, f))
         frames.append(segs)
     return frames
 

@@ -401,10 +401,12 @@ def test_exit_codes_for_bad_input(capsys, tmp_path, circle_file, loop_file):
     code, _, err = invoke(capsys, "homology", str(target))
     assert code == 2 and "ghost" in err
 
-    code, _, err = invoke(
-        capsys, "path", "increase", loop_file, "--complex", circle_file, "--eps", "2"
-    )
-    assert code == 1 and "epsilon" in err
+    # the shear is checked once, by the transform, after the files load
+    for eps in ("0", "1", "2", "-1/2"):
+        code, out, err = invoke(capsys, "path", "increase", loop_file, "--complex", circle_file, f"--eps={eps}")
+        assert (code, out, err) == (1, "", "error: tilt must lie strictly between 0 and 1\n"), eps
+    code, out, err = invoke(capsys, "path", "increase", str(garbled), "--complex", circle_file, "--eps", "2")
+    assert code == 2 and out == "" and "garbled.json" in err and "tilt" not in err
 
     code, _, _ = invoke(capsys, "path", "eval", loop_file, "--complex", circle_file, "--t", "x/y")
     assert code == 2

@@ -23,10 +23,10 @@ is the 47-letter loop ``bench/gen.make_loop(wedge_of_circles(3),
 random.Random(47), 47, 3)["path"]`` and ``tests/data/wedge3.json`` its
 complex.  Its ``contract`` trail, with the default five samples and with
 seven, its ``straighten`` output, with five, seven and nine samples, its
-``sec`` word and its ``path eval``
-points at five times k/64 of its duration 215 are pinned; CI hashes the
-console script's ``contract``, ``straighten``, ``sec`` and ``path eval``
-stdout on the same files.
+``sec`` word, its ``path eval`` points at five times k/64 of its duration
+215, and its ``path increase`` and ``path phi`` outputs are pinned; CI
+hashes the console script's ``contract``, ``straighten``, ``sec``, ``path
+eval``, ``path increase`` and ``path phi`` stdout on the same files.
 
 ``tests/data/sus_torus.json`` is ``dump_complex`` of
 ``suspension_model(torus_complex()).complex``, a document with degenerate
@@ -79,7 +79,9 @@ def _commands(duration):
         "contract": ["contract"],
         "eval": ["path", "eval", "--t", rational_str(duration / 3)],
         "increase": ["path", "increase", "--eps", "1/4"],
+        "increase-half": ["path", "increase", "--eps", "1/2"],
         "phi": ["path", "phi", "--side", "upper", "--t", "1/2"],
+        "phi-lower-whole": ["path", "phi", "--side", "lower", "--t", "1"],
         "truncate": ["path", "truncate"],
         "truncate-delta": ["path", "truncate", "--delta", "1/8"],
     }
@@ -115,7 +117,9 @@ GOLDEN = {
     "circle/1/contract": "0 95c9ad63e2bcc9a96f3be4ec01653df2f72b79d36dba05f6db347a079050eb6d",
     "circle/1/eval": "0 591b1247651d622898f96a4e908a393c5b03929700f4956d12bacf3229bddf2c",
     "circle/1/increase": "0 eac255204bac26e1ac7664ef1841fcfee23165683d472b68ca4795d9bfbf2ff7",
+    "circle/1/increase-half": "0 3a8235a5fd3308b53df913e1b07be04b0c80adad6428db0e4f26bd93d9bc42ac",
     "circle/1/phi": "0 d38c44d3fb04dc6ceabd77b55a368536333b3a1c603366c3bf5c5bfb487e8830",
+    "circle/1/phi-lower-whole": "0 ba34dfe383bc45647c4b61c32e5dbc36161879fa15940c166cddf918024774b7",
     "circle/1/truncate": "0 3e0a55c8a17df660d1881a811ce918271edebe1650cdc0074d942f1dcb818065",
     "circle/1/truncate-delta": "0 001713a7b8c24a3e0b822fc4654d303764800f318a62c26fc163bb8d8417b716",
     "circle/2/sec": "0 ea084e725b44e6f8b550007917581e3ded37be7a3b85db5100ed6b1418a37128",
@@ -124,7 +128,9 @@ GOLDEN = {
     "circle/2/contract": "0 f2db8fb539249824847652834d8ab7c1abd1123f77fd3aa6ff7fef209ca24d34",
     "circle/2/eval": "0 8646a5c29dfdca60ce1825523ef5b506634b5509d02acb2ca96ff1cabdc312ba",
     "circle/2/increase": "0 c2d3d67f9a83dfd80b2d2d221e4199ec35eeb250b5fe7cb484a84e306e8e0639",
+    "circle/2/increase-half": "0 293d402d2e4f898cc76d821eefb9a95a272d5c12a9ad24f11dd7847afea71dc3",
     "circle/2/phi": "0 990ac20bf65fecf44cff82769c81921b295890221f5e90098a26c8c0aedf5d05",
+    "circle/2/phi-lower-whole": "0 11f3ca6dbaf5689c479f5c7ad12e7cc81462811d4c7aa58d738d5f1b83db0d42",
     "circle/2/truncate": "0 f96cb6590aebf8e7b3539c78bdc2192018a04269c384b7c04f45f3d97747f02d",
     "circle/2/truncate-delta": "0 23e3e0ebd566130172b9378fe0e0201b541bffccb00a2e68d2018d19a69a1bd4",
     "wedge2/1/sec": "0 1c27ace51f492d8043a1f646f0c9792030d71e4f733089f0eeca22ec496af496",
@@ -133,7 +139,9 @@ GOLDEN = {
     "wedge2/1/contract": "0 d629da290634bd50c36dc67844e2adad1e9ea097da4acb930e0e082c1bf739f2",
     "wedge2/1/eval": "0 6217abad0e063f89a95ab585de97b336700577b7629cdad593de099a1eeaadbc",
     "wedge2/1/increase": "0 02c899d8207031ae3ea5973d2b1fc4081c9d7875d0f445e3c02e3cc4ed76fc52",
+    "wedge2/1/increase-half": "0 f04499be7c411ecab84a102c0b6482d79f5f66668bb81068d18dd4b7ac25d25b",
     "wedge2/1/phi": "0 26719474eda73071bfc0e15a7c5ec3c1630d82f2ae8570c0a99fdc07e3f0be42",
+    "wedge2/1/phi-lower-whole": "0 f503f58ca2a97b9b47d2f1b40e6216fb030e50f1fcb4c31dbb2ce2c51ff9606d",
     "wedge2/1/truncate": "0 3b5a0847e4e8729aefeb7c72bcf38bde5d2285f820c2d790ed0d329916cae1a8",
     "wedge2/1/truncate-delta": "0 ef5a73b2f551fa33dd882926d3b6e620d0df41a5518498255c00e3867fcb1647",
     "wedge2/2/sec": "0 c97a8e528846081a6f4a7850d0df128633c574862990caeeb7e0f37002f79ee6",
@@ -142,7 +150,9 @@ GOLDEN = {
     "wedge2/2/contract": "0 2573c2e4b26f1cd4c37d902b7a279fa9a9297e8ff80117907b2c88ba047d71c0",
     "wedge2/2/eval": "0 55082eafabf45502d7ead18c35000a1b34e535af7bc7bb89b2e4f0527e6c0de9",
     "wedge2/2/increase": "0 19d5c9fbc532cee7a886dcaa8e544154b74b818bb8cdd8d735b79c0286979013",
+    "wedge2/2/increase-half": "0 15cfdb66be9dcabb65e0bf904353202f4f99255d4fa85429f434136e3649bcb6",
     "wedge2/2/phi": "0 03eeecde0ee4fd785c0b2f1748001f3ced7d1df0239d03134cc7e9cae0db19c8",
+    "wedge2/2/phi-lower-whole": "0 e64a9e6827ccf47065aee3b7d1f5189000faebdf4a86ab9603c340155ec2913e",
     "wedge2/2/truncate": "0 5f1b76435656a40e01ab640a7bc722c298c97029df7a9eecd7ec8ceac875de27",
     "wedge2/2/truncate-delta": "0 3738f881d00b59cb93f6075223afa4ba0e5b7c45d37b2325d0323c3cc1436296",
     "torus/1/sec": "0 4d0b124577f37d356184fdd651324d4d9889427c77c590d59b0b6b87a37f6fe9",
@@ -151,7 +161,9 @@ GOLDEN = {
     "torus/1/contract": "0 dcc3820f9afe62bcc3f23af8efb8dc37f566f211a5e3568611fb41a69e3359c6",
     "torus/1/eval": "0 7cc3e686b17f9344e236391c13956a1a73aa6819d3f63fd8a853801a4156dc50",
     "torus/1/increase": "0 1f7a4d6f7baa552d28b1329033c4e4cb12b699b433efb889bd74b38a8b07d805",
+    "torus/1/increase-half": "0 cffeab4d1786db4f35c6fed09608b23838b77fa448795c4d20ade289b2bc4757",
     "torus/1/phi": "0 5954003106ad998708c2c554b283bbb06f74232285dff4be28707ae20db238d4",
+    "torus/1/phi-lower-whole": "0 b855df04700233a22324e42fb812f90b4bd96d43d8348c8f9c88a89a8de1543e",
     "torus/1/truncate": "0 1441ac990b98be7a586df9fa877a68c19e56cdcdee9da7647837599e6d6571ea",
     "torus/1/truncate-delta": "0 9f209f48fecdda1246df8de8ef20d78f259a1b7594b6834366cda8f3b3a32e5d",
     "torus/2/sec": "0 a148d70de766dda42b37781d1702c54678fe3248239e91972b613b7ed18c93a2",
@@ -160,7 +172,9 @@ GOLDEN = {
     "torus/2/contract": "0 fc11cb2bbfde32ecb8ac114d2511d5a3720c295c7f561abb8822afee1419525e",
     "torus/2/eval": "0 cdcb7a9c8feda203d42861db7fb6b09cc8ede9fb1ef412b0f537539f7c2b3f32",
     "torus/2/increase": "0 9226455a7d52adef391e723d68b61260c5f91db6bc15273cc81b42e3ac655247",
+    "torus/2/increase-half": "0 59980c7b0d1e5fbed2868105d43068035cabcfcd5ae048d0889bbf4f136462ca",
     "torus/2/phi": "0 028d79a013b0a4e7ba5c2c3f486faa45047d71f826e63cbd41e242a2a6a29330",
+    "torus/2/phi-lower-whole": "0 634c32fe6a21ab2819481d273405ae7bb2b6931b6bf290d61c25f7aaad89c340",
     "torus/2/truncate": "0 8a991a077dcd29d53e75673926d74c2d55a2630bd25d599a91ea9ca42fec4edb",
     "torus/2/truncate-delta": "0 d8ba68eae0ba2fa04efb87a429a3a2c7b6e2bc48e0e2e70fe6c9eba116101321",
     "cube3/1/sec": "0 74ab5f96c0f0d51f6c7b023ccfaa9fb06ee4f79e90742a1295dcaa86361a1104",
@@ -169,7 +183,9 @@ GOLDEN = {
     "cube3/1/contract": "0 9abbd7fde09170ae82683282272fec058c05b3e7aaa599f2e0528db2d6b0088b",
     "cube3/1/eval": "0 58f5e9a694de12eea59e1c5803cc16f62ff3f46cb72f5bba1aa6616b965ab811",
     "cube3/1/increase": "0 15a8149bd627c40ca995d98135e2224fb95b0d755669d83a5fa2bc30d23ca0f7",
+    "cube3/1/increase-half": "0 ea1715e4cad764d1a4b889a7b6b3055987c959b9b8fcfa41fbedf526b4487710",
     "cube3/1/phi": "0 4ef9365007df1b8b74323b9c445e322e45eedd6060b79b4bffc419e30c8ca4e5",
+    "cube3/1/phi-lower-whole": "0 360670501f8a75281a6dae3caff64b11b9b306b00492876a5522a22a613072ce",
     "cube3/1/truncate": "0 aca923bf07f9885d12b6a9d944824e68a111ff3f0edddd5ee77e42d74fc2a775",
     "cube3/1/truncate-delta": "0 921c969ecf6e9e22212476c17d11cf34512700d418bf0e56c1eb2504007c2383",
     "cube3/2/sec": "0 ca1534c1226a7d2c9859b984eefb60bd4c4cc4131bf040d3ea8d02497b6dc194",
@@ -178,7 +194,9 @@ GOLDEN = {
     "cube3/2/contract": "0 134e3e068b88399ebfa915d2c48037785724b4c9c99274d922d3ced581611912",
     "cube3/2/eval": "0 aaa8571b45f2d92a1a2a8866ff528cb912d9eafab9881abd6316c67c8ca95f65",
     "cube3/2/increase": "0 af5571ed63e1113ff554b09842e888828f1a059841b41923dfd5631222acd9dd",
+    "cube3/2/increase-half": "0 44f1f1e623accefad6a233980436b751cf1cc8c9a1e02e46aa8ac4c185bc0079",
     "cube3/2/phi": "0 9bff151fbb7202c2df36be96de96db3bd8241278bbcca726f9d15b0b361c1515",
+    "cube3/2/phi-lower-whole": "0 d722f4a63932340edfde1f5ec657d36fae48af7d2d156a6cd69d5cf85a6c5e0d",
     "cube3/2/truncate": "0 dfd4af1f259dea355670e962219cad1d40c2b8104f96dca6d1265e234ada5d1c",
     "cube3/2/truncate-delta": "0 36b9d79cf64f23654194062099175a3abc6dccc894fa9829d9b66eda08d39f64",
     "wedge3-long/1/sec": "0 0aecabd92102fa3c636b3c7291bfbca96724b855422a2ee6abd69a93d6ddad04",
@@ -187,7 +205,9 @@ GOLDEN = {
     "wedge3-long/1/contract": "0 d9bc40c34f4a02442d857676d98c4021a51d33360bcb659d3cbe4dfa1dd8a6a8",
     "wedge3-long/1/eval": "0 1dfdd86df874b4eb1d6ca71872d8ee27858bde03a7b8335ef9d7f9ce6ea93000",
     "wedge3-long/1/increase": "0 f6bdb0ce9233ad01c9c49ecdeccbe2775556e55bebd25a719d96d6b267205a21",
+    "wedge3-long/1/increase-half": "0 879a24cf4141bcdc39d1d305808ef1f425881ea1b4f73a54265e596e0f2e62a2",
     "wedge3-long/1/phi": "0 fbd85f40f50ad65b96cc5ca09055ebc5cea4a336df35b8512d09ccc24b364cde",
+    "wedge3-long/1/phi-lower-whole": "0 7ea136f6a3a527074b24e6e85cefa54e07db37f6710f7ad4aff08afd366628ea",
     "wedge3-long/1/truncate": "0 8019aafb26019fb7889b4f466879169aaad619992499a9ac8a162a2bf963d937",
     "wedge3-long/1/truncate-delta": "0 226ceeda7ad6b8dc8af90d22cb5823e55fde811e6b5c91d59023ff58d3d01761",
     "wedge3-long/2/sec": "0 41a475390ac465f0359a96a37b0923a595d1f9b9afcb5c1b80d9e19999d4ec3c",
@@ -196,7 +216,9 @@ GOLDEN = {
     "wedge3-long/2/contract": "0 30d33d078233298ce96c5276b630b3a04f5369dd9a00b71674aec1f0dd5320e9",
     "wedge3-long/2/eval": "0 e47230e4503a69ee98571e82ea6f6393b547bc602dbc53da326f6f07e00a85ac",
     "wedge3-long/2/increase": "0 45f47f48702808ab9dfc1304e0e36f49d9a7f24709b12f04ed62e957961cf90c",
+    "wedge3-long/2/increase-half": "0 a0dfb5a6dbdb36837146942b710d56924835227167cde61f8fb9e52f671709c4",
     "wedge3-long/2/phi": "0 47fb14b8268fd7d1ddd437d79449c1ba62907783818eddfc3f1d387cf2574b03",
+    "wedge3-long/2/phi-lower-whole": "0 ce19f26656f243e30a93eb846addbb097b611a9d8b32034ab5ed769cbacb0fcc",
     "wedge3-long/2/truncate": "0 c84105cd208d05638771c2dcce407f6cbc8108988935d3cc0bf1774b23fd54c4",
     "wedge3-long/2/truncate-delta": "0 49d0372d7ea8140f3617f093a3187930248c9d3af3bc6ccfcb9e0398c6136e4a",
 }
@@ -605,6 +627,24 @@ def test_long_eval_is_unchanged(capsys):
     argv = ["path", "eval", str(DATA / "wedge3_loop47.json"), "--complex", str(DATA / "wedge3.json")]
     got = {k: _digest(capsys, [*argv, "--t", str(Fraction(215 * k, 64))]) for k in LONG_EVAL}
     assert got == LONG_EVAL
+
+
+# the path transforms CI runs on the 47-letter loop: the shear at two
+# tilts, and each half cone shrunk half way, the lower one also wholly,
+# which clamps every track below the middle slice into a pause
+LONG_TRANSFORMS = {
+    ("increase", "--eps", "1/4"): "0 4b04bcedef5ca624f656e5732702fa223a22899e42c7ea801c8ee9de59241faf",
+    ("increase", "--eps", "1/2"): "0 8b2a56c2d8e4123ecb806bccbfad7c743078985a3f85831ff1e97f347f4ccdbc",
+    ("phi", "--side", "upper", "--t", "1/2"): "0 3f48e4b003eeea4e641fdc6f58be91021ff7341acd8182ec26d968c7eb98e75b",
+    ("phi", "--side", "lower", "--t", "1/2"): "0 07f796b2b7777ed3eb1e76cd02cb1df377c59b67ab77a6308a2918eddee9b57a",
+    ("phi", "--side", "lower", "--t", "1"): "0 3c70078c939e7b3e3a06eb30d659d3eea921a460e2319c5b547c216986d9f1ce",
+}
+
+
+def test_long_transforms_are_unchanged(capsys):
+    files = [str(DATA / "wedge3_loop47.json"), "--complex", str(DATA / "wedge3.json")]
+    got = {(cmd, *rest): _digest(capsys, ["path", cmd, *files, *rest]) for cmd, *rest in LONG_TRANSFORMS}
+    assert got == LONG_TRANSFORMS
 
 
 # the commands CI also runs on the committed suspended torus, whose

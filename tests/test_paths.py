@@ -37,11 +37,9 @@ from dirloop.paths import (
     StarSeg,
     Suspension,
     TrackSeg,
-    _clamped_track,
     _lerp,
-    _map_heights,
+    _mapped,
     _same_rate,
-    _shifted,
     _slice,
     classify_point,
     is_strictly_increasing,
@@ -760,6 +758,35 @@ def test_transforms_match_pointwise_maps(seed):
     assert checked > 1000
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_letter_round_trips_match_pointwise_maps(seed):
+    # both round trips at stage u run h -> (1 + u)*h - u over the input's
+    # time [0, T]; after it, attach_then_detach's shortened climb lies at
+    # or below -1 and detach_then_attach climbs over the final letter
+    # from -u back to the middle slice
+    rng = random.Random(seed)
+    cases = 0
+    for make_base in POINTWISE_BASES:
+        s = Suspension(make_base())
+        for k in range(5):
+            loop = random_loop(s, rng) if k % 2 else _wandering_loop(s, rng)
+            x = random_interior_point(s.base, rng)
+            into_middle = s.attach_letter(x, loop)
+            for u in (F(1, 3), F(1, 2), F(3, 4)):
+                image = _height_image(lambda h, t: (1 + u) * h - u)
+                for src, out, tail in (
+                    (loop, s.attach_then_detach(x, loop, u), MoorePath((StarSeg(2 * u / (1 + u)),))),
+                    (into_middle, s.detach_then_attach(into_middle, u), s.ramp(x, -u, 0)),
+                ):
+                    T = src.duration
+                    assert out.duration == T + tail.duration
+                    head = s.slice_path(out, 0, T)
+                    assert _check_pointwise(s, src, head, lambda t: t, image, _breaks(src)) > 0
+                    assert s.slice_path(out, T, out.duration) == tail
+                    cases += 1
+    assert cases == 90
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from(["cube3", "torus", "suspended_circle"]))
 def test_canonical_track_keeps_endpoints(seed, which):
@@ -1178,7 +1205,7 @@ def test_clamped_track_pieces_follow_the_clamped_line(dur, h0, h1, c0, c1):
     # heights in quarters from -2 to 2: both the no-cut branch (heights in
     # [-1, 1], pinned at a pole or not) and the cutting branch are reached
     seg = TrackSeg(F(dur), F(h0, 4), F(h1, 4), "e", (c0,), (c1,))
-    pieces = _clamped_track(seg)
+    pieces = _mapped([seg])
     assert sum(p.duration for p in pieces) == seg.duration
     acc = F(0)
     for piece in pieces:
@@ -1252,12 +1279,12 @@ _CLAMP_COORDS = st.lists(
 @example(F(10**6 + 3, 999983), F(-1000003, 999999), F(7, 5), [(F(1, 3), F(5, 11), False)])
 @example(F(2, 3), F(-5, 3), F(12345679, 1234567), [(F(1, 7), F(6, 7), False), (F(1, 2), F(1, 2), True)])
 def test_clamped_track_matches_a_fraction_reference(dur, h0, h1, coords):
-    # ``_clamped_track`` cuts on the integers of the heights; the reference
+    # ``_mapped`` cuts on the integers of the heights; the reference
     # cuts with Fraction operators, so the pieces must be equal as values
     c0 = tuple(a for a, _, _ in coords)
     c1 = tuple(a if held else b for a, b, held in coords)
     seg = TrackSeg(dur, h0, h1, "c", c0, c1)
-    pieces = _clamped_track(seg)
+    pieces = _mapped([seg])
     assert pieces == _reference_clamp(seg)
     for piece in pieces:
         values = [piece.duration]
@@ -1335,7 +1362,7 @@ def test_pure_shift_matches_pointwise_map(make_base, seed, delta):
     loop = random_loop(s, rng) if rng.random() < 0.5 else _wandering_loop(s, rng)
     for run in s.pauses_and_runs(loop)[1]:
         exc = MoorePath(run)
-        shifted = _map_heights(run, 1, delta, 0)
+        shifted = _mapped(run, 1, delta)
         if delta == 0:
             assert all(a is b for a, b in zip(shifted, run)) and len(shifted) == len(run)
         out = s.shift_heights(exc, delta)
@@ -1362,7 +1389,7 @@ def test_shifted_keeps_the_objects_it_does_not_change(make_base, seed, delta, fa
     rng = random.Random(seed)
     s = Suspension(make_base())
     loop = random_loop(s, rng) if rng.random() < 0.5 else _wandering_loop(s, rng)
-    scaled = _shifted(loop.segments, 0, factor)
+    scaled = _mapped(loop.segments, f=factor)
     assert len(scaled) == len(loop.segments)
     for new, old in zip(scaled, loop.segments):
         assert type(new) is type(old) and new.duration == old.duration * factor
@@ -1370,7 +1397,7 @@ def test_shifted_keeps_the_objects_it_does_not_change(make_base, seed, delta, fa
             assert (new.h0, new.h1, new.c0, new.c1) == (old.h0, old.h1, old.c0, old.c1)
             assert new.h0 is old.h0 and new.h1 is old.h1 and new.c0 is old.c0 and new.c1 is old.c1
     for old in loop.segments:
-        pieces = _shifted([old], delta)
+        pieces = _mapped([old], 1, delta)
         if isinstance(old, StarSeg):
             assert pieces[0] is old
         elif len(pieces) == 1:
@@ -1381,9 +1408,58 @@ def test_shifted_keeps_the_duration_of_an_uncut_track():
     x = (F(1, 2),)
     for seg in (TrackSeg(F(5, 2), F(-1, 4), F(1, 8), "e", x, x), TrackSeg(F(1, 3), F(1, 2), F(1), "e", x, x)):
         for delta in (F(-1, 3), F(-3, 4)):
-            (piece,) = _shifted([seg], delta)
+            (piece,) = _mapped([seg], 1, delta)
             assert piece.duration is seg.duration
             assert (piece.h0, piece.h1) == (seg.h0 + delta, seg.h1 + delta)
+
+
+def _reference_map_heights(segments, a, b, c):
+    """Height h at time t sent to a*h + b + c*t, in plain Fraction arithmetic
+    on its own Fraction clock, each track clamped by ``_reference_clamp``."""
+    segs = []
+    acc = F(0)
+    for seg in segments:
+        if isinstance(seg, StarSeg):
+            segs.append(seg)
+        else:
+            g0 = a * seg.h0 + b + c * acc
+            g1 = a * seg.h1 + b + c * (acc + seg.duration)
+            segs.extend(_reference_clamp(TrackSeg(seg.duration, g0, g1, seg.cube, seg.c0, seg.c1)))
+        acc += seg.duration
+    return segs
+
+
+def _rescaled(seg, f):
+    if isinstance(seg, StarSeg):
+        return StarSeg(seg.duration * f)
+    return TrackSeg(seg.duration * f, seg.h0, seg.h1, seg.cube, seg.c0, seg.c1)
+
+
+@pytest.mark.parametrize("make_base", POINTWISE_BASES)
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    a=st.sampled_from([F(1), F(5, 4), F(3, 2), F(2), F(4)]),
+    b=st.sampled_from([F(0), F(1, 8), F(-1, 8), F(-3, 4), F(7, 5)]),
+    c=st.sampled_from([F(0), F(1, 7), F(1, 3), F(2)]),
+    f=st.sampled_from([F(1), F(3, 4), F(2)]),
+)
+def test_mapped_matches_the_fraction_reference(make_base, seed, a, b, c, f):
+    # ``_mapped`` works on integers and reads the time term from the path's
+    # breakpoints; the reference keeps a Fraction clock and cuts with
+    # Fraction operators, so the pieces must be equal as values
+    rng = random.Random(seed)
+    s = Suspension(make_base())
+    loop = random_loop(s, rng) if rng.random() < 0.5 else _wandering_loop(s, rng)
+    pieces = _mapped(loop if c else loop.segments, a, b, c, f)
+    assert pieces == [_rescaled(p, f) for p in _reference_map_heights(loop.segments, a, b, c)]
+    for piece in pieces:
+        values = [piece.duration]
+        if isinstance(piece, TrackSeg):
+            values += [piece.h0, piece.h1, *piece.c0, *piece.c1]
+        assert all(type(v) is F for v in values)
+    same = _mapped(loop.segments)
+    assert len(same) == len(loop.segments) and all(x is y for x, y in zip(same, loop.segments))
 
 
 # ----------------------------------------------------------------------
