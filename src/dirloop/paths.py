@@ -76,10 +76,9 @@ The collar truncation works on the same integers.  A value from n0/d0 to
 n1/d1 meets the level l/3 at s = (l*d0 - 3*n0)*d1 / (3*(n1*d0 - n0*d1)),
 and only a cut with 0 < s < 1 is built.  Each piece between cuts lies in
 one third of every value, so its ends decide it: it is silenced when both
-ends snap to the same pole, or when the slots where both snap to the same
-0 or 1 strip it onto the basepoint, worked out once per cube and pattern of
-slots in a call.  The snap of n/d is 0 when 3n <= d, 1 when 3n >= 2d, and
-(3n - d)/d between, with shared constants for the ends.
+ends snap to the same pole, or when ``strip_boundary`` of its two snapped
+ends carries it to the basepoint.  The snap of n/d is 0 when 3n <= d, 1
+when 3n >= 2d, and (3n - d)/d between, with shared constants for the ends.
 A path keeps its breakpoint times (``MoorePath.times``, computed once and
 summed on integers over the running lcm of the denominators), so
 ``evaluate``, ``slice_path`` and ``reparam`` find segments by bisection.
@@ -248,17 +247,9 @@ def _sub_segment(seg, sa: Fraction, sb: Fraction):
     d = seg.duration * (sb - sa)
     if isinstance(seg, StarSeg):
         return StarSeg(d)
-    # an end of the piece at an end of the segment needs no interpolation
-    if sa == 0:
-        h0, c0 = seg.h0, seg.c0
-    else:
-        p, q = sa.numerator, sa.denominator
-        h0, c0 = _lerp(seg.h0, seg.h1, p, q), _lerp_coords(seg.c0, seg.c1, p, q)
-    if sb == 1:
-        h1, c1 = seg.h1, seg.c1
-    else:
-        p, q = sb.numerator, sb.denominator
-        h1, c1 = _lerp(seg.h0, seg.h1, p, q), _lerp_coords(seg.c0, seg.c1, p, q)
+    p, q, r, m = sa.numerator, sa.denominator, sb.numerator, sb.denominator
+    h0, c0 = _lerp(seg.h0, seg.h1, p, q), _lerp_coords(seg.c0, seg.c1, p, q)
+    h1, c1 = _lerp(seg.h0, seg.h1, r, m), _lerp_coords(seg.c0, seg.c1, r, m)
     return TrackSeg(d, h0, h1, seg.cube, c0, c1)
 
 
@@ -451,10 +442,8 @@ def _collar_points(seg: TrackSeg) -> list:
     height = _snap_height(h.numerator, h.denominator)
     coords = [snap_thirds(c.numerator, c.denominator) for c in seg.c0]
     held = tuple(coords)
-    if not lines:
-        return [(0, 1, height, held), (1, 1, height, held)]
     # the height comes first in ``lines``, so a coordinate moves when the last does
-    moving = lines[-1][0] >= 0
+    moving = lines and lines[-1][0] >= 0
     out = []
     for p, q in [(0, 1), *((s.numerator, s.denominator) for s in sorted(cuts)), (1, 1)]:
         for k, base, rise, den in lines:
@@ -997,28 +986,17 @@ class Suspension:
         Each piece lies in one third of every value, so its ends decide it.
         Its midpoint height is in an outer third exactly when both ends snap
         to the same pole, and its snapped midpoint has a coordinate at 0 or
-        1 exactly where both ends snap to it.  ``strip_boundary`` strips by
-        the positions of those slots alone, so whether the piece lands on
-        the basepoint is worked out once per cube and pattern in a call, and
-        only a piece with such a slot that stays off it is stripped.  The
-        pieces then sit in their carriers and go to the join directly.
+        1 exactly where both ends snap to it.  So ``strip_boundary`` of the
+        two snapped ends finds the snapped midpoint's carrier, and the piece
+        is silenced when that is the basepoint.  The pieces then sit in their
+        carriers and go to the join directly.
         """
         K, basepoint = self.base, self.base.basepoint
-        silent: dict = {}  # (cube, snapped 0/1 slots) -> lands on the basepoint
 
         def carried(cube, ca, cb):
             # the piece's carrier and ends, or None when it is silenced
-            held = tuple([x if x is y and (x is _ZERO or x is _ONE) else None for x, y in zip(ca, cb)])
-            if held.count(None) == len(held):
-                return cube, ca, cb
-            key = (cube, held)
-            if key not in silent:
-                mid = tuple(_HALF if x is None else x for x in held)
-                silent[key] = normalize_point(K, cube, mid).cube == basepoint
-            if silent[key]:
-                return None
             carrier, (a, b) = strip_boundary(K, cube, (ca, cb))
-            return carrier, a, b
+            return None if carrier == basepoint else (carrier, a, b)
 
         segs = []
         for seg in path.segments:
@@ -1037,10 +1015,7 @@ class Suspension:
             points = _collar_points(seg)
             dn, dd = seg.duration.numerator, seg.duration.denominator
             for (pa, qa, ha, ca), (pb, qb, hb, cb) in zip(points, points[1:]):
-                if len(points) == 2:
-                    d = seg.duration
-                else:
-                    d = Fraction(dn * (pb * qa - pa * qb), dd * qa * qb)
+                d = Fraction(dn * (pb * qa - pa * qb), dd * qa * qb)
                 piece = None
                 if not (ha is hb and (ha is _ONE or ha is _MINUS_ONE)):
                     piece = fixed or carried(seg.cube, ca, cb)

@@ -1714,6 +1714,7 @@ _COLLAR_BASES = {
     "torus": torus_complex,
     "cube3": _cube3,
     "sus-circle": lambda: suspension_model(circle_complex()).complex,
+    "sus-torus": lambda: suspension_model(torus_complex()).complex,
 }
 # the collar levels, the ends, and values next to the levels on large
 # denominators that differ from each other
@@ -1862,6 +1863,18 @@ _COLLAR_CASES = {
             TrackSeg(F(1), F(-1), F(1), "(mid|e)", (F(1, 5),), (F(4, 5),)),
             TrackSeg(F(1), F(-1), F(1, 2), "(lo|e)", (F(1), F(1, 2)), (F(1, 2), F(1, 2))),
             TrackSeg(F(1), F(1, 2), F(1), "(lo|e)", (F(1, 2), F(1, 2)), (F(1, 2), F(1))),
+        ],
+    ),
+    # the first slot of a 3-cube held where it snaps to 0, whose face there is
+    # the basepoint through the degeneracy word (2, 1); a track leaving that
+    # face; and a track on the upper half cone whose held slot snaps to a
+    # face off the basepoint
+    "degenerate-3-faces": (
+        "sus-torus",
+        [
+            _held(1, -1, 1, "(lo|(e|e))", (F(1, 6), F(1, 2), F(1, 2))),
+            TrackSeg(F(1), F(-1), F(1), "(lo|(e|e))", (F(1, 6), F(1, 2), F(1, 2)), (F(5, 6), F(1, 2), F(1, 2))),
+            TrackSeg(F(1), F(-1), F(1), "(hi|(e|e))", (F(1, 2), F(1, 12), F(1, 2)), (F(1, 2), F(1, 12), F(11, 12))),
         ],
     ),
 }
